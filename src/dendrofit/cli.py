@@ -38,7 +38,7 @@ from .errors import (
     UnknownCategory,
 )
 from .estimators import QuadratureSpec
-from .forest import build_forest_suzuki, build_tree_chow_liu, kruskal_decisions
+from .forest import accepted_forest, kruskal_decisions
 from .model import DendroidModel, description_length, fit, log_likelihood, sample
 from .oracle import brute_force_best_forest
 from .scoring import Criterion, score_all_pairs
@@ -66,8 +66,8 @@ class RunConfig:
     schema: Optional[str] = None
     criterion: str = "ml"
     dn: Optional[float] = None
-    quad_order: int = 64
-    quad_tol: float = 1e-8
+    quad_order: int = QuadratureSpec.order
+    quad_tol: float = QuadratureSpec.tolerance
     fmt: Optional[str] = None
     out: Optional[str] = None
     model: Optional[str] = None
@@ -162,12 +162,10 @@ def cmd_learn(config: RunConfig) -> int:
     dn = criterion.dn(dataset.n)
 
     edges = score_all_pairs(dataset, criterion, quad)
-    penalized = criterion.kind != "ml"
-    decisions = kruskal_decisions(edges, penalized=penalized, n_vertices=schema.n_vars)
-    if penalized:
-        forest = build_forest_suzuki(edges, n_vertices=schema.n_vars)
-    else:
-        forest = build_tree_chow_liu(edges, n_vertices=schema.n_vars)
+    decisions = kruskal_decisions(
+        edges, penalized=criterion.kind != "ml", n_vertices=schema.n_vars
+    )
+    forest = accepted_forest(decisions, schema.n_vars)
 
     fitted = fit(dataset, forest)
     ll = log_likelihood(fitted, dataset)
@@ -332,14 +330,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="penalty scale d_n; required for custom, overrides mdl/aic",
         )
 
+    def add_quadrature_flags(p):
+        p.add_argument(
+            "--quad-order", type=int, default=QuadratureSpec.order,
+            help="Gauss-Hermite order",
+        )
+        p.add_argument(
+            "--quad-tol", type=float, default=QuadratureSpec.tolerance,
+            help="relative tolerance for the order-doubling check",
+        )
+
     learn = sub.add_parser("learn", help="learn a forest structure from data")
     add_data_flags(learn)
     add_criterion_flags(learn)
-    learn.add_argument("--quad-order", type=int, default=64, help="Gauss-Hermite order")
-    learn.add_argument(
-        "--quad-tol", type=float, default=1e-8,
-        help="relative tolerance for the order-doubling check",
-    )
+    add_quadrature_flags(learn)
     learn.add_argument(
         "--format", choices=("dot", "json", "both"), default="json", dest="fmt"
     )
@@ -349,11 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", help="emit the pairwise I/J score table")
     add_data_flags(score)
     add_criterion_flags(score)
-    score.add_argument("--quad-order", type=int, default=64, help="Gauss-Hermite order")
-    score.add_argument(
-        "--quad-tol", type=float, default=1e-8,
-        help="relative tolerance for the order-doubling check",
-    )
+    add_quadrature_flags(score)
     score.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     score.add_argument("--out", help="write the table here instead of stdout")
 
@@ -382,8 +382,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         schema=getattr(args, "schema", None),
         criterion=getattr(args, "criterion", "ml"),
         dn=getattr(args, "dn", None),
-        quad_order=getattr(args, "quad_order", 64),
-        quad_tol=getattr(args, "quad_tol", 1e-8),
+        quad_order=getattr(args, "quad_order", QuadratureSpec.order),
+        quad_tol=getattr(args, "quad_tol", QuadratureSpec.tolerance),
         fmt=getattr(args, "fmt", None),
         out=getattr(args, "out", None),
         model=getattr(args, "model", None),

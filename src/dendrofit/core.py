@@ -268,12 +268,13 @@ class ScoredEdge:
         return cls(i=i, j=j, mi=mi, penalty=penalty, score=mi - penalty)
 
 
-class _UnionFind:
-    """Minimal union-find for acyclicity validation (see forest module for
-    the full Kruskal support structure)."""
+class UnionFind:
+    """Disjoint sets over n vertices with path compression and union by
+    rank."""
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
+        self.rank = [0] * n
 
     def find(self, x: int) -> int:
         root = x
@@ -287,7 +288,11 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
         self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
         return True
 
 
@@ -302,7 +307,7 @@ class Forest:
         if self.n_vertices < 1:
             raise ValueError("a forest needs at least one vertex")
         object.__setattr__(self, "edges", frozenset(self.edges))
-        uf = _UnionFind(self.n_vertices)
+        uf = UnionFind(self.n_vertices)
         for i, j in sorted(self.edges):
             if i == j:
                 raise CyclicInput(f"self-loop at vertex {i}")
@@ -340,19 +345,15 @@ class RootedForest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
         n = len(self.parents)
+        # a parent map is acyclic iff its (v, parent) pairs form a forest
+        uf = UnionFind(n)
         for v, p in enumerate(self.parents):
             if p is None:
                 continue
             if not 0 <= p < n:
                 raise ValueError(f"parent {p} of vertex {v} out of range")
-            # walk to a root; more than n steps means a cycle
-            steps = 0
-            cur: Optional[int] = v
-            while cur is not None:
-                cur = self.parents[cur]
-                steps += 1
-                if steps > n:
-                    raise CyclicInput(f"parent map cycles through vertex {v}")
+            if not uf.union(v, p):
+                raise CyclicInput(f"parent map cycles through vertex {v}")
 
     @property
     def n_vertices(self) -> int:
@@ -368,19 +369,25 @@ class RootedForest:
 
     def topological_order(self) -> list[int]:
         """Vertices ordered so every parent precedes its children;
-        deterministic (lowest id first among the ready)."""
-        n = len(self.parents)
-        done = [False] * n
-        order: list[int] = []
-        while len(order) < n:
-            for v in range(n):
-                if done[v]:
-                    continue
-                p = self.parents[v]
-                if p is None or done[p]:
-                    done[v] = True
-                    order.append(v)
-        return order
+        deterministic (lowest id first among the ready).
+
+        This is the order of repeated ascending sweeps that each take every
+        vertex whose parent is already taken: a vertex joins its parent's
+        sweep when it comes after the parent in id order, and the next
+        sweep otherwise. Roots join the first sweep.
+        """
+        parents = self.parents
+        sweep: list[Optional[int]] = [0 if p is None else None for p in parents]
+        for v in range(len(parents)):
+            path = []
+            u = v
+            while sweep[u] is None:
+                path.append(u)
+                u = parents[u]
+            for w in reversed(path):
+                p = parents[w]
+                sweep[w] = sweep[p] + (p > w)
+        return sorted(range(len(parents)), key=lambda v: (sweep[v], v))
 
 
 def orient_forest(forest: Forest, schema: VariableSchema) -> RootedForest:

@@ -34,7 +34,8 @@ class QuadratureSpec:
 
     ``order`` is the starting node count of the self-consistency ladder;
     ``tolerance`` is the relative change under order-doubling below which
-    a value counts as confirmed.
+    a value counts as confirmed. The ladder must be able to double the
+    order at least once, so ``order`` is at most half the order ceiling.
     """
 
     order: int = 64
@@ -43,6 +44,11 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.order < 8 or self.order % 2 != 0:
             raise ValueError(f"quadrature order must be even and >= 8, got {self.order}")
+        if self.order > _MAX_QUAD_ORDER // 2:
+            raise ValueError(
+                f"quadrature order must be at most {_MAX_QUAD_ORDER // 2}, so that one "
+                f"doubling stays within the ceiling {_MAX_QUAD_ORDER}; got {self.order}"
+            )
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
@@ -201,9 +207,7 @@ def mi_discrete(stats: DiscretePair) -> float:
 def mi_gaussian(stats: GaussianPair) -> float:
     """I_n of a Gaussian pair: -(n/2) ln(1 - rho^2); +inf when |rho| = 1."""
     if stats.var_i <= 0.0 or stats.var_j <= 0.0:
-        raise DegenerateGaussian(
-            f"pair ({stats.i}, {stats.j}) has a zero-variance member"
-        )
+        raise DegenerateGaussian("a member of the pair has zero variance")
     rho = stats.rho
     if abs(rho) >= 1.0:
         return math.inf
@@ -230,9 +234,7 @@ def mi_mixed(stats: MixedPair, quad: QuadratureSpec = QuadratureSpec()) -> float
         the entropy bound is violated beyond rounding.
     """
     if stats.resid_var <= 0.0:
-        raise DegenerateGaussian(
-            f"pair ({stats.gauss}, {stats.disc}): pooled residual variance is zero"
-        )
+        raise DegenerateGaussian("pooled residual variance is zero")
     occupied = stats.class_counts > 0
     probs = stats.class_counts[occupied] / stats.n
     means = stats.class_means[occupied]
@@ -259,14 +261,12 @@ def mi_mixed(stats: MixedPair, quad: QuadratureSpec = QuadratureSpec()) -> float
         value = refined
     if confirmed is None:
         raise QuadratureFailure(
-            f"pair ({stats.gauss}, {stats.disc}): doubling up to order "
-            f"{_MAX_QUAD_ORDER} never confirmed the integral "
+            f"doubling up to order {_MAX_QUAD_ORDER} never confirmed the integral "
             f"(last values {value!r} at order {order})"
         )
     entropy = float(-(probs * np.log(probs)).sum())
     if confirmed > entropy + 1e-9 * max(entropy, 1.0):
         raise QuadratureFailure(
-            f"pair ({stats.gauss}, {stats.disc}): integral {confirmed!r} exceeds "
-            f"the class entropy bound {entropy!r}"
+            f"integral {confirmed!r} exceeds the class entropy bound {entropy!r}"
         )
     return stats.n * min(max(confirmed, 0.0), entropy)

@@ -2,8 +2,9 @@
 
 Two admission rules: plain maximum weight spanning (every loop-free edge
 is taken, heaviest first) and the penalized variant that additionally
-requires a nonnegative net score and so may stop early with a
-disconnected forest.
+requires a nonnegative net score and so may leave the forest
+disconnected. Both builders are the forest of the accepted decisions of
+one greedy loop, ``kruskal_decisions``.
 """
 
 from __future__ import annotations
@@ -11,36 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import Forest, ScoredEdge
+from .core import Forest, ScoredEdge, UnionFind
 from .errors import EmptyEdgeList
-
-
-class UnionFind:
-    """Disjoint sets over n vertices with path compression and union by
-    rank."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
 
 
 @dataclass(frozen=True)
@@ -92,6 +65,13 @@ def kruskal_decisions(
     return decisions
 
 
+def accepted_forest(decisions: Sequence[EdgeDecision], n_vertices: int) -> Forest:
+    """The forest of the accepted edges of a greedy run."""
+    return Forest.from_edges(
+        n_vertices, [(d.edge.i, d.edge.j) for d in decisions if d.accepted]
+    )
+
+
 def build_tree_chow_liu(
     edges: Sequence[ScoredEdge], n_vertices: Optional[int] = None
 ) -> Forest:
@@ -100,17 +80,8 @@ def build_tree_chow_liu(
     Greedy by descending mi; an edge is admitted iff it joins two distinct
     components. With all pairs present the result is a spanning tree.
     """
-    if not edges:
-        raise EmptyEdgeList("no candidate edges supplied")
-    n = _infer_n_vertices(edges, n_vertices)
-    uf = UnionFind(n)
-    chosen = []
-    for edge in _greedy_order(edges, lambda e: e.mi):
-        if uf.union(edge.i, edge.j):
-            chosen.append((edge.i, edge.j))
-            if len(chosen) == n - 1:
-                break
-    return Forest.from_edges(n, chosen)
+    decisions = kruskal_decisions(edges, penalized=False, n_vertices=n_vertices)
+    return accepted_forest(decisions, _infer_n_vertices(edges, n_vertices))
 
 
 def build_forest_suzuki(
@@ -119,19 +90,8 @@ def build_forest_suzuki(
     """Maximum net-score forest.
 
     Greedy by descending score; an edge is admitted iff its score is >= 0
-    and it joins two distinct components. Stops once the best remaining
-    score is negative (identical to rejecting each in turn, since
-    admission never raises later scores), so the output may be
+    and it joins two distinct components, so the output may be
     disconnected.
     """
-    if not edges:
-        raise EmptyEdgeList("no candidate edges supplied")
-    n = _infer_n_vertices(edges, n_vertices)
-    uf = UnionFind(n)
-    chosen = []
-    for edge in _greedy_order(edges, lambda e: e.score):
-        if edge.score < 0.0:
-            break
-        if uf.union(edge.i, edge.j):
-            chosen.append((edge.i, edge.j))
-    return Forest.from_edges(n, chosen)
+    decisions = kruskal_decisions(edges, penalized=True, n_vertices=n_vertices)
+    return accepted_forest(decisions, _infer_n_vertices(edges, n_vertices))

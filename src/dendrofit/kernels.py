@@ -1,55 +1,23 @@
 """Hot numeric kernels: pairwise statistics collection and the
-Gauss-Hermite mixture integral.
-
-Each kernel has a pure-numpy implementation (``*_numpy``) and, when numba
-is importable and not disabled, a compiled loop version. The public names
-(``joint_counts``, ``gaussian_moments``, ``class_stats``, ``mixture_mi``)
-are bound to the selected path at import time.
-
-Set ``DENDROFIT_DISABLE_NUMBA=1`` to force the numpy path. The two paths
-agree to float rounding (~1e-15 relative); within one path results are
-deterministic.
+Gauss-Hermite mixture integral, in numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-__all__ = [
-    "USING_NUMBA",
-    "joint_counts",
-    "joint_counts_numpy",
-    "gaussian_moments",
-    "gaussian_moments_numpy",
-    "class_stats",
-    "class_stats_numpy",
-    "mixture_mi",
-    "mixture_mi_numpy",
-]
+__all__ = ["joint_counts", "gaussian_moments", "class_stats", "mixture_mi"]
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("DENDROFIT_DISABLE_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-# -- numpy implementations ---------------------------------------------------
-
-
-def joint_counts_numpy(xi: np.ndarray, xj: np.ndarray, card_i: int, card_j: int) -> np.ndarray:
+def joint_counts(xi: np.ndarray, xj: np.ndarray, card_i: int, card_j: int) -> np.ndarray:
     """Contingency table of two dense-coded discrete columns."""
     flat = xi * card_j + xj
     return np.bincount(flat, minlength=card_i * card_j).reshape(card_i, card_j)
 
 
-def gaussian_moments_numpy(x: np.ndarray, y: np.ndarray):
+def gaussian_moments(x: np.ndarray, y: np.ndarray):
     """Biased (divide-by-n) means, variances and covariance of two columns.
 
     Returns (mean_x, mean_y, var_x, var_y, cov_xy).
@@ -62,7 +30,7 @@ def gaussian_moments_numpy(x: np.ndarray, y: np.ndarray):
     return mean_x, mean_y, float(dx @ dx) / n, float(dy @ dy) / n, float(dx @ dy) / n
 
 
-def class_stats_numpy(x: np.ndarray, y: np.ndarray, n_classes: int):
+def class_stats(x: np.ndarray, y: np.ndarray, n_classes: int):
     """Per-class counts and means of x grouped by y, plus the pooled
     (divide-by-n) residual variance around the class means.
 
@@ -75,7 +43,7 @@ def class_stats_numpy(x: np.ndarray, y: np.ndarray, n_classes: int):
     return counts, means, float(resid @ resid) / x.shape[0]
 
 
-def mixture_mi_numpy(
+def mixture_mi(
     probs: np.ndarray,
     means: np.ndarray,
     var: float,
@@ -99,99 +67,3 @@ def mixture_mi_numpy(
         lse = np.logaddexp.reduce(comp, axis=1)
         total += py * float(weights @ (-nodes * nodes - lse))
     return total / math.sqrt(math.pi)
-
-
-# -- loop forms (compiled under numba when available) -------------------------
-
-
-def _joint_counts_loop(xi, xj, card_i, card_j):
-    out = np.zeros((card_i, card_j), dtype=np.int64)
-    for h in range(xi.shape[0]):
-        out[xi[h], xj[h]] += 1
-    return out
-
-
-def _gaussian_moments_loop(x, y):
-    n = x.shape[0]
-    sx = 0.0
-    sy = 0.0
-    for h in range(n):
-        sx += x[h]
-        sy += y[h]
-    mean_x = sx / n
-    mean_y = sy / n
-    sxx = 0.0
-    syy = 0.0
-    sxy = 0.0
-    for h in range(n):
-        dx = x[h] - mean_x
-        dy = y[h] - mean_y
-        sxx += dx * dx
-        syy += dy * dy
-        sxy += dx * dy
-    return mean_x, mean_y, sxx / n, syy / n, sxy / n
-
-
-def _class_stats_loop(x, y, n_classes):
-    counts = np.zeros(n_classes, dtype=np.float64)
-    sums = np.zeros(n_classes, dtype=np.float64)
-    n = x.shape[0]
-    for h in range(n):
-        counts[y[h]] += 1.0
-        sums[y[h]] += x[h]
-    means = np.empty(n_classes, dtype=np.float64)
-    for k in range(n_classes):
-        means[k] = sums[k] / counts[k] if counts[k] > 0 else np.nan
-    rss = 0.0
-    for h in range(n):
-        d = x[h] - means[y[h]]
-        rss += d * d
-    return counts, means, rss / n
-
-
-def _mixture_mi_loop(probs, means, var, nodes, weights):
-    k = probs.shape[0]
-    m = nodes.shape[0]
-    logp = np.empty(k, dtype=np.float64)
-    for b in range(k):
-        logp[b] = math.log(probs[b])
-    scale = math.sqrt(2.0 * var)
-    inv2v = 0.5 / var
-    total = 0.0
-    for a in range(k):
-        acc = 0.0
-        for q in range(m):
-            x = means[a] + scale * nodes[q]
-            best = -np.inf
-            for b in range(k):
-                v = logp[b] - (x - means[b]) * (x - means[b]) * inv2v
-                if v > best:
-                    best = v
-            s = 0.0
-            for b in range(k):
-                s += math.exp(logp[b] - (x - means[b]) * (x - means[b]) * inv2v - best)
-            lse = best + math.log(s)
-            acc += weights[q] * (-(nodes[q] * nodes[q]) - lse)
-        total += probs[a] * acc
-    return total / math.sqrt(math.pi)
-
-
-USING_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        USING_NUMBA = True
-
-if USING_NUMBA:
-    joint_counts = njit(cache=True)(_joint_counts_loop)
-    gaussian_moments = njit(cache=True)(_gaussian_moments_loop)
-    class_stats = njit(cache=True)(_class_stats_loop)
-    mixture_mi = njit(cache=True)(_mixture_mi_loop)
-else:
-    joint_counts = joint_counts_numpy
-    gaussian_moments = gaussian_moments_numpy
-    class_stats = class_stats_numpy
-    mixture_mi = mixture_mi_numpy

@@ -116,6 +116,24 @@ def dendroid_joint(joint: SmallJoint, rooted: RootedForest) -> np.ndarray:
     return q
 
 
+def sweep_topological_order(rooted: RootedForest) -> list[int]:
+    """Reference for ``RootedForest.topological_order``: repeated ascending
+    sweeps over the vertices, each taking every vertex whose parent is
+    already taken. O(N^2) on long chains."""
+    n = rooted.n_vertices
+    done = [False] * n
+    order: list[int] = []
+    while len(order) < n:
+        for v in range(n):
+            if done[v]:
+                continue
+            p = rooted.parents[v]
+            if p is None or done[p]:
+                done[v] = True
+                order.append(v)
+    return order
+
+
 def exact_kl_dendroid(joint: SmallJoint, rooted: RootedForest) -> float:
     """D(P || Q) by full enumeration, Q the dendroid factorization of P
     along the parent map.

@@ -114,9 +114,11 @@ class TestLearn:
 
     def test_bad_quad_order_exits_2(self, star_files, capsys):
         data, schema, _ = star_files
-        rc = main(["learn", "--data", data, "--schema", schema, "--quad-order", "7"])
-        assert rc == 2
-        assert "order" in capsys.readouterr().err
+        # 1024 is the ladder's ceiling, so no doubling could confirm it
+        for order in ("7", "1024"):
+            rc = main(["learn", "--data", data, "--schema", schema, "--quad-order", order])
+            assert rc == 2
+            assert "order" in capsys.readouterr().err
 
     def test_bad_quad_tolerance_exits_2(self, star_files, capsys):
         data, schema, _ = star_files
@@ -169,6 +171,18 @@ class TestScore:
         rc = main(["score", "--data", str(data), "--schema", str(schema_path)])
         assert rc == 1
         assert "v0" in capsys.readouterr().err
+
+    def test_zero_residual_variance_names_the_pair_once(self, tmp_path, capsys):
+        # v1 is constant within each class of v0
+        schema = mixed_schema("dg")
+        ds = dataset_from_columns(schema, [0, 0, 1, 1], [1.0, 1.0, 2.0, 2.0])
+        data, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_csv_dataset(data, ds)
+        write_schema(schema_path, ds.schema)
+        rc = main(["score", "--data", str(data), "--schema", str(schema_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "pair ('v0', 'v1')" in err and err.count("pair (") == 1
 
     def test_injected_mi_reproduces_worked_table(self, tmp_path, monkeypatch, capsys):
         # the six-pair worked example: inject its I values through the

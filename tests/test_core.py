@@ -20,6 +20,8 @@ from dendrofit.errors import (
     UnknownCategory,
 )
 
+from dendrofit.oracle import sweep_topological_order
+
 from conftest import discrete_schema, mixed_schema, dataset_from_columns
 
 
@@ -178,8 +180,9 @@ class TestForest:
 
 class TestRootedForest:
     def test_parent_cycle_rejected(self):
-        with pytest.raises(CyclicInput):
-            RootedForest((1, 0))
+        for parents in ((1, 0), (2, 0, 1), (None, 2, 3, 1, 0)):
+            with pytest.raises(CyclicInput):
+                RootedForest(parents)
 
     def test_self_parent_rejected(self):
         with pytest.raises(CyclicInput):
@@ -192,6 +195,21 @@ class TestRootedForest:
         for v, p in enumerate(rooted.parents):
             if p is not None:
                 assert pos[p] < pos[v]
+
+    def test_topological_order_matches_sweep_reference(self):
+        rng = np.random.default_rng(11)
+        n = 300
+        chain = RootedForest(tuple(v + 1 for v in range(n - 1)) + (None,))
+        assert chain.topological_order() == sweep_topological_order(chain)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            perm = rng.permutation(n)
+            parents = [None] * n
+            for k in range(1, n):
+                if rng.random() < 0.9:
+                    parents[perm[k]] = int(perm[rng.integers(0, k)])
+            rooted = RootedForest(tuple(parents))
+            assert rooted.topological_order() == sweep_topological_order(rooted)
 
 
 class TestOrientForest:

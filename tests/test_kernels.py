@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -11,24 +7,17 @@ from dendrofit import kernels
 rng = np.random.default_rng(5)
 
 
-def random_mixture(k):
-    probs = rng.dirichlet(np.ones(k))
-    means = rng.uniform(-4, 4, size=k)
-    var = float(rng.uniform(0.2, 3.0))
-    return probs, means, var
-
-
 class TestNumpyPath:
     def test_joint_counts_matches_manual(self):
         xi = np.array([0, 0, 1, 1, 2], dtype=np.int64)
         xj = np.array([1, 1, 0, 1, 0], dtype=np.int64)
-        out = kernels.joint_counts_numpy(xi, xj, 3, 2)
+        out = kernels.joint_counts(xi, xj, 3, 2)
         assert out.tolist() == [[0, 2], [1, 1], [1, 0]]
 
     def test_gaussian_moments_match_numpy(self):
         x = rng.standard_normal(500)
         y = 0.3 * x + rng.standard_normal(500)
-        mx, my, vx, vy, cxy = kernels.gaussian_moments_numpy(x, y)
+        mx, my, vx, vy, cxy = kernels.gaussian_moments(x, y)
         assert mx == pytest.approx(x.mean(), abs=1e-14)
         assert vx == pytest.approx(np.var(x), rel=1e-12)
         assert cxy == pytest.approx(np.cov(x, y, bias=True)[0, 1], rel=1e-12)
@@ -36,62 +25,7 @@ class TestNumpyPath:
     def test_class_stats_empty_class_is_nan(self):
         x = np.array([1.0, 3.0])
         y = np.array([0, 0], dtype=np.int64)
-        counts, means, pooled = kernels.class_stats_numpy(x, y, 3)
+        counts, means, pooled = kernels.class_stats(x, y, 3)
         assert counts.tolist() == [2.0, 0.0, 0.0]
         assert means[0] == 2.0 and np.isnan(means[1]) and np.isnan(means[2])
         assert pooled == 1.0
-
-
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba path disabled")
-class TestJitAgreesWithNumpy:
-    def test_joint_counts(self):
-        for _ in range(10):
-            xi = rng.integers(0, 4, size=300).astype(np.int64)
-            xj = rng.integers(0, 3, size=300).astype(np.int64)
-            a = kernels.joint_counts(xi, xj, 4, 3)
-            b = kernels.joint_counts_numpy(xi, xj, 4, 3)
-            assert np.array_equal(a, b)
-
-    def test_gaussian_moments(self):
-        for _ in range(10):
-            x = rng.standard_normal(400)
-            y = rng.standard_normal(400) + 0.5 * x
-            a = kernels.gaussian_moments(x, y)
-            b = kernels.gaussian_moments_numpy(x, y)
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    def test_class_stats(self):
-        for _ in range(10):
-            y = rng.integers(0, 5, size=400).astype(np.int64)
-            x = rng.standard_normal(400) + y.astype(float)
-            ca, ma, ra = kernels.class_stats(x, y, 6)
-            cb, mb, rb = kernels.class_stats_numpy(x, y, 6)
-            assert np.array_equal(ca, cb)
-            np.testing.assert_allclose(ma[:5], mb[:5], rtol=1e-12)
-            assert np.isnan(ma[5]) and np.isnan(mb[5])
-            assert ra == pytest.approx(rb, rel=1e-12)
-
-    def test_mixture_mi(self):
-        nodes, weights = np.polynomial.hermite.hermgauss(64)
-        for k in (2, 3, 5):
-            probs, means, var = random_mixture(k)
-            a = kernels.mixture_mi(probs, means, var, nodes, weights)
-            b = kernels.mixture_mi_numpy(probs, means, var, nodes, weights)
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, DENDROFIT_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from dendrofit import kernels; "
-            "print(kernels.USING_NUMBA, kernels.joint_counts is kernels.joint_counts_numpy)",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "False True"
