@@ -251,7 +251,7 @@ def cmd_score(config: RunConfig) -> int:
 
 def _load_model(path: str) -> DendroidModel:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
         raise DataFormatError(f"{path}: invalid JSON: {err}") from err

@@ -75,7 +75,7 @@ def schema_from_jsonable(obj) -> VariableSchema:
 
 def read_schema(path: PathLike) -> VariableSchema:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
         raise DataFormatError(f"{path}: invalid JSON: {err}") from err
@@ -96,8 +96,9 @@ def write_schema(path: PathLike, schema: VariableSchema) -> None:
 
 def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
     """Read a header-bearing CSV against a schema; errors carry file line
-    numbers."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    numbers. A leading UTF-8 byte order mark and blank lines at the end of
+    the file are ignored; a blank line before the last record is an error."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -109,6 +110,8 @@ def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
                 f"{list(schema.names)}"
             )
         rows = list(reader)
+    while rows and not rows[-1]:
+        rows.pop()
     try:
         return validate_dataset(schema, rows)
     except DendrofitError as err:

@@ -10,6 +10,11 @@ import numpy as np
 
 __all__ = ["joint_counts", "gaussian_moments", "class_stats", "mixture_mi"]
 
+# Golub-Welsch weights at or below this are rounding noise (the weights sum
+# to sqrt(pi)); the terms they carry are far below the quadrature ladder's
+# absolute tolerance
+_NODE_WEIGHT_FLOOR = 1e-30
+
 
 def joint_counts(xi: np.ndarray, xj: np.ndarray, card_i: int, card_j: int) -> np.ndarray:
     """Contingency table of two dense-coded discrete columns."""
@@ -55,15 +60,21 @@ def mixture_mi(
 
     ``probs`` must be strictly positive (drop empty classes first); all
     components share variance ``var``. ``nodes``/``weights`` are the raw
-    Hermite points for weight e^{-t^2}; the substitution
-    x = mean + sqrt(2 var) t is applied per component.
+    Hermite points for weight e^{-t^2}. With x = m_y + sqrt(2 var) t for
+    class y, the integrand is -log sum_k p_k exp(-d_yk (2t + d_yk)), where
+    d_yk = (m_y - m_k) / sqrt(2 var); it is evaluated for all classes and
+    nodes at once with a max-shifted log-sum-exp. Nodes whose weight is at
+    most ``_NODE_WEIGHT_FLOOR`` are skipped.
     """
-    logp = np.log(probs)
-    scale = math.sqrt(2.0 * var)
-    total = 0.0
-    for py, gy, lpy in zip(probs, means, logp):
-        x = gy + scale * nodes
-        comp = logp[None, :] - (x[:, None] - means[None, :]) ** 2 / (2.0 * var)
-        lse = np.logaddexp.reduce(comp, axis=1)
-        total += py * float(weights @ (-nodes * nodes - lse))
-    return total / math.sqrt(math.pi)
+    keep = weights > _NODE_WEIGHT_FLOOR
+    t = nodes[keep]
+    d = ((means[:, None] - means[None, :]) / math.sqrt(2.0 * var))[:, :, None]
+    # expo[y, k, node] = log p_k - d_yk (2t + d_yk)
+    expo = 2.0 * t + d
+    expo *= d
+    np.subtract(np.log(probs)[None, :, None], expo, out=expo)
+    peak = expo.max(axis=1)
+    expo -= peak[:, None, :]
+    np.exp(expo, out=expo)
+    lse = np.log(expo.sum(axis=1)) + peak
+    return -float(probs @ (lse @ weights[keep])) / math.sqrt(math.pi)

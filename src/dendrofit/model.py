@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -212,12 +213,16 @@ class DendroidModel:
             param_count=count_parameters(schema, forest),
         )
 
+    @cached_property
+    def _factor_by_pair(self) -> dict[tuple[int, int], EdgeFactor]:
+        return {_factor_pair(factor): factor for factor in self.factors}
+
     def factor_for(self, i: int, j: int) -> EdgeFactor:
         pair = (min(i, j), max(i, j))
-        for factor in self.factors:
-            if _factor_pair(factor) == pair:
-                return factor
-        raise KeyError(f"no factor for edge {pair}")
+        try:
+            return self._factor_by_pair[pair]
+        except KeyError:
+            raise KeyError(f"no factor for edge {pair}") from None
 
     # -- serialization --------------------------------------------------------
 

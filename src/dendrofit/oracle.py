@@ -9,6 +9,7 @@ code paths it checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -132,6 +133,27 @@ def sweep_topological_order(rooted: RootedForest) -> list[int]:
                 done[v] = True
                 order.append(v)
     return order
+
+
+def mixture_mi_loop(
+    probs: np.ndarray,
+    means: np.ndarray,
+    var: float,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+) -> float:
+    """Reference for ``kernels.mixture_mi``: one Python pass per class over
+    every node, evaluating -t^2 - log sum_k p_k exp(-(x - m_k)^2 / (2 var))
+    at x = m_y + sqrt(2 var) t with ``np.logaddexp.reduce``."""
+    logp = np.log(probs)
+    scale = math.sqrt(2.0 * var)
+    total = 0.0
+    for py, gy in zip(probs, means):
+        x = gy + scale * nodes
+        comp = logp[None, :] - (x[:, None] - means[None, :]) ** 2 / (2.0 * var)
+        lse = np.logaddexp.reduce(comp, axis=1)
+        total += py * float(weights @ (-nodes * nodes - lse))
+    return total / math.sqrt(math.pi)
 
 
 def exact_kl_dendroid(joint: SmallJoint, rooted: RootedForest) -> float:

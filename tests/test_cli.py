@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ def star_dataset(n=1500, seed=0):
     v0 = rng.integers(0, 2, n)
     flip = lambda p: (v0 ^ (rng.random(n) < p)).astype(np.int64)
     return dataset_from_columns(schema, v0, flip(0.05), flip(0.15), flip(0.25))
+
+
+def learned_artifacts(out, data, schema):
+    """Bytes of the forest JSON, DOT and model JSON that `learn` writes."""
+    rc = main(["learn", "--data", data, "--schema", schema, "--criterion", "mdl",
+               "--format", "both", "--out", str(out), "--model-out", f"{out}.model.json"])
+    assert rc == 0
+    return [Path(f"{out}{ext}").read_bytes() for ext in (".json", ".dot", ".model.json")]
 
 
 @pytest.fixture
@@ -145,6 +154,41 @@ class TestLearn:
         rc = main(["learn", "--data", data_path, "--schema", schema_path])
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
+
+
+    def test_trailing_blank_lines_are_ignored(self, tmp_path, star_files):
+        data, schema, _ = star_files
+        padded = write_text(tmp_path / "padded.csv", Path(data).read_text() + "\n\n")
+        assert learned_artifacts(tmp_path / "plain", data, schema) == learned_artifacts(
+            tmp_path / "padded", padded, schema
+        )
+
+    def test_blank_line_mid_file_exits_2_naming_its_line(self, tmp_path, capsys):
+        schema_path = write_text(
+            tmp_path / "s.json",
+            json.dumps([{"name": "v0", "kind": "discrete", "labels": ["c0", "c1"]}]),
+        )
+        data_path = write_text(tmp_path / "d.csv", "v0\nc0\n\nc1\n")
+        rc = main(["learn", "--data", data_path, "--schema", schema_path])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, star_files, capsys):
+        data, schema, _ = star_files
+        bom = "\ufeff"
+        bom_data = write_text(tmp_path / "bom.csv", bom + Path(data).read_text())
+        bom_schema = write_text(tmp_path / "bom.schema.json", bom + Path(schema).read_text())
+        assert learned_artifacts(tmp_path / "plain", data, schema) == learned_artifacts(
+            tmp_path / "bom", bom_data, bom_schema
+        )
+        model = tmp_path / "plain.model.json"
+        bom_model = write_text(tmp_path / "bom_model.json", bom + model.read_text())
+        capsys.readouterr()
+        outputs = []
+        for path in (str(model), bom_model):
+            assert main(["eval", "--model", path, "--data", data, "--criterion", "mdl"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestScore:

@@ -240,6 +240,18 @@ class TestSampling:
         c = sample(model, 500, seed=43)
         assert any(not np.array_equal(a.column(v), c.column(v)) for v in range(3))
 
+    def test_factor_for_looks_up_either_orientation(self):
+        model = discrete_chain_model()
+        for factor in model.factors:
+            assert model.factor_for(factor.i, factor.j) is factor
+            assert model.factor_for(factor.j, factor.i) is factor
+
+    def test_factor_for_missing_edge_raises_in_either_orientation(self):
+        model = discrete_chain_model()
+        for i, j in ((0, 2), (2, 0)):
+            with pytest.raises(KeyError, match=r"no factor for edge \(0, 2\)"):
+                model.factor_for(i, j)
+
     def test_count_must_be_positive(self):
         model = discrete_chain_model()
         with pytest.raises(InvalidCount):
