@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 runtime/estimation error, 2 usage/IO error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -22,10 +24,10 @@ from . import __version__
 from .core import ScoredEdge
 from .dataio import (
     forest_dot,
+    format_gaussian_cell,
+    iter_csv_blocks,
     read_csv_dataset,
     read_schema,
-    render_csv,
-    format_gaussian_cell,
 )
 from .errors import (
     ArityMismatch,
@@ -234,14 +236,22 @@ def cmd_score(config: RunConfig) -> int:
         }
         text = _json_text(doc)
     else:
-        lines = ["i,j,name_i,name_j,mi,penalty,score"]
-        for e in edges:
-            lines.append(
-                f"{e.i},{e.j},{schema.name(e.i)},{schema.name(e.j)},"
-                f"{format_gaussian_cell(e.mi)},{format_gaussian_cell(e.penalty)},"
-                f"{format_gaussian_cell(e.score)}"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("i", "j", "name_i", "name_j", "mi", "penalty", "score"))
+        writer.writerows(
+            (
+                e.i,
+                e.j,
+                schema.name(e.i),
+                schema.name(e.j),
+                format_gaussian_cell(e.mi),
+                format_gaussian_cell(e.penalty),
+                format_gaussian_cell(e.score),
             )
-        text = "\n".join(lines) + "\n"
+            for e in edges
+        )
+        text = buf.getvalue()
     if config.out:
         Path(config.out).write_text(text, encoding="utf-8")
     else:
@@ -264,11 +274,12 @@ def _load_model(path: str) -> DendroidModel:
 def cmd_sample(config: RunConfig) -> int:
     model = _load_model(config.model)
     drawn = sample(model, config.count, config.seed)
-    text = render_csv(drawn)
+    blocks = iter_csv_blocks(drawn)
     if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
+        with open(config.out, "w", encoding="utf-8") as fh:
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -157,26 +157,14 @@ class Dataset:
     def column(self, i: int) -> np.ndarray:
         return self.columns[i]
 
-    def iter_rows(self) -> Iterator[list]:
-        """Yield rows with discrete cells rendered back to their labels."""
-        kinds = self.schema.variables
-        for r in range(self.n):
-            row = []
-            for i, var in enumerate(kinds):
-                cell = self.columns[i][r]
-                if isinstance(var.kind, Discrete):
-                    row.append(var.kind.labels[int(cell)])
-                else:
-                    row.append(float(cell))
-            yield row
-
 
 def validate_dataset(schema: VariableSchema, raw_rows: Sequence[Sequence]) -> Dataset:
     """Validate raw records against a schema and build a Dataset.
 
     Discrete cells must be category labels (mapped to indices by schema
     label order); Gaussian cells must be finite reals, or strings that
-    parse as such.
+    parse as such. Columns are parsed whole; when that fails, a scan row
+    by row names the first bad cell in row-major order.
 
     Raises
     ------
@@ -185,12 +173,53 @@ def validate_dataset(schema: VariableSchema, raw_rows: Sequence[Sequence]) -> Da
     rows = list(raw_rows)
     if not rows:
         raise EmptyDataset("no data rows")
-    n_vars = schema.n_vars
-    label_maps = {
+    columns = _parse_columns(schema, rows)
+    if columns is None:
+        columns = _scan_rows(schema, rows)
+    return Dataset(schema=schema, columns=columns)
+
+
+def _label_maps(schema: VariableSchema) -> dict[int, dict[str, int]]:
+    """Column index -> {label: category index} for the discrete columns."""
+    return {
         i: {label: k for k, label in enumerate(schema.kind(i).labels)}
-        for i in range(n_vars)
+        for i in range(schema.n_vars)
         if schema.is_discrete(i)
     }
+
+
+def _parse_columns(
+    schema: VariableSchema, rows: list
+) -> Optional[tuple[np.ndarray, ...]]:
+    """Each column in one pass, or None when a row has the wrong arity or
+    a cell does not parse to a category or a finite real."""
+    n = len(rows)
+    label_maps = _label_maps(schema)
+    try:
+        if set(map(len, rows)) != {schema.n_vars}:
+            return None
+        columns = []
+        for i, cells in enumerate(zip(*rows)):
+            if i in label_maps:
+                columns.append(
+                    np.fromiter(map(label_maps[i].__getitem__, cells), np.int64, n)
+                )
+            else:
+                values = np.fromiter(map(float, cells), np.float64, n)
+                if not np.isfinite(values).all():
+                    return None
+                columns.append(values)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return tuple(columns)
+
+
+def _scan_rows(schema: VariableSchema, rows: list) -> tuple[np.ndarray, ...]:
+    """Parse cell by cell in row-major order, raising at the first bad cell
+    with its row index."""
+    n_vars = schema.n_vars
+    label_maps = _label_maps(schema)
+
     def row_error(cls: type, r: int, message: str) -> Exception:
         err = cls(f"row {r}: {message}")
         err.row_index = r  # lets file readers report the source line
@@ -230,11 +259,10 @@ def validate_dataset(schema: VariableSchema, raw_rows: Sequence[Sequence]) -> Da
                         f"non-finite value {value!r} for {schema.name(i)!r}",
                     )
                 columns[i].append(value)
-    arrays = tuple(
+    return tuple(
         np.asarray(columns[i], dtype=np.int64 if i in label_maps else np.float64)
         for i in range(n_vars)
     )
-    return Dataset(schema=schema, columns=arrays)
 
 
 @dataclass(frozen=True)

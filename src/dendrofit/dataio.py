@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .core import Dataset, Discrete, Gaussian, Variable, VariableSchema, validate_dataset
 from .errors import DataFormatError, DendrofitError, SchemaMismatch
@@ -123,29 +123,65 @@ def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
 
 def write_csv_dataset(path: PathLike, dataset: Dataset) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(dataset))
+        fh.writelines(iter_csv_blocks(dataset))
 
 
 def render_csv(dataset: Dataset) -> str:
     """CSV text with labels for discrete cells and 17-significant-digit
     decimals for Gaussian cells."""
+    return "".join(iter_csv_blocks(dataset))
+
+
+# cells per block of iter_csv_blocks: bounds the text held at once
+# whatever the width of a row
+BLOCK_CELLS = 16384
+
+
+def _quoted_labels(labels: tuple[str, ...], row_width: int) -> list[str]:
+    """Each label as csv.writer writes it in a row of row_width cells. A
+    row of one empty cell is written as "", so a lone label is written
+    alone, and any other with an empty cell beside it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(dataset.schema.names)
-    gaussian_cols = {
-        i for i in range(dataset.schema.n_vars) if not dataset.schema.is_discrete(i)
-    }
-    for row in dataset.iter_rows():
-        writer.writerow(
-            [
-                format_gaussian_cell(cell) if i in gaussian_cols else cell
-                for i, cell in enumerate(row)
-            ]
-        )
-    return buf.getvalue()
+    pad, tail = ([], 1) if row_width == 1 else ([""], 2)
+    out = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([label, *pad])
+        out.append(buf.getvalue()[:-tail])
+    return out
+
+
+def iter_csv_blocks(dataset: Dataset) -> Iterator[str]:
+    """The text of render_csv in pieces: the header line, then blocks of
+    whole rows, about BLOCK_CELLS cells each, formatted column by column."""
+    schema = dataset.schema
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(schema.names)
+    yield buf.getvalue()
+    cell_text = [
+        _quoted_labels(var.kind.labels, schema.n_vars).__getitem__
+        if isinstance(var.kind, Discrete)
+        else "{:.17g}".format
+        for var in schema.variables
+    ]
+    step = max(1, BLOCK_CELLS // schema.n_vars)
+    for start in range(0, dataset.n, step):
+        cells = [
+            map(text, col[start : start + step].tolist())
+            for text, col in zip(cell_text, dataset.columns)
+        ]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 # -- DOT export -------------------------------------------------------------------
+
+
+def _dot_id(name: str) -> str:
+    """A DOT double-quoted ID: backslashes and quotes are escaped, so any
+    name makes one token."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def forest_dot(schema: VariableSchema, decisions) -> str:
@@ -154,13 +190,13 @@ def forest_dot(schema: VariableSchema, decisions) -> str:
     lines = ["graph dendroid {"]
     for i in range(schema.n_vars):
         kind = "discrete" if schema.is_discrete(i) else "gaussian"
-        lines.append(f'  "{schema.name(i)}" [comment="{kind}"];')
+        lines.append(f'  {_dot_id(schema.name(i))} [comment="{kind}"];')
     accepted = sorted(
         (d.edge for d in decisions if d.accepted), key=lambda e: (e.i, e.j)
     )
     for edge in accepted:
         lines.append(
-            f'  "{schema.name(edge.i)}" -- "{schema.name(edge.j)}" '
+            f"  {_dot_id(schema.name(edge.i))} -- {_dot_id(schema.name(edge.j))} "
             f'[label="I={edge.mi:.4f} J={edge.score:.4f}"];'
         )
     lines.append("}")

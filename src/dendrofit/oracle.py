@@ -1,7 +1,7 @@
 """Brute-force reference implementations for desk-scale verification:
 exhaustive forest search, exact KL divergence of small discrete joints
-against their forest factorization, and Monte Carlo mutual information
-for mixed factors.
+against their forest factorization, Monte Carlo mutual information
+for mixed factors, and a row-at-a-time CSV renderer.
 
 Everything here is deliberately slow and independent of the production
 code paths it checks.
@@ -9,13 +9,15 @@ code paths it checks.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Forest, RootedForest, ScoredEdge
+from .core import Dataset, Discrete, Forest, RootedForest, ScoredEdge
 from .errors import TooLarge, UnsupportedSupport
 from .model import MixedEdgeFactor
 
@@ -154,6 +156,25 @@ def mixture_mi_loop(
         lse = np.logaddexp.reduce(comp, axis=1)
         total += py * float(weights @ (-nodes * nodes - lse))
     return total / math.sqrt(math.pi)
+
+
+def render_csv_rows(dataset: Dataset) -> str:
+    """Reference for ``dataio.render_csv``: one csv.writer row per data row,
+    with labels for discrete cells and 17-significant-digit decimals for
+    Gaussian cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(dataset.schema.names)
+    kinds = [var.kind for var in dataset.schema.variables]
+    for r in range(dataset.n):
+        row = []
+        for kind, col in zip(kinds, dataset.columns):
+            if isinstance(kind, Discrete):
+                row.append(kind.labels[int(col[r])])
+            else:
+                row.append(format(float(col[r]), ".17g"))
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def exact_kl_dendroid(joint: SmallJoint, rooted: RootedForest) -> float:

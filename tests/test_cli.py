@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -5,16 +7,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dendrofit import Criterion, Forest, fit
+from dendrofit import (
+    Criterion,
+    Discrete,
+    Forest,
+    Gaussian,
+    Variable,
+    VariableSchema,
+    fit,
+)
 from dendrofit.cli import main
 from dendrofit.dataio import (
+    BLOCK_CELLS,
     read_csv_dataset,
     read_schema,
     render_csv,
     write_csv_dataset,
     write_schema,
 )
-from dendrofit.model import description_length
+from dendrofit.model import description_length, sample
+from dendrofit.oracle import render_csv_rows
 
 from conftest import dataset_from_columns, discrete_schema, mixed_schema
 
@@ -262,6 +274,35 @@ class TestScore:
         assert rc == 0
         assert out.read_text().count("\n") == 7  # header + 6 pairs
 
+    def test_names_with_commas_and_quotes_read_back(self, tmp_path, capsys):
+        names = ("a,b", 'say "hi"', "plain")
+        schema = VariableSchema(
+            (
+                Variable(names[0], Discrete(("x", "y"))),
+                Variable(names[1], Gaussian()),
+                Variable(names[2], Gaussian()),
+            )
+        )
+        ds = dataset_from_columns(
+            schema,
+            [0, 1, 0, 1, 1],
+            [0.5, 2.0, 0.1, 1.5, 2.5],
+            [1.0, 3.0, 0.0, 2.0, 4.5],
+        )
+        data, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_csv_dataset(data, ds)
+        write_schema(schema_path, ds.schema)
+        rc = main(["score", "--data", str(data), "--schema", str(schema_path)])
+        assert rc == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["i", "j", "name_i", "name_j", "mi", "penalty", "score"]
+        assert len(rows) == 3
+        for row in rows:
+            assert len(row) == 7
+            i, j = int(row[0]), int(row[1])
+            assert (row[2], row[3]) == (names[i], names[j])
+            assert float(row[6]) == float(row[4]) - float(row[5])
+
 
 @pytest.fixture
 def chain_model_file(tmp_path):
@@ -290,6 +331,39 @@ class TestSample:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_out_file_and_stdout_match_the_row_renderer(self, tmp_path, capsys):
+        # labels that need quoting, and more rows than one block of cells
+        schema = VariableSchema(
+            (
+                Variable("kind, of", Discrete(("a,b", 'say "hi"', "plain"))),
+                Variable("x", Gaussian()),
+                Variable("y", Gaussian()),
+                Variable("z", Discrete(("p", "q"))),
+            )
+        )
+        rng = np.random.default_rng(3)
+        n = 600
+        k = rng.integers(0, 3, n)
+        x = k * 2.0 + rng.standard_normal(n)
+        y = -0.5 * x + rng.standard_normal(n) * 1e-3
+        z = (rng.random(n) < np.where(k == 1, 0.9, 0.2)).astype(np.int64)
+        model = fit(
+            dataset_from_columns(schema, k, x, y, z),
+            Forest.from_edges(4, [(0, 1), (1, 2), (0, 3)]),
+        )
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model.to_json_dict()) + "\n")
+        count = BLOCK_CELLS // 4 + 1000
+        args = ["sample", "--model", str(model_path), "--count", str(count),
+                "--seed", "12"]
+        out = tmp_path / "s.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        to_stdout = capsys.readouterr().out.encode("utf-8")
+        expected = render_csv_rows(sample(model, count, 12)).encode("utf-8")
+        assert out.read_bytes() == to_stdout == expected
 
     def test_zero_count_exits_2(self, chain_model_file, capsys):
         model_path, _, _ = chain_model_file
