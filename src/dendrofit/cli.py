@@ -12,8 +12,6 @@ Exit codes: 0 success, 1 runtime/estimation error, 2 usage/IO error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -23,6 +21,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .core import ScoredEdge
 from .dataio import (
+    csv_text,
     forest_dot,
     format_gaussian_cell,
     iter_csv_blocks,
@@ -236,22 +235,22 @@ def cmd_score(config: RunConfig) -> int:
         }
         text = _json_text(doc)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("i", "j", "name_i", "name_j", "mi", "penalty", "score"))
-        writer.writerows(
-            (
-                e.i,
-                e.j,
-                schema.name(e.i),
-                schema.name(e.j),
-                format_gaussian_cell(e.mi),
-                format_gaussian_cell(e.penalty),
-                format_gaussian_cell(e.score),
-            )
-            for e in edges
+        header = ("i", "j", "name_i", "name_j", "mi", "penalty", "score")
+        text = csv_text(
+            [header]
+            + [
+                (
+                    e.i,
+                    e.j,
+                    schema.name(e.i),
+                    schema.name(e.j),
+                    format_gaussian_cell(e.mi),
+                    format_gaussian_cell(e.penalty),
+                    format_gaussian_cell(e.score),
+                )
+                for e in edges
+            ]
         )
-        text = buf.getvalue()
     if config.out:
         Path(config.out).write_text(text, encoding="utf-8")
     else:

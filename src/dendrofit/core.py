@@ -252,6 +252,13 @@ def _scan_rows(schema: VariableSchema, rows: list) -> tuple[np.ndarray, ...]:
                         r,
                         f"{cell!r} is not a real value for {schema.name(i)!r}",
                     ) from None
+                except OverflowError:
+                    # a huge int; its repr may be too long to print
+                    raise row_error(
+                        NonFiniteValue,
+                        r,
+                        f"value out of the float range for {schema.name(i)!r}",
+                    ) from None
                 if not math.isfinite(value):
                     raise row_error(
                         NonFiniteValue,

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .core import Dataset, Discrete, Gaussian, Variable, VariableSchema, validate_dataset
 from .errors import DataFormatError, DendrofitError, SchemaMismatch
@@ -22,6 +22,24 @@ PathLike = Union[str, Path]
 
 def format_gaussian_cell(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """The rows as CSV records, each ending in "\n", quoted as csv.writer
+    quotes them. A field holding "\r" is quoted as well, as csv.writer
+    does from Python 3.13 on; before it, a lone "\r" is written bare and
+    csv.reader ends the record there. The bytes are the same on every
+    Python version."""
+    buf = io.StringIO()
+    # "\r" in the line terminator makes csv.writer quote fields holding it
+    writer = csv.writer(buf, lineterminator="\r\n")
+    records = []
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        records.append(buf.getvalue()[:-2] + "\n")
+    return "".join(records)
 
 
 # -- schemas -------------------------------------------------------------------
@@ -138,28 +156,18 @@ BLOCK_CELLS = 16384
 
 
 def _quoted_labels(labels: tuple[str, ...], row_width: int) -> list[str]:
-    """Each label as csv.writer writes it in a row of row_width cells. A
+    """Each label as csv_text writes it in a row of row_width cells. A
     row of one empty cell is written as "", so a lone label is written
     alone, and any other with an empty cell beside it."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     pad, tail = ([], 1) if row_width == 1 else ([""], 2)
-    out = []
-    for label in labels:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow([label, *pad])
-        out.append(buf.getvalue()[:-tail])
-    return out
+    return [csv_text([[label, *pad]])[:-tail] for label in labels]
 
 
 def iter_csv_blocks(dataset: Dataset) -> Iterator[str]:
     """The text of render_csv in pieces: the header line, then blocks of
     whole rows, about BLOCK_CELLS cells each, formatted column by column."""
     schema = dataset.schema
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(schema.names)
-    yield buf.getvalue()
+    yield csv_text([schema.names])
     cell_text = [
         _quoted_labels(var.kind.labels, schema.n_vars).__getitem__
         if isinstance(var.kind, Discrete)

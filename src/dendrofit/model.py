@@ -33,7 +33,12 @@ from .core import (
     orient_forest,
 )
 from .errors import DegenerateGaussian, EmptyDataset, InvalidCount, SchemaMismatch
-from .estimators import DiscretePair, GaussianPair, collect_pair_stats
+from .estimators import (
+    DiscretePair,
+    GaussianPair,
+    check_gaussian_column,
+    collect_pair_stats,
+)
 from .scoring import effective_cardinality
 
 MODEL_FORMAT = "dendrofit-model"
@@ -358,12 +363,8 @@ def fit(dataset: Dataset, forest: Forest) -> DendroidModel:
             counts = np.bincount(col, minlength=schema.cardinality(v))
             marginals.append(DiscreteMarginal(counts / n))
         else:
-            var = float(np.var(col))
-            if var <= 0.0:
-                raise DegenerateGaussian(
-                    f"column {schema.name(v)!r} has zero sample variance"
-                )
-            marginals.append(GaussianMarginal(mean=float(np.mean(col)), var=var))
+            check_gaussian_column(dataset, v)
+            marginals.append(GaussianMarginal(mean=float(np.mean(col)), var=float(np.var(col))))
 
     factors: list[EdgeFactor] = []
     for i, j in forest.sorted_edges:

@@ -9,8 +9,6 @@ code paths it checks.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -158,13 +156,25 @@ def mixture_mi_loop(
     return total / math.sqrt(math.pi)
 
 
+def csv_record(fields: Sequence[str]) -> str:
+    """One CSV record as Python 3.13's csv.writer writes it with minimal
+    quoting and a "\n" line terminator: a field holding a comma, a quote,
+    "\r" or "\n" is quoted with its quotes doubled, and a record of one
+    empty field is written as ""."""
+    if list(fields) == [""]:
+        return '""\n'
+    quoted = (
+        '"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f
+        for f in fields
+    )
+    return ",".join(quoted) + "\n"
+
+
 def render_csv_rows(dataset: Dataset) -> str:
-    """Reference for ``dataio.render_csv``: one csv.writer row per data row,
-    with labels for discrete cells and 17-significant-digit decimals for
+    """Reference for ``dataio.render_csv``: one record per data row, with
+    labels for discrete cells and 17-significant-digit decimals for
     Gaussian cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(dataset.schema.names)
+    lines = [csv_record(dataset.schema.names)]
     kinds = [var.kind for var in dataset.schema.variables]
     for r in range(dataset.n):
         row = []
@@ -173,8 +183,8 @@ def render_csv_rows(dataset: Dataset) -> str:
                 row.append(kind.labels[int(col[r])])
             else:
                 row.append(format(float(col[r]), ".17g"))
-        writer.writerow(row)
-    return buf.getvalue()
+        lines.append(csv_record(row))
+    return "".join(lines)
 
 
 def exact_kl_dendroid(joint: SmallJoint, rooted: RootedForest) -> float:

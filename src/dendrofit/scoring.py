@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import Dataset, Discrete, ScoredEdge, VariableKind
 from .errors import DendrofitError
 from .estimators import (
@@ -24,6 +26,7 @@ from .estimators import (
     mi_discrete,
     mi_gaussian,
     mi_mixed,
+    pair_mi_table,
 )
 
 _KINDS = ("ml", "mdl", "aic", "custom")
@@ -94,17 +97,39 @@ def penalty_weight(kind_i: VariableKind, kind_j: VariableKind, dn: float) -> flo
 
 
 def estimate_pair_mi(dataset: Dataset, i: int, j: int, quad: QuadratureSpec) -> float:
-    """I_n(i, j) for one pair, dispatched on the column kinds.
-
-    Module-level so tests can monkeypatch known mutual informations into
-    the scoring pipeline.
-    """
+    """I_n(i, j) for one pair, dispatched on the column kinds."""
     stats = collect_pair_stats(dataset, i, j)
     if isinstance(stats, DiscretePair):
         return mi_discrete(stats)
     if isinstance(stats, GaussianPair):
         return mi_gaussian(stats)
     return mi_mixed(stats, quad)
+
+
+def estimate_all_mi(dataset: Dataset, quad: QuadratureSpec) -> np.ndarray:
+    """I_n of every pair: an (N, N) array holding I_n(i, j) at [i, j] for
+    i < j.
+
+    The batched pair table computes every pair in one pass. When it
+    reports a failing pair, estimate_pair_mi runs over the pairs in
+    canonical (i, j) order and the first error is re-raised with the pair
+    named, so errors are those of the per-pair path. Module-level so tests
+    can monkeypatch known mutual informations into the scoring pipeline.
+    """
+    table = pair_mi_table(dataset, quad)
+    if table is not None:
+        return table
+    schema = dataset.schema
+    table = np.zeros((schema.n_vars, schema.n_vars))
+    for i in range(schema.n_vars):
+        for j in range(i + 1, schema.n_vars):
+            try:
+                table[i, j] = estimate_pair_mi(dataset, i, j, quad)
+            except DendrofitError as err:
+                raise type(err)(
+                    f"pair ({schema.name(i)!r}, {schema.name(j)!r}): {err}"
+                ) from err
+    return table
 
 
 def scored_edges_from_mi(
@@ -137,16 +162,11 @@ def score_all_pairs(
     schema = dataset.schema
     if schema.n_vars < 2:
         raise ValueError("need at least two variables to score pairs")
+    mi = estimate_all_mi(dataset, quad).tolist()
     dn = criterion.dn(dataset.n)
     edges = []
     for i in range(schema.n_vars):
         for j in range(i + 1, schema.n_vars):
-            try:
-                mi = estimate_pair_mi(dataset, i, j, quad)
-            except DendrofitError as err:
-                raise type(err)(
-                    f"pair ({schema.name(i)!r}, {schema.name(j)!r}): {err}"
-                ) from err
             penalty = penalty_weight(schema.kind(i), schema.kind(j), dn)
-            edges.append(ScoredEdge.from_mi(i, j, mi, penalty))
+            edges.append(ScoredEdge.from_mi(i, j, mi[i][j], penalty))
     return edges

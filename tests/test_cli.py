@@ -240,6 +240,31 @@ class TestScore:
         err = capsys.readouterr().err
         assert "pair ('v0', 'v1')" in err and err.count("pair (") == 1
 
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            # the mean of seven 0.1s does not round-trip: a variance around
+            # it is 1.9e-34, not 0
+            ([0.1] * 7, "column 'g0' has zero sample variance"),
+            # g0 is an exact function of d0's class (residual variance 5.3e-33)
+            ([0.1, 0.7] * 3 + [0.1], "pooled residual variance is zero"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["score"], ["learn", "--criterion", "mdl"]])
+    def test_exact_degeneracy_exits_1_naming_the_pair_once(
+        self, tmp_path, capsys, column, message, command
+    ):
+        schema = VariableSchema(
+            (Variable("g0", Gaussian()), Variable("d0", Discrete(("a", "b"))))
+        )
+        ds = dataset_from_columns(schema, column, [0, 1] * 3 + [0])
+        data, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_csv_dataset(data, ds)
+        write_schema(schema_path, ds.schema)
+        rc = main([*command, "--data", str(data), "--schema", str(schema_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: pair ('g0', 'd0'): {message}\n"
+
     def test_injected_mi_reproduces_worked_table(self, tmp_path, monkeypatch, capsys):
         # the six-pair worked example: inject its I values through the
         # estimator hook and check the J column
@@ -247,9 +272,11 @@ class TestScore:
                    (0, 3): 6.0, (1, 3): 4.0, (2, 3): 2.0}
         expect_j = {(0, 1): 8.0, (0, 2): 2.0, (1, 2): 6.0,
                     (0, 3): -6.0, (1, 3): 1.0, (2, 3): -4.0}
+        injected = np.zeros((4, 4))
+        for (i, j), mi in table_i.items():
+            injected[i, j] = mi
         monkeypatch.setattr(
-            "dendrofit.scoring.estimate_pair_mi",
-            lambda dataset, i, j, quad: table_i[(i, j)],
+            "dendrofit.scoring.estimate_all_mi", lambda dataset, quad: injected
         )
         schema = discrete_schema(5, 2, 3, 4)
         ds = dataset_from_columns(schema, [0, 1], [0, 1], [0, 1], [0, 1])

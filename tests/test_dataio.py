@@ -13,15 +13,14 @@ from hypothesis import strategies as st
 
 from dendrofit import Dataset, Discrete, Gaussian, ScoredEdge, Variable, VariableSchema
 from dendrofit import core, dataio
-from dendrofit.dataio import forest_dot, iter_csv_blocks, render_csv
-from dendrofit.errors import UnknownCategory
+from dendrofit.dataio import csv_text, forest_dot, iter_csv_blocks, render_csv
+from dendrofit.errors import NonFiniteValue, UnknownCategory
 from dendrofit.forest import kruskal_decisions
-from dendrofit.oracle import render_csv_rows
+from dendrofit.oracle import csv_record, render_csv_rows
 
-# labels and names that csv.writer has to quote, plus plain ones; "\r" is
-# left out where the text must read back (see test_carriage_return_reads_back)
-CHARS = 'ab ,"\n\\é'
-TEXT = st.text(alphabet=st.sampled_from(CHARS + "\r"), max_size=4)
+# labels and names that csv.writer has to quote, plus plain ones
+CHARS = 'ab ,"\n\r\\é'
+TEXT = st.text(alphabet=st.sampled_from(CHARS), max_size=4)
 SPECIAL_FLOATS = [
     0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0,
@@ -94,17 +93,34 @@ class TestRenderMatchesRowReference:
         for got, want in zip(back.columns, dataset.columns):
             assert got.tobytes() == want.tobytes()  # keeps the sign of -0.0
 
-    @pytest.mark.xfail(
-        reason='csv.writer(lineterminator="\\n") before Python 3.13 does not quote '
-        'a lone "\\r", and csv.reader then ends the record there',
-        strict=False,
-    )
     def test_carriage_return_reads_back(self):
         schema = VariableSchema(
             (Variable("v", Discrete(("a\rb", "c"))), Variable("g", Gaussian()))
         )
         ds = Dataset(schema, (np.array([0, 1], dtype=np.int64), np.zeros(2)))
         assert core.validate_dataset(schema, data_rows(ds)).column(0).tolist() == [0, 1]
+
+
+def records(chars):
+    return st.lists(
+        st.lists(st.text(alphabet=st.sampled_from(chars)), min_size=1, max_size=4), max_size=4
+    )
+
+
+class TestCsvText:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=records(CHARS))
+    def test_fields_are_quoted_as_from_python_3_13(self, rows):
+        assert csv_text(rows) == "".join(map(csv_record, rows))
+        back = list(csv.reader(io.StringIO(csv_text(rows), newline="")))
+        assert back == [list(row) for row in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=records(CHARS.replace("\r", "")))
+    def test_fields_without_carriage_return_keep_their_bytes(self, rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert csv_text(rows) == buf.getvalue()
 
 
 BAD_CELLS = ["zz?", "", "nan", "-inf", "1e999", "x1", None, ["a"]]
@@ -160,6 +176,12 @@ class TestParseMatchesRowScan:
         rows = [["1", "a"], ["2", "nope"], ["inf", "a"], ["3"]]
         with pytest.raises(UnknownCategory) as exc:
             core.validate_dataset(schema, rows)
+        assert exc.value.row_index == 1
+
+    def test_int_beyond_the_float_range_is_non_finite(self):
+        schema = VariableSchema((Variable("g", Gaussian()),))
+        with pytest.raises(NonFiniteValue) as exc:
+            core.validate_dataset(schema, [["1.0"], [10**400]])
         assert exc.value.row_index == 1
 
 

@@ -99,6 +99,20 @@ class TestFit:
         with pytest.raises(DegenerateGaussian):
             fit(ds, Forest.from_edges(2, []))
 
+    @pytest.mark.parametrize(
+        "column, edges, message",
+        [
+            # the mean of seven 0.1s is not 0.1, so np.var gives 1.9e-34
+            ([0.1] * 7, [], "column 'v0' has zero sample variance"),
+            # the residual variance around the class means comes out 5.3e-33
+            ([0.1, 0.7] * 3 + [0.1], [(0, 1)], "zero pooled residual variance"),
+        ],
+    )
+    def test_degeneracy_is_exact_not_rounded(self, column, edges, message):
+        ds = dataset_from_columns(mixed_schema("gd"), column, [0, 1] * 3 + [0])
+        with pytest.raises(DegenerateGaussian, match=message):
+            fit(ds, Forest.from_edges(2, edges))
+
 
 class TestParameterCount:
     def test_edgeless_is_sum_of_node_params(self):

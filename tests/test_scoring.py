@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrofit import (
     Criterion,
+    Dataset,
     Discrete,
     Gaussian,
+    QuadratureSpec,
+    Variable,
+    VariableSchema,
     penalty_weight,
     score_all_pairs,
 )
-from dendrofit.errors import DegenerateGaussian
+from dendrofit import estimators, kernels, scoring
+from dendrofit.errors import DegenerateGaussian, DendrofitError, QuadratureFailure
 from dendrofit.scoring import scored_edges_from_mi
 
 from conftest import dataset_from_columns, mixed_schema, random_discrete_dataset
@@ -142,3 +149,125 @@ class TestScoreAllPairs:
         ds = dataset_from_columns(schema, [0, 1])
         with pytest.raises(ValueError):
             score_all_pairs(ds, Criterion.maximum_likelihood())
+
+
+GAUSSIAN_MODES = ["noise"] * 3 + ["classes"] * 3 + ["function", "constant"]
+
+
+@st.composite
+def mixed_datasets(draw):
+    """2-8 columns of mixed kinds. Discrete columns have 2-8 classes, some
+    of them left empty. A Gaussian column is noise, noise around class
+    means of a discrete column up to 8 sd apart, an exact function of
+    those classes (a zero residual), or constant. Scales run from 1e-3 to
+    1e3 and columns sit up to 100 scales from 0; further out, the class
+    means of both paths carry rounding above the bound. Constants are
+    values like 0.1 whose mean does not round-trip."""
+    kinds = draw(st.lists(st.sampled_from("dg"), min_size=2, max_size=8))
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = {}  # discrete column -> (cardinality, codes)
+    for k in [k for k, kind in enumerate(kinds) if kind == "d"]:
+        card = draw(st.integers(2, 8))
+        used = rng.permutation(card)[: draw(st.integers(1, card))]
+        classes[k] = (card, rng.choice(used, size=n).astype(np.int64))
+    variables, columns = [], []
+    for k, kind in enumerate(kinds):
+        if kind == "d":
+            card, codes = classes[k]
+            variables.append(Variable(f"v{k}", D(card)))
+            columns.append(codes)
+            continue
+        variables.append(Variable(f"v{k}", Gaussian()))
+        mode = draw(st.sampled_from(GAUSSIAN_MODES))
+        if mode in ("classes", "function") and not classes:
+            mode = "noise"
+        scale = 10.0 ** rng.uniform(-3, 3)
+        offset = scale * rng.uniform(-100.0, 100.0)
+        if mode == "noise":
+            columns.append(offset + scale * rng.standard_normal(n))
+        elif mode == "constant":
+            columns.append(np.full(n, draw(st.sampled_from([0.1, 0.7, 1 / 3, -2.2]))))
+        else:
+            card, codes = classes[draw(st.sampled_from(sorted(classes)))]
+            means = offset + scale * rng.uniform(-4.0, 4.0, size=card)
+            noise = scale * rng.standard_normal(n) if mode == "classes" else 0.0
+            columns.append(means[codes] + noise)
+    return Dataset(VariableSchema(tuple(variables)), tuple(columns))
+
+
+def per_pair_outcome(ds, quad):
+    """The pair table from estimate_pair_mi one pair at a time, or the
+    type and message of the first error in canonical pair order."""
+    n_vars = ds.schema.n_vars
+    table = np.zeros((n_vars, n_vars))
+    for i in range(n_vars):
+        for j in range(i + 1, n_vars):
+            try:
+                table[i, j] = scoring.estimate_pair_mi(ds, i, j, quad)
+            except DendrofitError as err:
+                names = (ds.schema.name(i), ds.schema.name(j))
+                return type(err), f"pair {names!r}: {err}"
+    return table
+
+
+def assert_same_outcome(ds, quad):
+    want = per_pair_outcome(ds, quad)
+    if isinstance(want, tuple):
+        assert estimators.pair_mi_table(ds, quad) is None
+        with pytest.raises(want[0]) as exc:
+            scoring.estimate_all_mi(ds, quad)
+        assert str(exc.value) == want[1]
+        return
+    got = estimators.pair_mi_table(ds, quad)
+    assert got is not None
+    assert (np.isinf(got) == np.isinf(want)).all()
+    finite = np.isfinite(want)
+    assert np.abs(got[finite] - want[finite]).max() / ds.n <= 1e-13
+    assert (scoring.estimate_all_mi(ds, quad) == got).all()
+
+
+class TestBatchedPairTable:
+    @settings(max_examples=300, deadline=None)
+    @given(ds=mixed_datasets())
+    def test_matches_the_per_pair_estimators(self, ds):
+        assert_same_outcome(ds, QuadratureSpec())
+
+    def test_chunking_does_not_change_the_values(self, monkeypatch):
+        # 8 classes 6 sd apart: one pair climbs past order 128, so the
+        # rungs hold different numbers of pairs
+        rng = np.random.default_rng(4)
+        codes = rng.integers(0, 8, 400)
+        columns = [codes] + [
+            6.0 * rng.permutation(codes) + rng.standard_normal(400) for _ in range(4)
+        ]
+        columns[1] = 6.0 * codes + rng.standard_normal(400)
+        schema = VariableSchema(
+            (Variable("d", D(8)),) + tuple(Variable(f"g{k}", Gaussian()) for k in range(4))
+        )
+        ds = dataset_from_columns(schema, *columns)
+        base = scoring.estimate_all_mi(ds, QuadratureSpec())
+        for bound in (1, 2**20):
+            monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", bound)
+            assert (scoring.estimate_all_mi(ds, QuadratureSpec()) == base).all()
+
+    def test_ladder_failure_is_named_as_the_per_pair_path_names_it(self, monkeypatch):
+        # v0 has equal class means, so v1 and v2 (classes about 6 sd apart,
+        # where orders 8 and 16 disagree) make the first pair that fails
+        monkeypatch.setattr(estimators, "_MAX_QUAD_ORDER", 16)
+        schema = mixed_schema("gdg")
+        ds = dataset_from_columns(
+            schema, [1.0, 2.0, 2.0, 1.0], [0, 0, 1, 1], [-4.0, -2.0, 2.0, 4.0]
+        )
+        assert_same_outcome(ds, QuadratureSpec(order=8))
+        with pytest.raises(QuadratureFailure, match=r"^pair \('v1', 'v2'\): doubling"):
+            scoring.estimate_all_mi(ds, QuadratureSpec(order=8))
+
+    def test_entropy_failure_is_named_as_the_per_pair_path_names_it(self, monkeypatch):
+        monkeypatch.setattr(
+            kernels, "mixture_mi_batch", lambda probs, *rest: np.full(len(probs), 5.0)
+        )
+        ds = dataset_from_columns(mixed_schema("dg"), [0, 0, 1, 1], [0.0, 0.1, 2.0, 2.1])
+        assert_same_outcome(ds, QuadratureSpec())
+        with pytest.raises(QuadratureFailure, match="exceeds the class entropy bound"):
+            scoring.estimate_all_mi(ds, QuadratureSpec())
