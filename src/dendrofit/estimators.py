@@ -7,7 +7,9 @@ nats, the log-likelihood gain from joining the pair by an edge. Plug-in
 parameters are maximum-likelihood throughout: relative frequencies,
 divide-by-n moments, per-class means with a pooled residual variance.
 ``pair_mi_table`` computes I_n for every pair of a dataset in one batched
-pass, with the same formulas as the per-pair estimators.
+pass. It and the per-pair path share the row-invariant statistics
+kernels and the quadrature ladder, so a pair's I_n and its error are
+the same bits and the same message on both.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import DegenerateGaussian, QuadratureFailure, SameVertex
 _QUAD_ATOL = 1e-12
 # hard ceiling for the order-escalation ladder
 _MAX_QUAD_ORDER = 1024
+_ZERO_RESIDUAL = "pooled residual variance is zero"
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,7 @@ class GaussianPair:
 
     @property
     def rho(self) -> float:
-        r = self.cov / math.sqrt(self.var_i * self.var_j)
-        return max(-1.0, min(1.0, r))
+        return float(_rho(self.cov, self.var_i, self.var_j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +133,23 @@ class MixedPair:
 PairStats = Union[DiscretePair, GaussianPair, MixedPair]
 
 
+def _zero_variance(name: str) -> DegenerateGaussian:
+    return DegenerateGaussian(f"column {name!r} has zero sample variance")
+
+
 def check_gaussian_column(dataset: Dataset, v: int) -> None:
     """Raise DegenerateGaussian when Gaussian column v has zero variance,
     that is when all its cells are equal."""
     if kernels.all_equal(dataset.column(v)):
+        raise _zero_variance(dataset.schema.name(v))
+
+
+def check_variance_in_range(dataset: Dataset, v: int, var: float) -> None:
+    """Raise DegenerateGaussian when a nonzero variance of Gaussian column
+    v underflows to 0 or overflows in original units."""
+    if not 0.0 < var < math.inf:
         raise DegenerateGaussian(
-            f"column {dataset.schema.name(v)!r} has zero sample variance"
+            f"column {dataset.schema.name(v)!r} has a variance beyond the float range"
         )
 
 
@@ -145,15 +158,17 @@ def collect_pair_stats(dataset: Dataset, i: int, j: int) -> PairStats:
 
     The returned variant matches the (kind_i, kind_j) combination; for a
     mixed pair the Gaussian member is recorded first regardless of
-    argument order. A mixed pair's residual variance is exactly 0 when
-    every class holds one repeated value.
+    argument order. Moments come from the kernels ``pair_mi_table`` uses,
+    in original units. A mixed pair's residual variance is exactly 0
+    when every class holds one repeated value.
 
     Raises
     ------
     SameVertex
         if i == j.
     DegenerateGaussian
-        if a Gaussian column involved has all its cells equal.
+        if a Gaussian column involved has all its cells equal, or a
+        nonzero variance that underflows or overflows in original units.
     """
     if i == j:
         raise SameVertex(f"pair statistics need two distinct vertices, got {i}")
@@ -175,23 +190,36 @@ def collect_pair_stats(dataset: Dataset, i: int, j: int) -> PairStats:
         a, b = (i, j) if i < j else (j, i)
         check_gaussian_column(dataset, a)
         check_gaussian_column(dataset, b)
-        mean_a, mean_b, var_a, var_b, cov = kernels.gaussian_moments(
-            dataset.column(a), dataset.column(b)
-        )
+        e, mean, cov = kernels.gaussian_moments(np.stack([dataset.column(a), dataset.column(b)]))
+        with np.errstate(over="ignore"):
+            mean, cov = np.ldexp(mean, e), np.ldexp(cov, e[:, None] + e)
+        check_variance_in_range(dataset, a, cov[0, 0])
+        check_variance_in_range(dataset, b, cov[1, 1])
         return GaussianPair(
-            i=a, j=b, n=n, mean_i=mean_a, mean_j=mean_b, var_i=var_a, var_j=var_b, cov=cov
+            i=a,
+            j=b,
+            n=n,
+            mean_i=float(mean[0]),
+            mean_j=float(mean[1]),
+            var_i=float(cov[0, 0]),
+            var_j=float(cov[1, 1]),
+            cov=float(cov[0, 1]),
         )
     gauss, disc = (i, j) if disc_j else (j, i)
     check_gaussian_column(dataset, gauss)
-    counts, means, resid_var = kernels.class_stats(
-        dataset.column(gauss), dataset.column(disc), schema.cardinality(disc)
+    e, counts, means, var = kernels.class_stats_rows(
+        dataset.column(gauss)[None], dataset.column(disc), schema.cardinality(disc)
     )
+    with np.errstate(over="ignore"):
+        resid_var = float(np.ldexp(var[0], 2 * e[0]))
+    if var[0] > 0.0:  # 0 is an exact degeneracy, which mi_mixed reports
+        check_variance_in_range(dataset, gauss, resid_var)
     return MixedPair(
         gauss=gauss,
         disc=disc,
         n=float(n),
         class_counts=counts,
-        class_means=means,
+        class_means=np.ldexp(means[0], e[0]),
         resid_var=resid_var,
     )
 
@@ -206,6 +234,18 @@ def _discrete_mi(counts: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(np.where(counts > 0, terms, 0.0).sum(axis=(-2, -1)), 0.0)
 
 
+def _rho(cov, var_i, var_j):
+    """Correlations cov / sqrt(var_i var_j), clipped to [-1, 1], with each
+    variance first brought into [1/2, 2) by an exact power of four (and
+    cov by the matching power of two) so that the product cannot
+    underflow or overflow. The bits are the plain formula's wherever it
+    does neither, for scaled moments and original units alike."""
+    k_i = np.frexp(var_i)[1] // 2
+    k_j = np.frexp(var_j)[1] // 2
+    root = np.sqrt(np.ldexp(var_i, -2 * k_i) * np.ldexp(var_j, -2 * k_j))
+    return np.clip(np.ldexp(cov, -(k_i + k_j)) / root, -1.0, 1.0)
+
+
 def _gaussian_mi(rho, n: int):
     """I_n of Gaussian pairs with correlations rho: -(n/2) ln(1 - rho^2),
     +inf where |rho| = 1."""
@@ -213,41 +253,43 @@ def _gaussian_mi(rho, n: int):
         return -0.5 * n * np.log1p(-rho * rho)
 
 
-def _confirm(
-    evaluate: Callable[[int, np.ndarray], np.ndarray], count: int, quad: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The order-doubling ladder for ``count`` integrals in lockstep.
-
-    ``evaluate(order, idx)`` returns the integrals ``idx`` at that order.
-    Every integral starts at ``quad.order``; one doubling confirms it when
-    it changes the value by at most ``quad.tolerance`` relative plus
-    ``_QUAD_ATOL``, and only the integrals not yet confirmed go on to the
-    next rung. Returns the confirmed (refined) values, NaN where doubling
-    up to the order ceiling confirmed nothing, and the last values and
-    order of those.
+def _mixture_mi(
+    probs: np.ndarray, means: np.ndarray, var: np.ndarray, quad: QuadratureSpec
+) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """Per-sample mutual information of each mixture (a row of probs and
+    means, with variance var) against its class variable, with the
+    order-doubling ladder in lockstep: one doubling confirms an integral
+    when it changes it by at most ``quad.tolerance`` relative plus
+    ``_QUAD_ATOL``, and only the rest go on to the next rung. Returns the
+    refined values clamped to [0, H], H the class entropy, and
+    (row, message) for each mixture that no doubling up to the order
+    ceiling confirmed or whose value exceeds H beyond rounding.
     """
-    order = quad.order
-    active = np.arange(count)
-    value = evaluate(order, active)
-    confirmed = np.full(count, np.nan)
+    order, active = quad.order // 2, np.arange(len(var))
+    last, confirmed = np.full(len(var), np.nan), np.full(len(var), np.nan)
     while active.size and order < _MAX_QUAD_ORDER:
-        order *= 2
-        refined = evaluate(order, active)
-        done = np.abs(refined - value) <= quad.tolerance * np.maximum(
-            np.abs(refined), np.abs(value)
+        order *= 2  # quad.order first, where no last value confirms anything
+        nodes, weights = _hermite_rule(order)
+        value = kernels.mixture_mi_batch(probs[active], means[active], var[active], nodes, weights)
+        done = np.abs(value - last[active]) <= quad.tolerance * np.maximum(
+            np.abs(value), np.abs(last[active])
         ) + _QUAD_ATOL
-        confirmed[active[done]] = refined[done]
-        active, value = active[~done], refined[~done]
-    return confirmed, value, order
-
-
-def _entropy_bound(confirmed: np.ndarray, probs: np.ndarray):
-    """Clamp per-sample integrals to [0, H], H the class entropy of each
-    row of probs. Returns the clamped values, H, and whether each value
-    was within H up to rounding."""
+        confirmed[active[done]] = value[done]
+        last[active] = value
+        active = active[~done]
     entropy = -(probs * np.log(probs)).sum(axis=-1)
-    within = confirmed <= entropy + 1e-9 * np.maximum(entropy, 1.0)
-    return np.minimum(np.maximum(confirmed, 0.0), entropy), entropy, within
+    beyond = confirmed > entropy + 1e-9 * np.maximum(entropy, 1.0)
+    failures = [
+        (k, f"doubling up to order {_MAX_QUAD_ORDER} never confirmed the integral "
+            f"(last values {float(last[k])!r} at order {order})")
+        for k in active
+    ]
+    failures += [
+        (k, f"integral {float(confirmed[k])!r} exceeds the class entropy bound "
+            f"{float(entropy[k])!r}")
+        for k in np.flatnonzero(beyond)
+    ]
+    return np.minimum(np.maximum(confirmed, 0.0), entropy), failures
 
 
 def mi_discrete(stats: DiscretePair) -> float:
@@ -283,7 +325,7 @@ def mi_mixed(stats: MixedPair, quad: QuadratureSpec = QuadratureSpec()) -> float
         the entropy bound is violated beyond rounding.
     """
     if stats.resid_var <= 0.0:
-        raise DegenerateGaussian("pooled residual variance is zero")
+        raise DegenerateGaussian(_ZERO_RESIDUAL)
     occupied = stats.class_counts > 0
     probs = stats.class_counts[occupied] / stats.n
     means = stats.class_means[occupied]
@@ -291,58 +333,51 @@ def mi_mixed(stats: MixedPair, quad: QuadratureSpec = QuadratureSpec()) -> float
         raise ValueError("mixed pair has no occupied classes")
     if probs.size == 1:
         return 0.0
-    var = float(stats.resid_var)
-
-    def evaluate(order: int, _) -> np.ndarray:
-        nodes, weights = _hermite_rule(order)
-        return np.array([kernels.mixture_mi(probs, means, var, nodes, weights)])
-
-    confirmed, last, order = _confirm(evaluate, 1, quad)
-    if np.isnan(confirmed[0]):
-        raise QuadratureFailure(
-            f"doubling up to order {_MAX_QUAD_ORDER} never confirmed the integral "
-            f"(last values {float(last[0])!r} at order {order})"
-        )
-    value, entropy, within = _entropy_bound(confirmed, probs[None])
-    if not within[0]:
-        raise QuadratureFailure(
-            f"integral {float(confirmed[0])!r} exceeds the class entropy bound "
-            f"{float(entropy[0])!r}"
-        )
+    value, failures = _mixture_mi(probs[None], means[None], np.array([stats.resid_var]), quad)
+    if failures:
+        raise QuadratureFailure(failures[0][1])
     return stats.n * float(value[0])
 
 
 # -- all pairs at once -----------------------------------------------------------
 
 
-def pair_mi_table(
-    dataset: Dataset, quad: QuadratureSpec = QuadratureSpec()
-) -> Optional[np.ndarray]:
+def pair_mi_table(dataset: Dataset, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """I_n of every pair in one batched pass: an (N, N) array holding
     I_n(i, j) at [i, j] for i < j, zero elsewhere.
 
-    The values are those of collect_pair_stats and the mi_* estimators
-    up to rounding: discrete pairs from per-pair joint tables, Gaussian
-    pairs from the centred Gram matrix, and mixed pairs from class sums
-    against all Gaussian columns at once, with the quadrature ladder run
-    in lockstep over the pairs with the same number of occupied classes.
-    Returns None when any pair would raise in the per-pair estimators
-    (a degenerate column or residual, or a ladder or entropy failure);
-    the per-pair path then names it.
+    Each value is that of collect_pair_stats and the mi_* estimators bit
+    for bit: discrete pairs from stacked joint tables, Gaussian pairs from
+    the moments of all Gaussian columns at once, and mixed pairs from the
+    class statistics of all Gaussian columns against each discrete
+    column, with the ladder in lockstep over the pairs with the same
+    number of occupied classes. The first failing pair in canonical
+    order raises the per-pair path's error, with the pair named.
     """
     schema = dataset.schema
     table = np.zeros((schema.n_vars, schema.n_vars))
+    failures = []  # (i, j, error), in the order the per-pair path checks a pair
     disc = [v for v in range(schema.n_vars) if schema.is_discrete(v)]
     gauss = np.array([v for v in range(schema.n_vars) if not schema.is_discrete(v)], dtype=int)
     _discrete_into(table, dataset, disc)
-    if not gauss.size:
-        return table
-    xt = np.stack([dataset.column(g) for g in gauss])
-    if kernels.all_equal(xt).any():
-        return None
-    if _gaussian_into(table, xt, gauss) and _mixed_into(table, dataset, disc, gauss, xt, quad):
-        return table
-    return None
+    if gauss.size and schema.n_vars > 1:
+        xt = np.stack([dataset.column(g) for g in gauss])
+        degenerate = kernels.all_equal(xt)
+        if degenerate.any():
+            # every pair holding a degenerate column fails; the first of
+            # them in canonical order holds the lowest one
+            g = int(gauss[degenerate][0])
+            failures.append((0, g or 1, _zero_variance(schema.name(g))))
+            gauss, xt = gauss[~degenerate], xt[~degenerate]
+        _, _, cov = kernels.gaussian_moments(xt)
+        a, b = np.triu_indices(gauss.size, 1)
+        var = np.diag(cov)
+        table[gauss[a], gauss[b]] = _gaussian_mi(_rho(cov[a, b], var[a], var[b]), dataset.n)
+        _mixed_into(table, failures, dataset, disc, gauss, xt, quad)
+    if failures:
+        i, j, err = min(failures, key=lambda failure: failure[:2])
+        raise type(err)(f"pair ({schema.name(i)!r}, {schema.name(j)!r}): {err}")
+    return table
 
 
 def _discrete_into(table: np.ndarray, dataset: Dataset, disc: list[int]) -> None:
@@ -362,73 +397,35 @@ def _discrete_into(table: np.ndarray, dataset: Dataset, disc: list[int]) -> None
         table[a, b] = _discrete_mi(np.stack(counts), dataset.n)
 
 
-def _gaussian_into(table: np.ndarray, xt: np.ndarray, gauss: np.ndarray) -> bool:
-    """Fill in I_n of every Gaussian pair (columns gauss, values xt) from
-    the centred Gram matrix; False when one would fail."""
-    n = xt.shape[1]
-    centred = xt - (xt.sum(axis=1) / n)[:, None]
-    gram = centred @ centred.T / n
-    var = np.diag(gram)
-    a, b = np.triu_indices(gauss.size, 1)
-    scale = np.sqrt(var[a] * var[b])
-    if (scale <= 0.0).any():  # a zero variance, or a product that underflows
-        return False
-    rho = np.clip(gram[a, b] / scale, -1.0, 1.0)
-    table[gauss[a], gauss[b]] = _gaussian_mi(rho, n)
-    return True
-
-
 def _mixed_into(
     table: np.ndarray,
+    failures: list,
     dataset: Dataset,
     disc: list[int],
     gauss: np.ndarray,
     xt: np.ndarray,
     quad: QuadratureSpec,
-) -> bool:
+) -> None:
     """Fill in I_n of every mixed pair, with the ladder in lockstep over
     the pairs whose discrete member has the same number of occupied
-    classes; False when one would fail."""
+    classes, and append the pairs that fail to failures."""
     n = dataset.n
-    groups = defaultdict(list)  # occupied classes -> [(disc, probs, means, var)]
+    groups = defaultdict(list)  # occupied classes -> [(i, j, probs, means, var)]
     for d in disc:
-        counts, means, var = kernels.class_stats_rows(
+        _, counts, means, var = kernels.class_stats_rows(
             xt, dataset.column(d), dataset.schema.cardinality(d)
         )
-        if (var <= 0.0).any():
-            return False
+        zero = var <= 0.0
+        failures += [(min(d, g), max(d, g), DegenerateGaussian(_ZERO_RESIDUAL)) for g in gauss[zero]]
         occupied = counts > 0
         if occupied.sum() > 1:  # one class leaves I_n = 0
-            groups[occupied.sum()].append((d, counts[occupied] / n, means[:, occupied], var))
+            g, means = gauss[~zero], means[~zero][:, occupied]
+            probs = np.broadcast_to(counts[occupied] / n, means.shape)
+            groups[occupied.sum()].append(
+                (np.minimum(d, g), np.maximum(d, g), probs, means, var[~zero])
+            )
     for members in groups.values():
-        values = _mixture_mi_lockstep(
-            np.concatenate([np.broadcast_to(p, m.shape) for _, p, m, _ in members]),
-            np.concatenate([m for _, _, m, _ in members]),
-            np.concatenate([v for _, _, _, v in members]),
-            quad,
-        )
-        if values is None:
-            return False
-        pair_disc = np.repeat([d for d, _, _, _ in members], gauss.size)
-        pair_gauss = np.tile(gauss, len(members))
-        table[np.minimum(pair_disc, pair_gauss), np.maximum(pair_disc, pair_gauss)] = n * values
-    return True
-
-
-def _mixture_mi_lockstep(
-    probs: np.ndarray, means: np.ndarray, var: np.ndarray, quad: QuadratureSpec
-) -> Optional[np.ndarray]:
-    """Per-sample mutual information of each mixture (a row of probs and
-    means, with variance var), as mi_mixed computes it for one, with the
-    ladder run in lockstep; None when any mixture fails the ladder or the
-    entropy check."""
-
-    def evaluate(order: int, idx: np.ndarray) -> np.ndarray:
-        nodes, weights = _hermite_rule(order)
-        return kernels.mixture_mi_batch(probs[idx], means[idx], var[idx], nodes, weights)
-
-    confirmed, _, _ = _confirm(evaluate, len(var), quad)
-    value, _, within = _entropy_bound(confirmed, probs)
-    if np.isnan(confirmed).any() or not within.all():
-        return None
-    return value
+        i, j, probs, means, var = (np.concatenate(part) for part in zip(*members))
+        values, failed = _mixture_mi(probs, means, var, quad)
+        table[i, j] = n * values
+        failures += [(int(i[k]), int(j[k]), QuadratureFailure(message)) for k, message in failed]

@@ -12,10 +12,7 @@ __all__ = [
     "joint_counts",
     "gaussian_moments",
     "all_equal",
-    "equal_within_classes",
-    "class_stats",
     "class_stats_rows",
-    "mixture_mi",
     "mixture_mi_batch",
 ]
 
@@ -35,19 +32,6 @@ def joint_counts(xi: np.ndarray, xj: np.ndarray, card_i: int, card_j: int) -> np
     return np.bincount(flat, minlength=card_i * card_j).reshape(card_i, card_j)
 
 
-def gaussian_moments(x: np.ndarray, y: np.ndarray):
-    """Biased (divide-by-n) means, variances and covariance of two columns.
-
-    Returns (mean_x, mean_y, var_x, var_y, cov_xy).
-    """
-    n = x.shape[0]
-    mean_x = x.sum() / n
-    mean_y = y.sum() / n
-    dx = x - mean_x
-    dy = y - mean_y
-    return mean_x, mean_y, float(dx @ dx) / n, float(dy @ dy) / n, float(dx @ dy) / n
-
-
 def all_equal(x: np.ndarray) -> np.ndarray:
     """Whether all values along the last axis of x are equal: the exact
     test for a zero-variance column, which a variance computed around a
@@ -55,63 +39,71 @@ def all_equal(x: np.ndarray) -> np.ndarray:
     return (x == x[..., :1]).all(axis=-1)
 
 
-def equal_within_classes(x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Whether every class of y holds one repeated value of x, along the
-    last axis of x: the exact test for a zero pooled residual variance."""
-    member = np.zeros(n_classes, dtype=np.intp)
-    member[y] = np.arange(y.size)  # some row of each occupied class
-    return (x == np.take(x, member[y], axis=-1)).all(axis=-1)
+def _exponents(xt: np.ndarray) -> np.ndarray:
+    """Per row of xt, the exponent e that np.frexp gives for its largest
+    |x|. Scaling the row by 2^-e is exact and brings rows of normal
+    floats into (-1, 1), where no statistic below overflows."""
+    return np.frexp(np.maximum(xt.max(axis=1), -xt.min(axis=1)))[1]
 
 
-def class_stats(x: np.ndarray, y: np.ndarray, n_classes: int):
-    """Per-class counts and means of x grouped by y, plus the pooled
-    (divide-by-n) residual variance around the class means.
-
-    Classes that never occur get count 0 and mean NaN. The residual
-    variance is exactly 0 when every class holds one repeated value.
+def gaussian_moments(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e, mean, cov): the ``_exponents`` of the rows of xt (rows x n), and
+    the biased (divide-by-n) means and covariance matrix of the rows
+    scaled by them. Row r's mean is ldexp(mean[r], e[r]) and cov[r, s] is
+    ldexp(cov[r, s], e[r] + e[s]) in original units. Each entry is a row
+    sum or one dot product of two centred rows, never a matrix product,
+    so its bits do not depend on the other rows stacked with it.
     """
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    sums = np.bincount(y, weights=x, minlength=n_classes)
-    means = np.divide(sums, counts, out=np.full(n_classes, np.nan), where=counts > 0)
-    if equal_within_classes(x, y, n_classes):
-        return counts, means, 0.0
-    resid = x - means[y]
-    return counts, means, float(resid @ resid) / x.shape[0]
+    e = _exponents(xt)
+    xs = np.ldexp(xt, -e[:, None])
+    n = xs.shape[1]
+    mean = xs.sum(axis=1) / n
+    centred = xs - mean[:, None]
+    cov = np.empty((len(xs), len(xs)))
+    for r, row in enumerate(centred):
+        for s in range(r, len(xs)):
+            cov[r, s] = cov[s, r] = row @ centred[s] / n
+    return e, mean, cov
 
 
 def class_stats_rows(xt: np.ndarray, y: np.ndarray, n_classes: int):
-    """class_stats of every row of xt (columns x rows) against one class
-    column y: counts (n_classes,), means (columns, n_classes) and residual
-    variances (columns,).
+    """(e, counts, means, var): the ``_exponents`` of the rows of xt
+    (rows x n), the class counts of y, and per-class means
+    (rows, n_classes) and pooled (divide-by-n) residual variances around
+    them of the rows scaled by them. Row r's means are
+    ldexp(means[r], e[r]) and its variance ldexp(var[r], 2 e[r]) in
+    original units.
 
-    The class sums are one matrix product with the one-hot coding of y;
-    the residual sum of squares is a second pass around the class means,
-    never sum(x^2) - sum(S^2)/c, which loses every digit as R^2 -> 1.
+    Classes that never occur get count 0 and mean NaN. The variance is
+    a second pass around the class means, never sum(x^2) - sum(S^2)/c,
+    which loses every digit as R^2 -> 1, and it is exactly 0 when every
+    class holds one repeated value: the exact test for a zero residual,
+    which a variance around rounded class means is not. Each row is its
+    own bincount and dot product, so its bits do not depend on the other
+    rows stacked with it.
     """
-    degenerate = equal_within_classes(xt, y, n_classes)
+    e = _exponents(xt)
+    n = y.size
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    onehot = (y == np.arange(n_classes)[:, None]).astype(np.float64)
-    sums = xt @ onehot.T
-    means = np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0)
-    resid = np.take(means, y, axis=1)
-    np.subtract(xt, resid, out=resid)
-    resid *= resid
-    var = resid.sum(axis=1) / xt.shape[1]
-    var[degenerate] = 0.0
-    return counts, means, var
-
-
-def mixture_mi(
-    probs: np.ndarray,
-    means: np.ndarray,
-    var: float,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-) -> float:
-    """Per-sample mutual information of one univariate Gaussian mixture
-    against its class variable: mixture_mi_batch for a single mixture."""
-    value = mixture_mi_batch(probs[None], means[None], np.array([var]), nodes, weights)
-    return float(value[0])
+    occupied = counts > 0
+    member = np.zeros(n_classes, dtype=np.intp)
+    member[y] = np.arange(n)  # some cell of each occupied class
+    member = member[y]
+    # a scaled row whose classes each hold one value has residuals below
+    # 2 n 2^-53 (a class mean of c equal cells carries under c roundings),
+    # so only a variance below (n 2^-51)^2 can be one and takes the test
+    tiny = (n * 2.0**-51) ** 2
+    means = np.full((len(xt), n_classes), np.nan)
+    var = np.empty(len(xt))
+    for r, row in enumerate(xt):
+        row = np.ldexp(row, -e[r])
+        sums = np.bincount(y, weights=row, minlength=n_classes)
+        np.divide(sums, counts, out=means[r], where=occupied)
+        resid = row - means[r][y]
+        var[r] = resid @ resid / n
+        if var[r] <= tiny and (row == row[member]).all():
+            var[r] = 0.0
+    return e, counts, means, var
 
 
 def mixture_mi_batch(

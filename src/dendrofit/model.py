@@ -37,6 +37,7 @@ from .estimators import (
     DiscretePair,
     GaussianPair,
     check_gaussian_column,
+    check_variance_in_range,
     collect_pair_stats,
 )
 from .scoring import effective_cardinality
@@ -364,7 +365,10 @@ def fit(dataset: Dataset, forest: Forest) -> DendroidModel:
             marginals.append(DiscreteMarginal(counts / n))
         else:
             check_gaussian_column(dataset, v)
-            marginals.append(GaussianMarginal(mean=float(np.mean(col)), var=float(np.var(col))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, var = float(np.mean(col)), float(np.var(col))
+            check_variance_in_range(dataset, v, var)
+            marginals.append(GaussianMarginal(mean=mean, var=var))
 
     factors: list[EdgeFactor] = []
     for i, j in forest.sorted_edges:

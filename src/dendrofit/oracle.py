@@ -142,9 +142,10 @@ def mixture_mi_loop(
     nodes: np.ndarray,
     weights: np.ndarray,
 ) -> float:
-    """Reference for ``kernels.mixture_mi``: one Python pass per class over
-    every node, evaluating -t^2 - log sum_k p_k exp(-(x - m_k)^2 / (2 var))
-    at x = m_y + sqrt(2 var) t with ``np.logaddexp.reduce``."""
+    """Reference for ``kernels.mixture_mi_batch`` on one mixture: one
+    Python pass per class over every node, evaluating
+    -t^2 - log sum_k p_k exp(-(x - m_k)^2 / (2 var)) at
+    x = m_y + sqrt(2 var) t with ``np.logaddexp.reduce``."""
     logp = np.log(probs)
     scale = math.sqrt(2.0 * var)
     total = 0.0

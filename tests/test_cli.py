@@ -14,7 +14,9 @@ from dendrofit import (
     Gaussian,
     Variable,
     VariableSchema,
+    collect_pair_stats,
     fit,
+    mi_gaussian,
 )
 from dendrofit.cli import main
 from dendrofit.dataio import (
@@ -264,6 +266,66 @@ class TestScore:
         rc = main([*command, "--data", str(data), "--schema", str(schema_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: pair ('g0', 'd0'): {message}\n"
+
+    @pytest.mark.parametrize("power", [-332, 532])
+    def test_gaussian_columns_at_extreme_scales_score_as_at_scale_one(
+        self, tmp_path, capsys, power
+    ):
+        # at 2^-332 a product of two variances underflows, and at 2^532 a
+        # variance overflows; I_n is a property of the scaled columns
+        rng = np.random.default_rng(1)
+        d0 = rng.integers(0, 3, 40)
+        g0 = rng.standard_normal(40)
+        g1 = 0.6 * g0 + rng.standard_normal(40)
+        g2 = 3.0 * d0 + rng.standard_normal(40)
+        schema = mixed_schema("ggDg")
+
+        def run(command, k):
+            columns = (np.ldexp(g0, k), np.ldexp(g1, k), d0, np.ldexp(g2, k))
+            data, schema_path = tmp_path / f"d{k}.csv", tmp_path / "s.json"
+            write_csv_dataset(data, dataset_from_columns(schema, *columns))
+            write_schema(schema_path, schema)
+            rc = main([*command, "--data", str(data), "--schema", str(schema_path)])
+            return rc, capsys.readouterr()
+
+        _, at_one = run(["score", "--format", "json"], 0)
+        rc, scaled = run(["score", "--format", "json"], power)
+        assert rc == 0 and scaled.err == ""
+        assert json.loads(scaled.out)["pairs"] == json.loads(at_one.out)["pairs"]
+        rc, learned = run(["learn", "--criterion", "mdl"], power)
+        if power > 0:
+            assert rc == 1
+            assert learned.err == "error: column 'v0' has a variance beyond the float range\n"
+        else:
+            assert rc == 0 and learned.err == ""
+
+    def test_affine_copy_is_fitted_exactly_when_its_score_is_finite(self, tmp_path, capsys):
+        # whether y = a x + b reaches |rho| = 1 is decided by rounding;
+        # scoring and fitting must decide it from the same value
+        rng = np.random.default_rng(6)
+        schema = mixed_schema("gg")
+        data, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_schema(schema_path, schema)
+        for _ in range(300):
+            n = int(rng.integers(2, 301))
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1)
+            b = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 3) * np.abs(x).max()
+            ds = dataset_from_columns(schema, x, a * x + b)
+            write_csv_dataset(data, ds)
+            want = mi_gaussian(collect_pair_stats(ds, 0, 1))
+            assert main(["score", "--data", str(data), "--schema", str(schema_path),
+                         "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["pairs"][0]["mi"] == want
+            rc = main(["learn", "--data", str(data), "--schema", str(schema_path)])
+            err = capsys.readouterr().err
+            if math.isinf(want):
+                assert rc == 1
+                assert err == (
+                    "error: edge ('v0', 'v1'): perfectly correlated columns cannot be fitted\n"
+                )
+            else:
+                assert rc == 0 and err == ""
 
     def test_injected_mi_reproduces_worked_table(self, tmp_path, monkeypatch, capsys):
         # the six-pair worked example: inject its I values through the

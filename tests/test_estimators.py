@@ -241,9 +241,9 @@ class TestMiMixed:
 
         def unstable(probs, means, var, nodes, weights):
             calls.append(len(nodes))
-            return float(len(calls))  # changes every evaluation
+            return np.full(len(probs), float(len(calls)))  # changes every evaluation
 
-        monkeypatch.setattr("dendrofit.estimators.kernels.mixture_mi", unstable)
+        monkeypatch.setattr("dendrofit.estimators.kernels.mixture_mi_batch", unstable)
         with pytest.raises(QuadratureFailure):
             mi_mixed(mixed_pair([0.5, 0.5], [-1.0, 1.0], 1.0))
 

@@ -160,9 +160,8 @@ def mixed_datasets(draw):
     of them left empty. A Gaussian column is noise, noise around class
     means of a discrete column up to 8 sd apart, an exact function of
     those classes (a zero residual), or constant. Scales run from 1e-3 to
-    1e3 and columns sit up to 100 scales from 0; further out, the class
-    means of both paths carry rounding above the bound. Constants are
-    values like 0.1 whose mean does not round-trip."""
+    1e3 and columns sit up to 1e6 scales from 0. Constants are values
+    like 0.1 whose mean does not round-trip."""
     kinds = draw(st.lists(st.sampled_from("dg"), min_size=2, max_size=8))
     n = draw(st.integers(2, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -183,7 +182,7 @@ def mixed_datasets(draw):
         if mode in ("classes", "function") and not classes:
             mode = "noise"
         scale = 10.0 ** rng.uniform(-3, 3)
-        offset = scale * rng.uniform(-100.0, 100.0)
+        offset = scale * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 6)
         if mode == "noise":
             columns.append(offset + scale * rng.standard_normal(n))
         elif mode == "constant":
@@ -196,42 +195,76 @@ def mixed_datasets(draw):
     return Dataset(VariableSchema(tuple(variables)), tuple(columns))
 
 
+def per_pair_mi(ds, i, j, quad):
+    """I_n(i, j) from collect_pair_stats and the mi_* estimator of its kind."""
+    stats = estimators.collect_pair_stats(ds, i, j)
+    if isinstance(stats, estimators.DiscretePair):
+        return estimators.mi_discrete(stats)
+    if isinstance(stats, estimators.GaussianPair):
+        return estimators.mi_gaussian(stats)
+    return estimators.mi_mixed(stats, quad)
+
+
 def per_pair_outcome(ds, quad):
-    """The pair table from estimate_pair_mi one pair at a time, or the
-    type and message of the first error in canonical pair order."""
+    """The pair table from per_pair_mi one pair at a time, or the type and
+    message of the first error in canonical pair order."""
     n_vars = ds.schema.n_vars
     table = np.zeros((n_vars, n_vars))
     for i in range(n_vars):
         for j in range(i + 1, n_vars):
             try:
-                table[i, j] = scoring.estimate_pair_mi(ds, i, j, quad)
+                table[i, j] = per_pair_mi(ds, i, j, quad)
             except DendrofitError as err:
                 names = (ds.schema.name(i), ds.schema.name(j))
                 return type(err), f"pair {names!r}: {err}"
     return table
 
 
-def assert_same_outcome(ds, quad):
-    want = per_pair_outcome(ds, quad)
+def table_outcome(ds, quad):
+    """estimate_all_mi's table, or the type and message of its error."""
+    try:
+        return scoring.estimate_all_mi(ds, quad)
+    except DendrofitError as err:
+        return type(err), str(err)
+
+
+def assert_same_outcome(got, want):
+    """The same error type and message, or tables with the same bits."""
     if isinstance(want, tuple):
-        assert estimators.pair_mi_table(ds, quad) is None
-        with pytest.raises(want[0]) as exc:
-            scoring.estimate_all_mi(ds, quad)
-        assert str(exc.value) == want[1]
-        return
-    got = estimators.pair_mi_table(ds, quad)
-    assert got is not None
-    assert (np.isinf(got) == np.isinf(want)).all()
-    finite = np.isfinite(want)
-    assert np.abs(got[finite] - want[finite]).max() / ds.n <= 1e-13
-    assert (scoring.estimate_all_mi(ds, quad) == got).all()
+        assert got == want
+    else:
+        assert not isinstance(got, tuple)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def scaled_by_powers_of_two(ds, rng):
+    """ds with each Gaussian column times 2^k, k drawn per column so that
+    every nonzero cell stays a normal float."""
+    columns = []
+    for v, column in enumerate(ds.columns):
+        if not ds.schema.is_discrete(v):
+            size = np.abs(column[column != 0])
+            if size.size:
+                lo = -1021 - np.frexp(size.min())[1]
+                hi = 1023 - np.frexp(size.max())[1]
+                column = np.ldexp(column, int(rng.integers(lo, hi + 1)))
+        columns.append(column)
+    return Dataset(ds.schema, tuple(columns))
 
 
 class TestBatchedPairTable:
     @settings(max_examples=300, deadline=None)
     @given(ds=mixed_datasets())
     def test_matches_the_per_pair_estimators(self, ds):
-        assert_same_outcome(ds, QuadratureSpec())
+        quad = QuadratureSpec()
+        assert_same_outcome(table_outcome(ds, quad), per_pair_outcome(ds, quad))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ds=mixed_datasets(), seed=st.integers(0, 2**32 - 1))
+    def test_power_of_two_scaling_leaves_every_value_unchanged(self, ds, seed):
+        scaled = scaled_by_powers_of_two(ds, np.random.default_rng(seed))
+        quad = QuadratureSpec()
+        assert_same_outcome(table_outcome(scaled, quad), table_outcome(ds, quad))
 
     def test_chunking_does_not_change_the_values(self, monkeypatch):
         # 8 classes 6 sd apart: one pair climbs past order 128, so the
@@ -259,7 +292,8 @@ class TestBatchedPairTable:
         ds = dataset_from_columns(
             schema, [1.0, 2.0, 2.0, 1.0], [0, 0, 1, 1], [-4.0, -2.0, 2.0, 4.0]
         )
-        assert_same_outcome(ds, QuadratureSpec(order=8))
+        quad = QuadratureSpec(order=8)
+        assert_same_outcome(table_outcome(ds, quad), per_pair_outcome(ds, quad))
         with pytest.raises(QuadratureFailure, match=r"^pair \('v1', 'v2'\): doubling"):
             scoring.estimate_all_mi(ds, QuadratureSpec(order=8))
 
@@ -268,6 +302,7 @@ class TestBatchedPairTable:
             kernels, "mixture_mi_batch", lambda probs, *rest: np.full(len(probs), 5.0)
         )
         ds = dataset_from_columns(mixed_schema("dg"), [0, 0, 1, 1], [0.0, 0.1, 2.0, 2.1])
-        assert_same_outcome(ds, QuadratureSpec())
+        quad = QuadratureSpec()
+        assert_same_outcome(table_outcome(ds, quad), per_pair_outcome(ds, quad))
         with pytest.raises(QuadratureFailure, match="exceeds the class entropy bound"):
             scoring.estimate_all_mi(ds, QuadratureSpec())
