@@ -18,13 +18,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
-from .core import ScoredEdge
+from .core import Forest, ScoredEdge
 from .dataio import (
     csv_text,
     forest_dot,
-    format_gaussian_cell,
     iter_csv_blocks,
+    quoted_cells,
     read_csv_dataset,
     read_schema,
 )
@@ -39,10 +41,9 @@ from .errors import (
     UnknownCategory,
 )
 from .estimators import QuadratureSpec
-from .forest import accepted_forest, kruskal_decisions
+from .forest import ACCEPTED, REASONS, EdgeDecision, greedy_outcomes
 from .model import DendroidModel, description_length, fit, log_likelihood, sample
-from .oracle import brute_force_best_forest
-from .scoring import Criterion, score_all_pairs
+from .scoring import Criterion, PairScores, pair_scores
 
 FOREST_FORMAT = "dendrofit-forest"
 FOREST_VERSION = 1
@@ -96,8 +97,100 @@ class RunConfig:
             raise DataFormatError(str(err)) from err
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _json_text(doc, **lists: str) -> str:
+    """``json.dumps(doc, indent=2)`` and a newline. ``lists`` maps a
+    top-level key of ``doc`` to the indented text of its list, rendered
+    elsewhere; ``doc`` holds an empty list under that key."""
+    text = json.dumps(doc, indent=2)
+    for key, value in lists.items():
+        # the first match is the key itself: a quote inside a string
+        # value is escaped, so no value holds this text
+        text = text.replace(f"{json.dumps(key)}: []", f"{json.dumps(key)}: {value}", 1)
+    return text + "\n"
+
+
+_JSON_SPECIAL = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each value as json.dumps writes a float."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[k] = _JSON_SPECIAL[texts[k]]
+    return texts
+
+
+def _json_objects(fields: Sequence[str], columns: Sequence[Sequence[str]]) -> str:
+    """The text ``json.dumps(indent=2)`` gives a list of objects that is
+    the value of a top-level key: one object per row of ``columns``,
+    whose cells are already JSON text."""
+    if not len(columns[0]):
+        return "[]"
+    body = ",\n".join(f"      {json.dumps(field)}: %s" for field in fields)
+    template = "    {\n" + body + "\n    }"
+    return "[\n" + ",\n".join(template % row for row in zip(*columns)) + "\n  ]"
+
+
+def _pair_columns(names: Sequence[str], pairs: PairScores) -> list[list[str]]:
+    """i, j, name_i, name_j, mi, penalty and score of each pair, as JSON text."""
+    quoted = [json.dumps(name) for name in names]
+    i, j = pairs.i.tolist(), pairs.j.tolist()
+    return [
+        list(map(str, i)),
+        list(map(str, j)),
+        [quoted[v] for v in i],
+        [quoted[v] for v in j],
+        _json_floats(pairs.mi),
+        _json_floats(pairs.penalty),
+        _json_floats(pairs.score),
+    ]
+
+
+_PAIR_FIELDS = ("i", "j", "name_i", "name_j", "mi", "penalty", "score")
+_REASON_JSON = [json.dumps(reason) for reason in REASONS]
+_DECISION_TEXT = ["accepted" if r is None else f"rejected ({r})" for r in REASONS]
+
+
+def _report_json(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) -> str:
+    """The forest JSON's "report" list: one object per greedy step."""
+    codes = outcome.tolist()
+    columns = _pair_columns(names, ranked) + [
+        ["true" if o == ACCEPTED else "false" for o in codes],
+        [_REASON_JSON[o] for o in codes],
+    ]
+    return _json_objects(_PAIR_FIELDS + ("accepted", "reason"), columns)
+
+
+def _report_table(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) -> str:
+    """The edge table learn prints: one line per greedy step, columns
+    left-aligned to their widest cell, two spaces apart."""
+    i, j = ranked.i.tolist(), ranked.j.tolist()
+    columns = [
+        ["i", *map(str, i)],
+        ["j", *map(str, j)],
+        ["pair", *[f"({names[a]}, {names[b]})" for a, b in zip(i, j)]],
+        ["I_n", *map("{:.4f}".format, ranked.mi.tolist())],
+        ["penalty", *map("{:.4f}".format, ranked.penalty.tolist())],
+        ["J_n", *map("{:.4f}".format, ranked.score.tolist())],
+        ["decision", *[_DECISION_TEXT[o] for o in outcome.tolist()]],
+    ]
+    # the last column is not padded, so no line ends in spaces
+    template = "".join(f"%-{max(map(len, column))}s  " for column in columns[:-1]) + "%s\n"
+    return "".join(template % row for row in zip(*columns))
+
+
+def _score_csv(names: Sequence[str], pairs: PairScores) -> str:
+    """The score table as CSV: csv_text of its rows, column by column."""
+    quoted = quoted_cells(names, len(_PAIR_FIELDS))
+    i, j = pairs.i.tolist(), pairs.j.tolist()
+    columns = [
+        map(str, i),
+        map(str, j),
+        [quoted[v] for v in i],
+        [quoted[v] for v in j],
+        *(map("{:.17g}".format, c.tolist()) for c in (pairs.mi, pairs.penalty, pairs.score)),
+    ]
+    return csv_text([_PAIR_FIELDS]) + "".join(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _artifact_paths(out: str, fmt: str) -> dict[str, Path]:
@@ -114,59 +207,20 @@ def _artifact_paths(out: str, fmt: str) -> dict[str, Path]:
     return paths
 
 
-def _edge_report(schema, decisions) -> list[dict]:
-    report = []
-    for d in decisions:
-        e = d.edge
-        report.append(
-            {
-                "i": e.i,
-                "j": e.j,
-                "name_i": schema.name(e.i),
-                "name_j": schema.name(e.j),
-                "mi": e.mi,
-                "penalty": e.penalty,
-                "score": e.score,
-                "accepted": d.accepted,
-                "reason": d.reason,
-            }
-        )
-    return report
-
-
-def _print_report(schema, decisions, stream) -> None:
-    rows = [("i", "j", "pair", "I_n", "penalty", "J_n", "decision")]
-    for d in decisions:
-        e = d.edge
-        decision = "accepted" if d.accepted else f"rejected ({d.reason})"
-        rows.append(
-            (
-                str(e.i),
-                str(e.j),
-                f"({schema.name(e.i)}, {schema.name(e.j)})",
-                f"{e.mi:.4f}",
-                f"{e.penalty:.4f}",
-                f"{e.score:.4f}",
-                decision,
-            )
-        )
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip(), file=stream)
-
-
 def cmd_learn(config: RunConfig) -> int:
-    schema = read_schema(config.schema)
-    dataset = read_csv_dataset(config.data, schema)
     criterion = config.make_criterion()
     quad = config.make_quadrature()
+    schema = read_schema(config.schema)
+    dataset = read_csv_dataset(config.data, schema)
     dn = criterion.dn(dataset.n)
 
-    edges = score_all_pairs(dataset, criterion, quad)
-    decisions = kruskal_decisions(
-        edges, penalized=criterion.kind != "ml", n_vertices=schema.n_vars
-    )
-    forest = accepted_forest(decisions, schema.n_vars)
+    scores = pair_scores(dataset, criterion, quad)
+    penalized = criterion.kind != "ml"
+    weight = scores.score if penalized else scores.mi
+    order, outcome = greedy_outcomes(scores.i, scores.j, weight, penalized, schema.n_vars)
+    ranked = scores.take(order)
+    accepted = ranked.take(outcome == ACCEPTED).edges()
+    forest = Forest.from_edges(schema.n_vars, [(e.i, e.j) for e in accepted])
 
     fitted = fit(dataset, forest)
     ll = log_likelihood(fitted, dataset)
@@ -174,8 +228,8 @@ def cmd_learn(config: RunConfig) -> int:
 
     out = sys.stdout
     print(f"n={dataset.n} variables={schema.n_vars} criterion={criterion.kind} dn={dn!r}", file=out)
-    _print_report(schema, decisions, out)
-    total = sum(d.edge.score for d in decisions if d.accepted)
+    out.write(_report_table(schema.names, ranked, outcome))
+    total = sum(e.score for e in accepted)
     print(f"edges_selected={len(forest.edges)} total_score={total!r}", file=out)
     print(f"log_likelihood={ll!r}", file=out)
     print(f"param_count={fitted.param_count}", file=out)
@@ -188,7 +242,7 @@ def cmd_learn(config: RunConfig) -> int:
         "n": dataset.n,
         "variables": list(schema.names),
         "edges": [list(e) for e in forest.sorted_edges],
-        "report": _edge_report(schema, decisions),
+        "report": [],
         "log_likelihood": ll,
         "param_count": fitted.param_count,
         "description_length": dl,
@@ -197,8 +251,10 @@ def cmd_learn(config: RunConfig) -> int:
     if config.out:
         paths = _artifact_paths(config.out, fmt)
         if "json" in paths:
-            paths["json"].write_text(_json_text(doc), encoding="utf-8")
+            report = _report_json(schema.names, ranked, outcome)
+            paths["json"].write_text(_json_text(doc, report=report), encoding="utf-8")
         if "dot" in paths:
+            decisions = [EdgeDecision(e, accepted=True) for e in accepted]
             paths["dot"].write_text(forest_dot(schema, decisions), encoding="utf-8")
     if config.model_out:
         Path(config.model_out).write_text(
@@ -208,11 +264,11 @@ def cmd_learn(config: RunConfig) -> int:
 
 
 def cmd_score(config: RunConfig) -> int:
-    schema = read_schema(config.schema)
-    dataset = read_csv_dataset(config.data, schema)
     criterion = config.make_criterion()
     quad = config.make_quadrature()
-    edges = score_all_pairs(dataset, criterion, quad)
+    schema = read_schema(config.schema)
+    dataset = read_csv_dataset(config.data, schema)
+    scores = pair_scores(dataset, criterion, quad)
 
     fmt = config.fmt or "csv"
     if fmt == "json":
@@ -220,37 +276,12 @@ def cmd_score(config: RunConfig) -> int:
             "criterion": {"kind": criterion.kind, "dn": criterion.dn(dataset.n)},
             "n": dataset.n,
             "variables": list(schema.names),
-            "pairs": [
-                {
-                    "i": e.i,
-                    "j": e.j,
-                    "name_i": schema.name(e.i),
-                    "name_j": schema.name(e.j),
-                    "mi": e.mi,
-                    "penalty": e.penalty,
-                    "score": e.score,
-                }
-                for e in edges
-            ],
+            "pairs": [],
         }
-        text = _json_text(doc)
+        pairs = _json_objects(_PAIR_FIELDS, _pair_columns(schema.names, scores))
+        text = _json_text(doc, pairs=pairs)
     else:
-        header = ("i", "j", "name_i", "name_j", "mi", "penalty", "score")
-        text = csv_text(
-            [header]
-            + [
-                (
-                    e.i,
-                    e.j,
-                    schema.name(e.i),
-                    schema.name(e.j),
-                    format_gaussian_cell(e.mi),
-                    format_gaussian_cell(e.penalty),
-                    format_gaussian_cell(e.score),
-                )
-                for e in edges
-            ]
-        )
+        text = _score_csv(schema.names, scores)
     if config.out:
         Path(config.out).write_text(text, encoding="utf-8")
     else:
@@ -258,12 +289,16 @@ def cmd_score(config: RunConfig) -> int:
     return 0
 
 
-def _load_model(path: str) -> DendroidModel:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as err:
         raise DataFormatError(f"{path}: invalid JSON: {err}") from err
+
+
+def _load_model(path: str) -> DendroidModel:
+    doc = _load_json(path)
     try:
         return DendroidModel.from_json_dict(doc)
     except (ValueError, KeyError, TypeError) as err:
@@ -283,9 +318,9 @@ def cmd_sample(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
+    criterion = config.make_criterion()
     model = _load_model(config.model)
     dataset = read_csv_dataset(config.data, model.schema)
-    criterion = config.make_criterion()
     ll = log_likelihood(model, dataset)
     dn = criterion.dn(dataset.n)
     dl = description_length(model, dataset, criterion)
@@ -299,13 +334,19 @@ def cmd_eval(config: RunConfig) -> int:
 def cmd_oracle_forest(config: RunConfig) -> int:
     """Debug helper: exhaustive best forest from a score JSON (the output
     of ``score --format json``)."""
-    with open(config.scores, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    edges = [
-        ScoredEdge(p["i"], p["j"], p["mi"], p["penalty"], p["score"])
-        for p in doc["pairs"]
-    ]
-    n = len(doc["variables"])
+    # imported here: the references in oracle are needed by no other
+    # subcommand, and every run would otherwise compile or load them
+    from .oracle import brute_force_best_forest
+
+    doc = _load_json(config.scores)
+    try:
+        edges = [
+            ScoredEdge(p["i"], p["j"], p["mi"], p["penalty"], p["score"])
+            for p in doc["pairs"]
+        ]
+        n = len(doc["variables"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataFormatError(f"{config.scores}: not a valid score document: {err}") from err
     forest = brute_force_best_forest(edges, require_spanning_tree=config.spanning, n_vertices=n)
     print(json.dumps({"edges": [list(e) for e in forest.sorted_edges]}))
     return 0
@@ -431,6 +472,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except DendrofitError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        detail = " ".join(str(err).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return 1
 
 

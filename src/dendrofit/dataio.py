@@ -20,10 +20,6 @@ from .errors import DataFormatError, DendrofitError, SchemaMismatch
 PathLike = Union[str, Path]
 
 
-def format_gaussian_cell(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def csv_text(rows: Iterable[Sequence]) -> str:
     """The rows as CSV records, each ending in "\n", quoted as csv.writer
     quotes them. A field holding "\r" is quoted as well, as csv.writer
@@ -155,12 +151,12 @@ def render_csv(dataset: Dataset) -> str:
 BLOCK_CELLS = 16384
 
 
-def _quoted_labels(labels: tuple[str, ...], row_width: int) -> list[str]:
-    """Each label as csv_text writes it in a row of row_width cells. A
-    row of one empty cell is written as "", so a lone label is written
+def quoted_cells(texts: Sequence[str], row_width: int) -> list[str]:
+    """Each text as csv_text writes it in a row of row_width cells. A
+    row of one empty cell is written as "", so a lone text is written
     alone, and any other with an empty cell beside it."""
     pad, tail = ([], 1) if row_width == 1 else ([""], 2)
-    return [csv_text([[label, *pad]])[:-tail] for label in labels]
+    return [csv_text([[text, *pad]])[:-tail] for text in texts]
 
 
 def iter_csv_blocks(dataset: Dataset) -> Iterator[str]:
@@ -169,7 +165,7 @@ def iter_csv_blocks(dataset: Dataset) -> Iterator[str]:
     schema = dataset.schema
     yield csv_text([schema.names])
     cell_text = [
-        _quoted_labels(var.kind.labels, schema.n_vars).__getitem__
+        quoted_cells(var.kind.labels, schema.n_vars).__getitem__
         if isinstance(var.kind, Discrete)
         else "{:.17g}".format
         for var in schema.variables

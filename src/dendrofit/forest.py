@@ -3,17 +3,24 @@
 Two admission rules: plain maximum weight spanning (every loop-free edge
 is taken, heaviest first) and the penalized variant that additionally
 requires a nonnegative net score and so may leave the forest
-disconnected. Both builders are the forest of the accepted decisions of
-one greedy loop, ``kruskal_decisions``.
+disconnected. Every builder runs the one greedy loop, ``greedy_outcomes``,
+which works on arrays; ``kruskal_decisions`` is its form for a list of
+``ScoredEdge``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import Forest, ScoredEdge, UnionFind
 from .errors import EmptyEdgeList
+
+# outcome codes of greedy_outcomes, and the rejection reason of each
+ACCEPTED, LOOP, NEGATIVE = 0, 1, 2
+REASONS = (None, "loop", "negative")
 
 
 @dataclass(frozen=True)
@@ -26,16 +33,35 @@ class EdgeDecision:
     reason: Optional[str] = None
 
 
+def greedy_outcomes(
+    i: np.ndarray, j: np.ndarray, weight: np.ndarray, penalized: bool, n_vertices: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the greedy admission loop over edges (i[k], j[k]) of weight[k].
+
+    Returns the greedy order (positions k: descending weight, +inf first,
+    ties broken by (i, j) ascending, then by position) and, for each step
+    of it, ACCEPTED, LOOP or NEGATIVE. With ``penalized`` an edge of
+    negative weight is rejected as NEGATIVE; any other edge is accepted
+    iff it joins two components. Weights must not be NaN.
+    """
+    order = np.lexsort((j, i, -weight))
+    outcome = np.full(len(order), LOOP, dtype=np.int8)
+    # the nonnegative weights sort before the negative ones
+    stop = int(np.count_nonzero(weight >= 0.0)) if penalized else len(order)
+    outcome[stop:] = NEGATIVE
+    union = UnionFind(n_vertices).union
+    head = order[:stop]
+    accepted = [
+        k for k, (a, b) in enumerate(zip(i[head].tolist(), j[head].tolist())) if union(a, b)
+    ]
+    outcome[accepted] = ACCEPTED
+    return order, outcome
+
+
 def _infer_n_vertices(edges: Sequence[ScoredEdge], n_vertices: Optional[int]) -> int:
     if n_vertices is not None:
         return n_vertices
     return max(e.j for e in edges) + 1
-
-
-def _greedy_order(edges: Sequence[ScoredEdge], weight: Callable[[ScoredEdge], float]):
-    # descending weight, ties broken (i, j) lexicographic ascending;
-    # +inf weights sort first
-    return sorted(edges, key=lambda e: (-weight(e), e.i, e.j))
 
 
 def kruskal_decisions(
@@ -52,17 +78,14 @@ def kruskal_decisions(
     if not edges:
         raise EmptyEdgeList("no candidate edges supplied")
     n = _infer_n_vertices(edges, n_vertices)
-    weight = (lambda e: e.score) if penalized else (lambda e: e.mi)
-    uf = UnionFind(n)
-    decisions = []
-    for edge in _greedy_order(edges, weight):
-        if penalized and edge.score < 0.0:
-            decisions.append(EdgeDecision(edge, accepted=False, reason="negative"))
-        elif uf.union(edge.i, edge.j):
-            decisions.append(EdgeDecision(edge, accepted=True))
-        else:
-            decisions.append(EdgeDecision(edge, accepted=False, reason="loop"))
-    return decisions
+    i = np.array([e.i for e in edges], dtype=np.intp)
+    j = np.array([e.j for e in edges], dtype=np.intp)
+    weight = np.array([e.score if penalized else e.mi for e in edges], dtype=np.float64)
+    order, outcome = greedy_outcomes(i, j, weight, penalized, n)
+    return [
+        EdgeDecision(edges[k], accepted=o == ACCEPTED, reason=REASONS[o])
+        for k, o in zip(order.tolist(), outcome.tolist())
+    ]
 
 
 def accepted_forest(decisions: Sequence[EdgeDecision], n_vertices: int) -> Forest:

@@ -1,7 +1,8 @@
 """Brute-force reference implementations for desk-scale verification:
 exhaustive forest search, exact KL divergence of small discrete joints
 against their forest factorization, Monte Carlo mutual information
-for mixed factors, and a row-at-a-time CSV renderer.
+for mixed factors, a row-at-a-time CSV renderer, and the one-object-
+per-edge greedy loop and report renderers of the CLI.
 
 Everything here is deliberately slow and independent of the production
 code paths it checks.
@@ -11,12 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .core import Dataset, Discrete, Forest, RootedForest, ScoredEdge
+from .core import (
+    Dataset,
+    Discrete,
+    Forest,
+    RootedForest,
+    ScoredEdge,
+    UnionFind,
+    VariableSchema,
+)
 from .errors import TooLarge, UnsupportedSupport
+from .forest import EdgeDecision
 from .model import MixedEdgeFactor
 
 _MAX_JOINT_VARS = 6
@@ -186,6 +196,90 @@ def render_csv_rows(dataset: Dataset) -> str:
                 row.append(format(float(col[r]), ".17g"))
         lines.append(csv_record(row))
     return "".join(lines)
+
+
+def greedy_decisions(
+    edges: Sequence[ScoredEdge], penalized: bool, n_vertices: int
+) -> list[EdgeDecision]:
+    """Reference for ``forest.greedy_outcomes``: Kruskal's greedy loop one
+    edge object at a time, in ``sorted`` order of (-weight, i, j)."""
+    weight = (lambda e: e.score) if penalized else (lambda e: e.mi)
+    uf = UnionFind(n_vertices)
+    decisions = []
+    for edge in sorted(edges, key=lambda e: (-weight(e), e.i, e.j)):
+        if penalized and edge.score < 0.0:
+            decisions.append(EdgeDecision(edge, accepted=False, reason="negative"))
+        elif uf.union(edge.i, edge.j):
+            decisions.append(EdgeDecision(edge, accepted=True))
+        else:
+            decisions.append(EdgeDecision(edge, accepted=False, reason="loop"))
+    return decisions
+
+
+def print_report(
+    schema: VariableSchema, decisions: Sequence[EdgeDecision], stream: TextIO
+) -> None:
+    """Reference for the edge table ``learn`` prints, one row at a time."""
+    rows = [("i", "j", "pair", "I_n", "penalty", "J_n", "decision")]
+    for d in decisions:
+        e = d.edge
+        decision = "accepted" if d.accepted else f"rejected ({d.reason})"
+        rows.append(
+            (
+                str(e.i),
+                str(e.j),
+                f"({schema.name(e.i)}, {schema.name(e.j)})",
+                f"{e.mi:.4f}",
+                f"{e.penalty:.4f}",
+                f"{e.score:.4f}",
+                decision,
+            )
+        )
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+    for r in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip(), file=stream)
+
+
+def edge_report(schema: VariableSchema, decisions: Sequence[EdgeDecision]) -> list[dict]:
+    """Reference for the "report" list of the forest JSON, which
+    ``json.dumps(indent=2)`` renders."""
+    return [
+        {**_pair_object(schema, d.edge), "accepted": d.accepted, "reason": d.reason}
+        for d in decisions
+    ]
+
+
+def score_pairs(schema: VariableSchema, edges: Sequence[ScoredEdge]) -> list[dict]:
+    """Reference for the "pairs" list of ``score --format json``."""
+    return [_pair_object(schema, e) for e in edges]
+
+
+def _pair_object(schema: VariableSchema, e: ScoredEdge) -> dict:
+    return {
+        "i": e.i,
+        "j": e.j,
+        "name_i": schema.name(e.i),
+        "name_j": schema.name(e.j),
+        "mi": e.mi,
+        "penalty": e.penalty,
+        "score": e.score,
+    }
+
+
+def score_csv(schema: VariableSchema, edges: Sequence[ScoredEdge]) -> str:
+    """Reference for the CSV of ``score``, one record at a time."""
+    header = ("i", "j", "name_i", "name_j", "mi", "penalty", "score")
+    rows = [
+        (
+            str(e.i),
+            str(e.j),
+            schema.name(e.i),
+            schema.name(e.j),
+            *(format(v, ".17g") for v in (e.mi, e.penalty, e.score)),
+        )
+        for e in edges
+    ]
+    return "".join(csv_record(row) for row in [header, *rows])
 
 
 def exact_kl_dendroid(joint: SmallJoint, rooted: RootedForest) -> float:

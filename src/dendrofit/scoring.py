@@ -39,8 +39,8 @@ class Criterion:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown criterion {self.kind!r}, expected one of {_KINDS}")
         if self.kind == "custom":
-            if self.custom_dn is None or not self.custom_dn >= 0.0:
-                raise ValueError("custom criterion needs a nonnegative d_n")
+            if self.custom_dn is None or not 0.0 <= self.custom_dn < math.inf:
+                raise ValueError(f"d_n must be finite and nonnegative, got {self.custom_dn}")
         elif self.custom_dn is not None:
             raise ValueError(f"criterion {self.kind!r} does not take a custom d_n")
 
@@ -93,6 +93,57 @@ def estimate_all_mi(dataset: Dataset, quad: QuadratureSpec) -> np.ndarray:
     return pair_mi_table(dataset, quad)
 
 
+@dataclass(frozen=True, eq=False)
+class PairScores:
+    """Pairs (i, j) with their I_n, penalty and net score J_n = I_n -
+    penalty, one array each. ``pair_scores`` gives every pair in
+    canonical (i asc, then j asc) order."""
+
+    i: np.ndarray
+    j: np.ndarray
+    mi: np.ndarray
+    penalty: np.ndarray
+    score: np.ndarray
+
+    def take(self, index: np.ndarray) -> "PairScores":
+        """The pairs at ``index`` (positions or a mask), in its order."""
+        return PairScores(
+            self.i[index], self.j[index], self.mi[index], self.penalty[index], self.score[index]
+        )
+
+    def edges(self) -> list[ScoredEdge]:
+        """The pairs as ``ScoredEdge``s, in order."""
+        columns = (self.i, self.j, self.mi, self.penalty, self.score)
+        return [ScoredEdge(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def scores_from_mi(
+    i: np.ndarray, j: np.ndarray, mi: np.ndarray, kinds: Sequence[VariableKind], dn: float
+) -> PairScores:
+    """Attach penalties to the I_n of pairs (i, j), as ``ScoredEdge.from_mi``
+    and ``penalty_weight`` would one pair at a time, to the same bits: mi
+    in (-1e-9, 0) is clamped to 0, and the penalty multiplies in the same
+    order. Raises the ``ValueError`` of ``ScoredEdge`` for the first pair
+    it would reject."""
+    if not 0.0 <= dn < math.inf:
+        raise ValueError(f"d_n must be finite and nonnegative, got {dn}")
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    mi = np.array(mi, dtype=np.float64)
+    mi[(-1e-9 < mi) & (mi < 0.0)] = 0.0
+    a_less_1 = np.array([effective_cardinality(k) - 1 for k in kinds], dtype=np.float64)
+    # as in Python floats: a penalty may overflow to inf, and inf - inf
+    # gives NaN, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        penalty = 0.5 * a_less_1[i] * a_less_1[j] * dn
+        score = mi - penalty
+    bad = ~(mi >= 0.0) | ~(penalty >= 0.0) | np.isnan(score) | ~((0 <= i) & (i < j))
+    if bad.any():
+        k = int(np.argmax(bad))
+        ScoredEdge(int(i[k]), int(j[k]), float(mi[k]), float(penalty[k]), float(score[k]))
+    return PairScores(i, j, mi, penalty, score)
+
+
 def scored_edges_from_mi(
     mi_values: dict[tuple[int, int], float],
     kinds: Sequence[VariableKind],
@@ -103,11 +154,28 @@ def scored_edges_from_mi(
     ``mi_values`` maps (i, j) with i < j to I_n(i, j); output is in
     canonical (i, j) ascending order.
     """
-    edges = []
-    for (i, j), mi in sorted(mi_values.items()):
-        penalty = penalty_weight(kinds[i], kinds[j], dn)
-        edges.append(ScoredEdge.from_mi(i, j, mi, penalty))
-    return edges
+    pairs = sorted(mi_values)
+    i = np.array([p[0] for p in pairs], dtype=np.intp)
+    j = np.array([p[1] for p in pairs], dtype=np.intp)
+    mi = np.array([mi_values[p] for p in pairs], dtype=np.float64)
+    return scores_from_mi(i, j, mi, kinds, dn).edges()
+
+
+def pair_scores(
+    dataset: Dataset,
+    criterion: Criterion,
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> PairScores:
+    """Score every vertex pair of the dataset under the criterion: all
+    N(N-1)/2 pairs in canonical (i asc, then j asc) order. Estimator
+    errors are re-raised with the offending pair named."""
+    schema = dataset.schema
+    if schema.n_vars < 2:
+        raise ValueError("need at least two variables to score pairs")
+    i, j = np.triu_indices(schema.n_vars, 1)
+    mi = estimate_all_mi(dataset, quad)[i, j]
+    kinds = [schema.kind(v) for v in range(schema.n_vars)]
+    return scores_from_mi(i, j, mi, kinds, criterion.dn(dataset.n))
 
 
 def score_all_pairs(
@@ -115,19 +183,6 @@ def score_all_pairs(
     criterion: Criterion,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> list[ScoredEdge]:
-    """Score every vertex pair of the dataset under the criterion.
-
-    Returns exactly N(N-1)/2 edges in canonical (i asc, then j asc)
-    order. Estimator errors are re-raised with the offending pair named.
-    """
-    schema = dataset.schema
-    if schema.n_vars < 2:
-        raise ValueError("need at least two variables to score pairs")
-    mi = estimate_all_mi(dataset, quad).tolist()
-    dn = criterion.dn(dataset.n)
-    edges = []
-    for i in range(schema.n_vars):
-        for j in range(i + 1, schema.n_vars):
-            penalty = penalty_weight(schema.kind(i), schema.kind(j), dn)
-            edges.append(ScoredEdge.from_mi(i, j, mi[i][j], penalty))
-    return edges
+    """``pair_scores`` as a list of edges: exactly N(N-1)/2 edges in
+    canonical (i asc, then j asc) order."""
+    return pair_scores(dataset, criterion, quad).edges()

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from hypothesis import settings
 
 from dendrofit import (
     Dataset,
@@ -15,6 +16,10 @@ from dendrofit import (
     Variable,
     VariableSchema,
 )
+
+# `pytest --hypothesis-profile=ci` (as CI runs tier-1): the same examples
+# on every run, and a failure prints the blob that reproduces it locally
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
 
 
 def discrete_schema(*cards: int, prefix: str = "v") -> VariableSchema:

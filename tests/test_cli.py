@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrofit import (
     Criterion,
@@ -18,7 +22,7 @@ from dendrofit import (
     fit,
     mi_gaussian,
 )
-from dendrofit.cli import main
+from dendrofit.cli import RunConfig, main
 from dendrofit.dataio import (
     BLOCK_CELLS,
     read_csv_dataset,
@@ -27,8 +31,12 @@ from dendrofit.dataio import (
     write_csv_dataset,
     write_schema,
 )
-from dendrofit.model import description_length, sample
+from dendrofit.dataio import forest_dot
+from dendrofit.forest import accepted_forest
+from dendrofit.model import description_length, log_likelihood, sample
+from dendrofit import oracle
 from dendrofit.oracle import render_csv_rows
+from dendrofit.scoring import score_all_pairs
 
 from conftest import dataset_from_columns, discrete_schema, mixed_schema
 
@@ -157,6 +165,24 @@ class TestLearn:
     def test_dn_with_ml_exits_2(self, star_files):
         data, schema, _ = star_files
         assert main(["learn", "--data", data, "--schema", schema, "--dn", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--criterion", "custom", "--dn", "inf"], ["--criterion", "mdl", "--dn", "inf"],
+         ["--criterion", "custom", "--dn", "nan"], ["--criterion", "custom", "--dn", "-1"]],
+    )
+    def test_non_finite_or_negative_dn_exits_2_naming_it(self, tmp_path, capsys, flags):
+        # g1 is an exact copy of g0, so their I_n is +inf, and inf - inf
+        # would give a NaN score
+        g0 = np.random.default_rng(4).standard_normal(30)
+        ds = dataset_from_columns(mixed_schema("ggd"), g0, g0, np.arange(30) % 2)
+        data, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_csv_dataset(data, ds)
+        write_schema(schema_path, ds.schema)
+        rc = main(["learn", "--data", str(data), "--schema", str(schema_path), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "d_n" in err and err.count("\n") == 1
 
     def test_csv_error_reports_line_number(self, tmp_path, capsys):
         schema = discrete_schema(2)
@@ -464,6 +490,30 @@ class TestSample:
         rc = main(["sample", "--model", str(tmp_path / "no.json"), "--count", "5"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError(), "error: out of memory\n"),
+            (
+                MemoryError("Unable to allocate 7.28 TiB for an array with\nshape (10**12,)"),
+                "error: out of memory: Unable to allocate 7.28 TiB for an array with "
+                "shape (10**12,)\n",
+            ),
+        ],
+    )
+    def test_out_of_memory_exits_1_with_one_line(
+        self, chain_model_file, monkeypatch, capsys, error, message
+    ):
+        # the draw is replaced by one that fails at once: nothing is allocated
+        def fail(model, count, seed):
+            raise error
+
+        monkeypatch.setattr("dendrofit.cli.sample", fail)
+        model_path, _, _ = chain_model_file
+        rc = main(["sample", "--model", model_path, "--count", "1000000000000"])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+
     def test_sample_then_learn_recovers_structure(self, tmp_path, chain_model_file):
         model_path, model, _ = chain_model_file
         samples = tmp_path / "samples.csv"
@@ -523,6 +573,17 @@ class TestEval:
             reported.append(float(lines["description_length"]))
             assert reported[-1] == description_length(model, ds, Criterion.mdl())
         assert reported[0] < reported[1]  # the true star beats the wrong structure
+
+    @pytest.mark.parametrize("dn", ["inf", "nan"])
+    def test_non_finite_dn_exits_2_naming_it(self, tmp_path, chain_model_file, capsys, dn):
+        model_path, _, ds = chain_model_file
+        data = tmp_path / "d.csv"
+        write_csv_dataset(data, ds)
+        rc = main(["eval", "--model", model_path, "--data", str(data),
+                   "--criterion", "custom", "--dn", dn])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "d_n" in err and err.count("\n") == 1
 
     def test_unseen_category_reports_minus_infinity_exit_0(self, tmp_path, capsys):
         schema = discrete_schema(2)
@@ -595,7 +656,141 @@ class TestRoundTripsAndMisc:
         doc = json.loads(capsys.readouterr().out)
         assert doc["edges"] == [[0, 1], [0, 2], [0, 3]]
 
+    @pytest.mark.parametrize(
+        "drop, key", [(["variables"], "variables"), (["pairs"], "pairs"),
+                      (["pairs", 0, "mi"], "mi"), (["pairs", 2, "j"], "j")],
+    )
+    def test_malformed_scores_exit_2_naming_the_file(
+        self, tmp_path, star_files, capsys, drop, key
+    ):
+        data, schema, _ = star_files
+        scores = tmp_path / "scores.json"
+        assert main(["score", "--data", data, "--schema", schema,
+                     "--format", "json", "--out", str(scores)]) == 0
+        doc = json.loads(scores.read_text())
+        owner = doc
+        for step in drop[:-1]:
+            owner = owner[step]
+        del owner[drop[-1]]
+        scores.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["oracle-forest", "--scores", str(scores)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {scores}: not a valid score document: '{key}'\n"
+        )
+
     def test_oracle_subcommand_not_advertised(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "oracle-forest" not in capsys.readouterr().out
+
+
+# names csv.writer and json.dumps must escape, and the text the forest and
+# score JSON splice their lists in at
+NAME_CHARS = 'ab ,"\\\r\né日'
+NAMES = st.one_of(
+    st.text(alphabet=st.sampled_from(NAME_CHARS), min_size=1, max_size=4),
+    st.sampled_from(['"report": []', '"pairs": []', "report", "\\"]),
+)
+# I_n values: +inf (a copy), 0, -1e-10 (clamped to 0), and a few values
+# so that scores tie
+MI_VALUES = st.one_of(
+    st.sampled_from([float("inf"), 0.0, -1e-10, 1.0, 2.5, 6.0]), st.floats(0.0, 40.0)
+)
+CRITERIA = [
+    ["--criterion", "ml"], ["--criterion", "mdl"], ["--criterion", "aic"],
+    ["--criterion", "custom", "--dn", "0"], ["--criterion", "custom", "--dn", "2"],
+]
+
+
+@st.composite
+def injected_cases(draw):
+    """A schema of 2-6 variables with awkward names, 24 rows of data that
+    every forest over it can be fitted to, and an injected I_n table."""
+    n_vars = draw(st.integers(2, 6))
+    names = draw(st.lists(NAMES, min_size=n_vars, max_size=n_vars, unique=True))
+    cards = draw(st.lists(st.sampled_from([0, 2, 3, 4]), min_size=n_vars, max_size=n_vars))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 24
+    variables, columns = [], []
+    for name, card in zip(names, cards):
+        if card:
+            variables.append(Variable(name, Discrete(tuple(f"c{k}" for k in range(card)))))
+            columns.append(rng.permutation(np.arange(n) % card))
+        else:
+            variables.append(Variable(name, Gaussian()))
+            columns.append(rng.standard_normal(n))
+    ds = dataset_from_columns(VariableSchema(tuple(variables)), *columns)
+    table = np.zeros((n_vars, n_vars))
+    for i in range(n_vars):
+        for j in range(i + 1, n_vars):
+            table[i, j] = draw(MI_VALUES)
+    return ds, table, draw(st.sampled_from(CRITERIA))
+
+
+class TestColumnWiseReports:
+    """learn's table and forest JSON, and score's CSV and JSON, rendered
+    from arrays, against the one-object-per-edge references in oracle.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=injected_cases())
+    def test_learn_and_score_match_the_references_byte_for_byte(self, case):
+        ds, table, flags = case
+        schema = ds.schema
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dendrofit.scoring.estimate_all_mi", lambda dataset, quad: table)
+            data, schema_path, out = (str(Path(tmp) / f) for f in ("d.csv", "s.json", "f"))
+            write_csv_dataset(data, ds)
+            write_schema(schema_path, schema)
+            files = ["--data", data, "--schema", schema_path, *flags]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(["score", *files]) == 0
+                score_csv = stdout.getvalue()
+                assert main(["score", *files, "--format", "json", "--out", out]) == 0
+                score_json = Path(out).read_bytes().decode("utf-8")
+                stdout.seek(0)
+                stdout.truncate()
+                assert main(["learn", *files, "--format", "both", "--out", out]) == 0
+            forest_json = Path(out + ".json").read_bytes().decode("utf-8")
+            dot = Path(out + ".dot").read_bytes().decode("utf-8")
+
+            criterion = criterion_of(flags)
+            edges = score_all_pairs(ds, criterion)
+        dn = criterion.dn(ds.n)
+        assert score_csv == oracle.score_csv(schema, edges)
+        assert score_json == json.dumps(
+            {
+                "criterion": {"kind": criterion.kind, "dn": dn},
+                "n": ds.n,
+                "variables": list(schema.names),
+                "pairs": oracle.score_pairs(schema, edges),
+            },
+            indent=2,
+        ) + "\n"
+
+        decisions = oracle.greedy_decisions(edges, criterion.kind != "ml", schema.n_vars)
+        fitted = fit(ds, accepted_forest(decisions, schema.n_vars))
+        total = sum(d.edge.score for d in decisions if d.accepted)
+        report = io.StringIO()
+        oracle.print_report(schema, decisions, report)
+        assert stdout.getvalue() == (
+            f"n={ds.n} variables={schema.n_vars} criterion={criterion.kind} dn={dn!r}\n"
+            + report.getvalue()
+            + f"edges_selected={len(fitted.forest.edges)} total_score={total!r}\n"
+            f"log_likelihood={log_likelihood(fitted, ds)!r}\n"
+            f"param_count={fitted.param_count}\n"
+            f"description_length={description_length(fitted, ds, criterion)!r}\n"
+        )
+        doc = json.loads(forest_json)
+        assert doc["edges"] == [list(e) for e in fitted.forest.sorted_edges]
+        doc["report"] = oracle.edge_report(schema, decisions)
+        assert forest_json == json.dumps(doc, indent=2) + "\n"
+        assert dot == forest_dot(schema, decisions)
+
+
+def criterion_of(flags):
+    """The Criterion the CLI makes of flags from CRITERIA."""
+    dn = float(flags[3]) if len(flags) > 2 else None
+    return RunConfig(command="score", criterion=flags[1], dn=dn).make_criterion()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrofit import ScoredEdge, build_forest_suzuki, build_tree_chow_liu
 from dendrofit.errors import EmptyEdgeList
-from dendrofit.forest import UnionFind, kruskal_decisions
-from dendrofit.oracle import brute_force_best_forest, brute_force_best_total
+from dendrofit.forest import REASONS, UnionFind, greedy_outcomes, kruskal_decisions
+from dendrofit.oracle import brute_force_best_forest, brute_force_best_total, greedy_decisions
 
 from conftest import complete_random_edges, edges_from_weights
 
@@ -151,3 +153,47 @@ class TestSuzuki:
             shuffled = list(edges)
             rng.shuffle(shuffled)
             assert build_forest_suzuki(shuffled) == reference
+
+
+# a few values, so that weights tie, with +inf and 0 among them
+WEIGHTS = st.one_of(
+    st.sampled_from([float("inf"), 0.0, -0.0, 1.0, 2.5, 7.0]),
+    st.floats(0.0, 30.0),
+)
+PENALTIES = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 30.0))
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges over 2-7 vertices in any order, some pairs missing or
+    repeated, with tied, infinite and zero weights and scores."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2 * len(pairs)))
+    edges = [ScoredEdge.from_mi(i, j, draw(WEIGHTS), draw(PENALTIES)) for i, j in chosen]
+    return n, edges
+
+
+class TestArrayGreedy:
+    @settings(max_examples=300, deadline=None)
+    @given(case=edge_lists(), penalized=st.booleans())
+    def test_matches_the_one_object_per_edge_loop(self, case, penalized):
+        n, edges = case
+        want = greedy_decisions(edges, penalized, n)
+        assert kruskal_decisions(edges, penalized, n) == want
+        # the array form: the same edges in the same order, for the same reasons
+        i = np.array([e.i for e in edges])
+        j = np.array([e.j for e in edges])
+        weight = np.array([e.score if penalized else e.mi for e in edges])
+        order, outcome = greedy_outcomes(i, j, weight, penalized, n)
+        assert [edges[k] for k in order.tolist()] == [d.edge for d in want]
+        assert [REASONS[o] for o in outcome.tolist()] == [d.reason for d in want]
+
+    def test_infinite_weight_first_then_ties_by_pair(self):
+        inf = float("inf")
+        i = np.array([1, 0, 0, 2, 0])
+        j = np.array([2, 3, 1, 3, 2])
+        weight = np.array([1.0, inf, 1.0, -1.0, inf])
+        order, outcome = greedy_outcomes(i, j, weight, penalized=True, n_vertices=4)
+        assert order.tolist() == [4, 1, 2, 0, 3]
+        assert [REASONS[o] for o in outcome.tolist()] == [None, None, None, "loop", "negative"]

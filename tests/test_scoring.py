@@ -11,6 +11,7 @@ from dendrofit import (
     Discrete,
     Gaussian,
     QuadratureSpec,
+    ScoredEdge,
     Variable,
     VariableSchema,
     penalty_weight,
@@ -18,7 +19,7 @@ from dendrofit import (
 )
 from dendrofit import estimators, kernels, scoring
 from dendrofit.errors import DegenerateGaussian, DendrofitError, QuadratureFailure
-from dendrofit.scoring import scored_edges_from_mi
+from dendrofit.scoring import scored_edges_from_mi, scores_from_mi
 
 from conftest import dataset_from_columns, mixed_schema, random_discrete_dataset
 
@@ -41,6 +42,11 @@ class TestCriterion:
     def test_custom_requires_nonnegative(self):
         with pytest.raises(ValueError):
             Criterion.custom(-1.0)
+
+    @pytest.mark.parametrize("dn", [math.inf, math.nan])
+    def test_custom_requires_finite(self, dn):
+        with pytest.raises(ValueError, match="d_n must be finite and nonnegative"):
+            Criterion.custom(dn)
 
     def test_presets_reject_stray_dn(self):
         with pytest.raises(ValueError):
@@ -73,6 +79,62 @@ class TestPenaltyWeight:
 
     def test_zero_dn_means_zero_penalty(self):
         assert penalty_weight(D(9), D(9), 0.0) == 0.0
+
+
+KINDS = [D(2), D(3), D(5), D(8), Gaussian()]
+
+
+class TestArrayScores:
+    """scores_from_mi against ScoredEdge.from_mi and penalty_weight, one
+    pair at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=6),
+        mi=st.lists(
+            st.one_of(
+                st.sampled_from([math.inf, 0.0, -0.0, -1e-10, -9.9e-10, 5e-324]),
+                st.floats(0.0, 1e6),
+            ),
+            min_size=15,
+            max_size=15,
+        ),
+        dn=st.one_of(st.sampled_from([0.0, 2.0, math.log(7)]), st.floats(0.0, 1e3)),
+    )
+    def test_same_bits_as_one_pair_at_a_time(self, kinds, mi, dn):
+        i, j = np.triu_indices(len(kinds), 1)
+        mi = mi[: len(i)]
+        want = [
+            ScoredEdge.from_mi(a, b, m, penalty_weight(kinds[a], kinds[b], dn))
+            for a, b, m in zip(i.tolist(), j.tolist(), mi)
+        ]
+        got = scores_from_mi(i, j, np.array(mi), kinds, dn).edges()
+        assert [tuple(map(repr, vars(e).values())) for e in got] == [
+            tuple(map(repr, vars(e).values())) for e in want
+        ]
+
+    @pytest.mark.parametrize("bad", [-1e-9, -3.0, math.nan])
+    def test_first_rejected_pair_raises_as_scored_edge_does(self, bad):
+        mi = [1.0, bad, -5.0]
+        with pytest.raises(ValueError) as want:
+            ScoredEdge.from_mi(0, 2, bad, 0.0)
+        with pytest.raises(ValueError) as got:
+            scores_from_mi([0, 0, 1], [1, 2, 2], mi, [D(2)] * 3, 0.0)
+        assert str(got.value) == str(want.value)
+
+    def test_an_overflowing_penalty_behaves_as_in_python_floats(self):
+        kinds = [D(8), D(8), Gaussian()]
+        got = scores_from_mi([0, 0, 1], [1, 2, 2], [3.0, 4.0, 5.0], kinds, 1e308).edges()
+        want = [ScoredEdge.from_mi(a, b, m, penalty_weight(kinds[a], kinds[b], 1e308))
+                for a, b, m in [(0, 1, 3.0), (0, 2, 4.0), (1, 2, 5.0)]]
+        assert got == want and got[0].score == -math.inf
+        with pytest.raises(ValueError, match="score nan"):
+            scores_from_mi([0], [1], [math.inf], kinds, 1e308)
+
+    @pytest.mark.parametrize("dn", [-1.0, math.inf, math.nan])
+    def test_rejects_a_non_finite_or_negative_dn(self, dn):
+        with pytest.raises(ValueError, match="d_n"):
+            scores_from_mi([0], [1], [1.0], [D(2), D(2)], dn)
 
 
 class TestTable2:
