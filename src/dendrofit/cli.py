@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,6 +26,7 @@ from .dataio import (
     csv_text,
     forest_dot,
     iter_csv_blocks,
+    load_json_document,
     quoted_cells,
     read_csv_dataset,
     read_schema,
@@ -289,24 +290,8 @@ def cmd_score(config: RunConfig) -> int:
     return 0
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as err:
-        raise DataFormatError(f"{path}: invalid JSON: {err}") from err
-
-
-def _load_model(path: str) -> DendroidModel:
-    doc = _load_json(path)
-    try:
-        return DendroidModel.from_json_dict(doc)
-    except (ValueError, KeyError, TypeError) as err:
-        raise DataFormatError(f"{path}: not a valid model document: {err}") from err
-
-
 def cmd_sample(config: RunConfig) -> int:
-    model = _load_model(config.model)
+    model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     drawn = sample(model, config.count, config.seed)
     blocks = iter_csv_blocks(drawn)
     if config.out:
@@ -319,7 +304,7 @@ def cmd_sample(config: RunConfig) -> int:
 
 def cmd_eval(config: RunConfig) -> int:
     criterion = config.make_criterion()
-    model = _load_model(config.model)
+    model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     dataset = read_csv_dataset(config.data, model.schema)
     ll = log_likelihood(model, dataset)
     dn = criterion.dn(dataset.n)
@@ -338,15 +323,14 @@ def cmd_oracle_forest(config: RunConfig) -> int:
     # subcommand, and every run would otherwise compile or load them
     from .oracle import brute_force_best_forest
 
-    doc = _load_json(config.scores)
-    try:
+    def parse(doc):
         edges = [
             ScoredEdge(p["i"], p["j"], p["mi"], p["penalty"], p["score"])
             for p in doc["pairs"]
         ]
-        n = len(doc["variables"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataFormatError(f"{config.scores}: not a valid score document: {err}") from err
+        return edges, len(doc["variables"])
+
+    edges, n = load_json_document(config.scores, parse, "score document")
     forest = brute_force_best_forest(edges, require_spanning_tree=config.spanning, n_vertices=n)
     print(json.dumps({"edges": [list(e) for e in forest.sorted_edges]}))
     return 0
@@ -427,23 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        data=getattr(args, "data", None),
-        schema=getattr(args, "schema", None),
-        criterion=getattr(args, "criterion", "ml"),
-        dn=getattr(args, "dn", None),
-        quad_order=getattr(args, "quad_order", QuadratureSpec.order),
-        quad_tol=getattr(args, "quad_tol", QuadratureSpec.tolerance),
-        fmt=getattr(args, "fmt", None),
-        out=getattr(args, "out", None),
-        model=getattr(args, "model", None),
-        model_out=getattr(args, "model_out", None),
-        seed=getattr(args, "seed", 0),
-        count=getattr(args, "count", 0),
-        scores=getattr(args, "scores", None),
-        spanning=getattr(args, "spanning", False),
-    )
+    """The RunConfig fields that the subcommand's parser set; the rest
+    keep their defaults."""
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 _HANDLERS = {

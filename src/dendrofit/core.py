@@ -361,15 +361,6 @@ class Forest:
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for i, j in self.edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return sorted(out)
-
 
 @dataclass(frozen=True)
 class RootedForest:
@@ -393,10 +384,6 @@ class RootedForest:
     @property
     def n_vertices(self) -> int:
         return len(self.parents)
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        return tuple(v for v, p in enumerate(self.parents) if p is None)
 
     def undirected(self) -> Forest:
         pairs = [(v, p) for v, p in enumerate(self.parents) if p is not None]

@@ -12,12 +12,13 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .core import Dataset, Discrete, Gaussian, Variable, VariableSchema, validate_dataset
 from .errors import DataFormatError, DendrofitError, SchemaMismatch
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
@@ -55,7 +56,7 @@ def schema_to_jsonable(schema: VariableSchema) -> list[dict]:
 
 def schema_from_jsonable(obj) -> VariableSchema:
     if not isinstance(obj, list):
-        raise DataFormatError("schema document must be a JSON list of variables")
+        raise DataFormatError("expected a JSON list of variables")
     variables = []
     for k, entry in enumerate(obj):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
@@ -87,16 +88,24 @@ def schema_from_jsonable(obj) -> VariableSchema:
         raise DataFormatError(str(err)) from err
 
 
-def read_schema(path: PathLike) -> VariableSchema:
+def load_json_document(path: PathLike, parse: Callable[[Any], T], what: str) -> T:
+    """parse applied to the JSON document in the file at path. A file that
+    is not UTF-8 JSON or nests too deeply to parse, or a document that
+    parse rejects with ValueError, KeyError, TypeError or a
+    DendrofitError, raises one DataFormatError that names the path."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise DataFormatError(f"{path}: invalid JSON: {err}") from err
     try:
-        return schema_from_jsonable(doc)
-    except DataFormatError as err:
-        raise DataFormatError(f"{path}: {err}") from err
+        return parse(doc)
+    except (ValueError, KeyError, TypeError, DendrofitError) as err:
+        raise DataFormatError(f"{path}: not a valid {what}: {err}") from err
+
+
+def read_schema(path: PathLike) -> VariableSchema:
+    return load_json_document(path, schema_from_jsonable, "schema document")
 
 
 def write_schema(path: PathLike, schema: VariableSchema) -> None:
@@ -112,18 +121,19 @@ def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
     """Read a header-bearing CSV against a schema; errors carry file line
     numbers. A leading UTF-8 byte order mark and blank lines at the end of
     the file are ignored; a blank line before the last record is an error."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file (missing header row)") from None
-        if tuple(header) != schema.names:
-            raise SchemaMismatch(
-                f"{path}: header {header} does not match schema columns "
-                f"{list(schema.names)}"
-            )
-        rows = list(reader)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise DataFormatError(f"{path}: {err}") from err
+    if not rows:
+        raise DataFormatError(f"{path}: empty file (missing header row)")
+    header = rows.pop(0)
+    if tuple(header) != schema.names:
+        raise SchemaMismatch(
+            f"{path}: header {header} does not match schema columns "
+            f"{list(schema.names)}"
+        )
     while rows and not rows[-1]:
         rows.pop()
     try:

@@ -18,7 +18,8 @@ for a fixed seed the output is bit-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional, Union
 
@@ -28,10 +29,10 @@ from .core import (
     Dataset,
     Discrete,
     Forest,
-    Gaussian,
     VariableSchema,
     orient_forest,
 )
+from .dataio import schema_from_jsonable, schema_to_jsonable
 from .errors import DegenerateGaussian, EmptyDataset, InvalidCount, SchemaMismatch
 from .estimators import (
     DiscretePair,
@@ -134,16 +135,13 @@ class MixedEdgeFactor:
                 f"edge ({self.gauss}, {self.disc}): residual variance must be positive"
             )
 
-    def pair(self) -> tuple[int, int]:
-        return (min(self.gauss, self.disc), max(self.gauss, self.disc))
-
 
 EdgeFactor = Union[DiscreteEdgeFactor, GaussianEdgeFactor, MixedEdgeFactor]
 
 
 def _factor_pair(factor: EdgeFactor) -> tuple[int, int]:
     if isinstance(factor, MixedEdgeFactor):
-        return factor.pair()
+        return (min(factor.gauss, factor.disc), max(factor.gauss, factor.disc))
     return (factor.i, factor.j)
 
 
@@ -191,14 +189,31 @@ class DendroidModel:
         edges = forest.sorted_edges
         if tuple(_factor_pair(f) for f in factors) != edges:
             raise ValueError("factors must align with the forest's sorted edges")
-        for v in range(schema.n_vars):
-            kind = schema.kind(v)
-            marg = marginals[v]
-            if isinstance(kind, Discrete) != isinstance(marg, DiscreteMarginal):
+        for v, marg in enumerate(marginals):
+            if schema.is_discrete(v) != isinstance(marg, DiscreteMarginal):
                 raise ValueError(f"marginal kind mismatch at vertex {v}")
-            if isinstance(marg, DiscreteMarginal) and marg.probs.shape[0] != kind.cardinality:
-                raise ValueError(f"marginal cardinality mismatch at vertex {v}")
-        for factor in factors:
+            if isinstance(marg, DiscreteMarginal) and marg.probs.shape != (schema.cardinality(v),):
+                raise ValueError(f"vertex {v}: probs must have shape {(schema.cardinality(v),)}")
+        for factor, edge in zip(factors, edges):
+            # whether each endpoint is discrete, and the vertices whose
+            # cardinalities give each array's shape
+            if isinstance(factor, DiscreteEdgeFactor):
+                ends, arrays = {factor.i: True, factor.j: True}, {"table": edge}
+            elif isinstance(factor, GaussianEdgeFactor):
+                ends, arrays = {factor.i: False, factor.j: False}, {}
+            else:
+                ends = {factor.gauss: False, factor.disc: True}
+                arrays = {"class_probs": (factor.disc,), "class_means": (factor.disc,)}
+            for v, discrete in ends.items():
+                if schema.is_discrete(v) != discrete:
+                    raise ValueError(
+                        f"edge {edge}: a {_KIND_OF[type(factor)]} factor needs vertex "
+                        f"{v} to be {'discrete' if discrete else 'Gaussian'}"
+                    )
+            for name, vertices in arrays.items():
+                shape = tuple(schema.cardinality(v) for v in vertices)
+                if getattr(factor, name).shape != shape:
+                    raise ValueError(f"edge {edge}: {name} must have shape {shape}")
             if isinstance(factor, DiscreteEdgeFactor):
                 row = factor.table.sum(axis=1)
                 col = factor.table.sum(axis=0)
@@ -234,117 +249,90 @@ class DendroidModel:
 
     def to_json_dict(self) -> dict:
         """Single-document JSON form; floats keep full precision."""
-        marginals = []
-        for marg in self.marginals:
-            if isinstance(marg, DiscreteMarginal):
-                marginals.append({"kind": "discrete", "probs": marg.probs.tolist()})
-            else:
-                marginals.append({"kind": "gaussian", "mean": marg.mean, "var": marg.var})
-        factors = []
-        for factor in self.factors:
-            if isinstance(factor, DiscreteEdgeFactor):
-                factors.append(
-                    {
-                        "kind": "discrete",
-                        "i": factor.i,
-                        "j": factor.j,
-                        "table": factor.table.tolist(),
-                    }
-                )
-            elif isinstance(factor, GaussianEdgeFactor):
-                factors.append(
-                    {
-                        "kind": "gaussian",
-                        "i": factor.i,
-                        "j": factor.j,
-                        "rho": factor.rho,
-                        "mean_i": factor.mean_i,
-                        "var_i": factor.var_i,
-                        "mean_j": factor.mean_j,
-                        "var_j": factor.var_j,
-                    }
-                )
-            else:
-                factors.append(
-                    {
-                        "kind": "mixed",
-                        "gauss": factor.gauss,
-                        "disc": factor.disc,
-                        "class_probs": factor.class_probs.tolist(),
-                        "class_means": factor.class_means.tolist(),
-                        "resid_var": factor.resid_var,
-                    }
-                )
-        from .dataio import schema_to_jsonable
-
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "schema": schema_to_jsonable(self.schema),
             "edges": [list(edge) for edge in self.forest.sorted_edges],
-            "marginals": marginals,
-            "edge_factors": factors,
+            "marginals": [_part_to_json(marg) for marg in self.marginals],
+            "edge_factors": [_part_to_json(factor) for factor in self.factors],
             "n": self.n,
             "param_count": self.param_count,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DendroidModel":
-        from .dataio import schema_from_jsonable
-
-        if doc.get("format") != MODEL_FORMAT:
+        """The model of a to_json_dict document. Raises ValueError,
+        KeyError, TypeError or a DendrofitError on a document that does
+        not describe a valid model."""
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} document")
         if doc.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {doc.get('version')!r}")
         schema = schema_from_jsonable(doc["schema"])
-        forest = Forest.from_edges(schema.n_vars, [tuple(e) for e in doc["edges"]])
-        marginals = []
-        for obj in doc["marginals"]:
-            if obj["kind"] == "discrete":
-                marginals.append(DiscreteMarginal(np.asarray(obj["probs"])))
-            else:
-                marginals.append(GaussianMarginal(mean=obj["mean"], var=obj["var"]))
-        factors = []
-        for obj in doc["edge_factors"]:
-            if obj["kind"] == "discrete":
-                factors.append(
-                    DiscreteEdgeFactor(i=obj["i"], j=obj["j"], table=np.asarray(obj["table"]))
-                )
-            elif obj["kind"] == "gaussian":
-                factors.append(
-                    GaussianEdgeFactor(
-                        i=obj["i"],
-                        j=obj["j"],
-                        rho=obj["rho"],
-                        mean_i=obj["mean_i"],
-                        var_i=obj["var_i"],
-                        mean_j=obj["mean_j"],
-                        var_j=obj["var_j"],
-                    )
-                )
-            else:
-                factors.append(
-                    MixedEdgeFactor(
-                        gauss=obj["gauss"],
-                        disc=obj["disc"],
-                        class_probs=np.asarray(obj["class_probs"]),
-                        class_means=np.asarray(obj["class_means"]),
-                        resid_var=obj["resid_var"],
-                    )
-                )
+        edges = [tuple(_read("int", "edges", v) for v in edge) for edge in doc["edges"]]
         model = cls.build(
             schema=schema,
-            forest=forest,
-            marginals=tuple(marginals),
-            factors=tuple(factors),
-            n=int(doc["n"]),
+            forest=Forest.from_edges(schema.n_vars, edges),
+            marginals=tuple(_part_from_json(MARGINAL_KINDS, obj) for obj in doc["marginals"]),
+            factors=tuple(_part_from_json(FACTOR_KINDS, obj) for obj in doc["edge_factors"]),
+            n=_read("int", "n", doc["n"]),
         )
-        if model.param_count != int(doc["param_count"]):
+        if model.param_count != _read("int", "param_count", doc["param_count"]):
             raise ValueError(
                 f"stored param_count {doc['param_count']} disagrees with "
                 f"recomputed {model.param_count}"
             )
         return model
+
+
+# the "kind" of each marginal and factor in a model document
+MARGINAL_KINDS = {"discrete": DiscreteMarginal, "gaussian": GaussianMarginal}
+FACTOR_KINDS = {
+    "discrete": DiscreteEdgeFactor,
+    "gaussian": GaussianEdgeFactor,
+    "mixed": MixedEdgeFactor,
+}
+_KIND_OF = {cls: kind for kinds in (MARGINAL_KINDS, FACTOR_KINDS) for kind, cls in kinds.items()}
+
+
+def _part_to_json(part: Union[NodeMarginal, EdgeFactor]) -> dict:
+    """{"kind": k, then each dataclass field in declaration order}, arrays
+    as nested lists."""
+    doc = {"kind": _KIND_OF[type(part)]}
+    for f in fields(part):
+        value = getattr(part, f.name)
+        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
+
+
+# what _read accepts for each annotation of a model document field
+_EXPECTED = {"int": "an integer", "float": "a finite real", "np.ndarray": "a list of finite reals"}
+
+
+def _read(annotation: str, name: str, value):
+    """value as the field's annotation asks for it: an int, a finite real
+    as float, or a (nested) list of finite reals as a float64 array. A
+    bool is not a number here."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if annotation == "int" and real and isinstance(value, int):
+        return value
+    # the comparison is exact, so a huge integer is refused, not overflowed
+    if annotation == "float" and real and abs(value) <= sys.float_info.max:
+        return float(value)
+    if annotation == "np.ndarray" and isinstance(value, list):
+        array = np.array(value)
+        if array.dtype.kind in "iuf" and np.isfinite(array).all():
+            return array.astype(np.float64)
+    raise ValueError(f"{name!r} must be {_EXPECTED[annotation]}")
+
+
+def _part_from_json(kinds: dict, obj) -> Union[NodeMarginal, EdgeFactor]:
+    """The dataclass of obj's "kind", built from its fields in obj."""
+    cls = kinds.get(obj["kind"])
+    if cls is None:
+        raise ValueError(f"unknown kind {obj['kind']!r}, expected one of {list(kinds)}")
+    return cls(**{f.name: _read(f.type, f.name, obj[f.name]) for f in fields(cls)})
 
 
 def fit(dataset: Dataset, forest: Forest) -> DendroidModel:
@@ -383,17 +371,8 @@ def fit(dataset: Dataset, forest: Forest) -> DendroidModel:
                     f"edge ({schema.name(i)!r}, {schema.name(j)!r}): perfectly "
                     "correlated columns cannot be fitted"
                 )
-            factors.append(
-                GaussianEdgeFactor(
-                    i=stats.i,
-                    j=stats.j,
-                    rho=stats.rho,
-                    mean_i=stats.mean_i,
-                    var_i=stats.var_i,
-                    mean_j=stats.mean_j,
-                    var_j=stats.var_j,
-                )
-            )
+            names = [f.name for f in fields(GaussianEdgeFactor)]
+            factors.append(GaussianEdgeFactor(**{k: getattr(stats, k) for k in names}))
         else:
             if stats.resid_var <= 0.0:
                 raise DegenerateGaussian(

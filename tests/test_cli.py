@@ -196,6 +196,23 @@ class TestLearn:
         assert "line 3" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "bad, text",
+        [("data", b"\xff\xfe not utf-8\n"), ("schema", b"\xff\xfe not utf-8\n"),
+         # one field over the csv module's field size limit
+         ("data", b"v0,v1,v2,v3\n" + b"c0" * 70_000 + b",c0,c0,c0\n"),
+         # nested deeper than the json module's recursion limit
+         ("schema", b"[" * 100_000 + b"]" * 100_000)],
+    )
+    def test_unreadable_file_exits_2_naming_it(self, tmp_path, star_files, capsys, bad, text):
+        paths = dict(zip(("data", "schema"), star_files))
+        paths[bad] = str(tmp_path / f"bad-{bad}")
+        Path(paths[bad]).write_bytes(text)
+        rc = main(["learn", "--data", paths["data"], "--schema", paths["schema"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[bad]}: ") and err.count("\n") == 1
+
     def test_trailing_blank_lines_are_ignored(self, tmp_path, star_files):
         data, schema, _ = star_files
         padded = write_text(tmp_path / "padded.csv", Path(data).read_text() + "\n\n")
@@ -530,7 +547,50 @@ class TestSample:
         assert doc["edges"] == [[0, 1], [1, 2]]
 
 
+# edits that make the chain model file (marginals: discrete, Gaussian,
+# Gaussian; factors: mixed (0, 1), Gaussian (1, 2)) invalid; an edit that
+# returns a value replaces the whole document
+BAD_MODELS = {
+    "top-level list": lambda doc: [1, 2],
+    "unknown marginal kind": lambda doc: doc["marginals"][1].update(kind="gausian"),
+    "unknown factor kind": lambda doc: doc["edge_factors"][0].update(kind="gausian"),
+    "string mean": lambda doc: doc["marginals"][1].update(mean="x"),
+    "too few classes": lambda doc: doc["edge_factors"][0].update(
+        class_probs=[1.0], class_means=[0.0]
+    ),
+    "too many classes": lambda doc: doc["edge_factors"][0].update(
+        class_probs=[0.5, 0.25, 0.25], class_means=[0.0, 1.0, 2.0]
+    ),
+    "gaussian factor on a discrete vertex": lambda doc: doc["edge_factors"][0].update(
+        kind="gaussian", i=0, j=1, rho=0.5, mean_i=0.0, var_i=1.0, mean_j=0.0, var_j=1.0
+    ),
+    "self-loop edge": lambda doc: doc.update(edges=[[0, 0]]),
+    "zero variance": lambda doc: doc["marginals"][1].update(var=0.0),
+    "rho of one": lambda doc: doc["edge_factors"][1].update(rho=1.0),
+    "2-D probs": lambda doc: doc["marginals"][0].update(probs=[[0.5], [0.5]]),
+    "fractional n": lambda doc: doc.update(n=3.7),
+    "bad schema entry": lambda doc: doc["schema"][0].update(kind="ordinal"),
+}
+
+
 class TestEval:
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    @pytest.mark.parametrize("edit", BAD_MODELS.values(), ids=BAD_MODELS.keys())
+    def test_bad_model_file_exits_2_naming_it(
+        self, tmp_path, chain_model_file, capsys, command, edit
+    ):
+        model_path, _, ds = chain_model_file
+        data = tmp_path / "d.csv"
+        write_csv_dataset(data, ds)
+        doc = json.loads(Path(model_path).read_text())
+        edited = edit(doc)
+        Path(model_path).write_text(json.dumps(doc if edited is None else edited))
+        flags = ["--data", str(data)] if command == "eval" else ["--count", "5"]
+        rc = main([command, "--model", model_path, *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
+
     def test_reproduces_learn_description_length_bit_for_bit(
         self, tmp_path, star_files, capsys
     ):

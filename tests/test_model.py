@@ -385,22 +385,59 @@ class TestSampling:
 
 class TestSerialization:
     def test_round_trip_preserves_parameters_exactly(self):
-        rng = np.random.default_rng(19)
-        schema = mixed_schema("dgDg")
-        cols = (
-            rng.integers(0, 2, 300),
-            rng.standard_normal(300),
-            rng.integers(0, 3, 300),
-            rng.standard_normal(300) * 2.0 + 1.0,
+        inputs = {
+            # three mixed factors
+            "dgDg": lambda rng: (
+                rng.integers(0, 2, 300),
+                rng.standard_normal(300),
+                rng.integers(0, 3, 300),
+                rng.standard_normal(300) * 2.0 + 1.0,
+            ),
+            # one discrete, one mixed and one Gaussian factor
+            "dDgg": lambda rng: (
+                rng.integers(0, 2, 300),
+                rng.integers(0, 3, 300),
+                rng.standard_normal(300),
+                rng.standard_normal(300) * 2.0 + 1.0,
+            ),
+        }
+        for kinds, draw in inputs.items():
+            schema = mixed_schema(kinds)
+            ds = dataset_from_columns(schema, *draw(np.random.default_rng(19)))
+            model = fit(ds, Forest.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+            doc = json.loads(json.dumps(model.to_json_dict()))
+            restored = DendroidModel.from_json_dict(doc)
+            assert restored.schema == model.schema
+            assert restored.forest == model.forest
+            assert restored.param_count == model.param_count
+            assert log_likelihood(restored, ds) == log_likelihood(model, ds)
+
+    def test_document_text_is_pinned(self):
+        # one marginal and one factor of each kind; the text is the model
+        # file format, key order included
+        model = DendroidModel.build(
+            schema=mixed_schema("ddgg"),
+            forest=Forest.from_edges(4, [(0, 1), (0, 2), (2, 3)]),
+            marginals=(
+                DiscreteMarginal(np.array([0.5, 0.5])),
+                DiscreteMarginal(np.array([0.375, 0.625])),
+                GaussianMarginal(mean=0.0, var=1.5),
+                GaussianMarginal(mean=2.0, var=4.0),
+            ),
+            factors=(
+                DiscreteEdgeFactor(0, 1, np.array([[0.25, 0.25], [0.125, 0.375]])),
+                MixedEdgeFactor(
+                    gauss=2, disc=0, class_probs=np.array([0.5, 0.5]),
+                    class_means=np.array([-1.0, 1.0]), resid_var=0.5,
+                ),
+                GaussianEdgeFactor(2, 3, rho=0.5, mean_i=0.0, var_i=1.5, mean_j=2.0, var_j=4.0),
+            ),
+            n=8,
         )
-        ds = dataset_from_columns(schema, *cols)
-        model = fit(ds, Forest.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
-        doc = json.loads(json.dumps(model.to_json_dict()))
-        restored = DendroidModel.from_json_dict(doc)
-        assert restored.schema == model.schema
-        assert restored.forest == model.forest
-        assert restored.param_count == model.param_count
-        assert log_likelihood(restored, ds) == log_likelihood(model, ds)
+        text = json.dumps(model.to_json_dict(), indent=2)
+        assert text == PINNED_MODEL_TEXT
+        restored = DendroidModel.from_json_dict(json.loads(text))
+        assert json.dumps(restored.to_json_dict(), indent=2) == text
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
@@ -430,3 +467,119 @@ class TestSerialization:
                 ),
                 n=1,
             )
+
+
+PINNED_MODEL_TEXT = """\
+{
+  "format": "dendrofit-model",
+  "version": 1,
+  "schema": [
+    {
+      "name": "v0",
+      "kind": "discrete",
+      "labels": [
+        "c0",
+        "c1"
+      ]
+    },
+    {
+      "name": "v1",
+      "kind": "discrete",
+      "labels": [
+        "c0",
+        "c1"
+      ]
+    },
+    {
+      "name": "v2",
+      "kind": "gaussian"
+    },
+    {
+      "name": "v3",
+      "kind": "gaussian"
+    }
+  ],
+  "edges": [
+    [
+      0,
+      1
+    ],
+    [
+      0,
+      2
+    ],
+    [
+      2,
+      3
+    ]
+  ],
+  "marginals": [
+    {
+      "kind": "discrete",
+      "probs": [
+        0.5,
+        0.5
+      ]
+    },
+    {
+      "kind": "discrete",
+      "probs": [
+        0.375,
+        0.625
+      ]
+    },
+    {
+      "kind": "gaussian",
+      "mean": 0.0,
+      "var": 1.5
+    },
+    {
+      "kind": "gaussian",
+      "mean": 2.0,
+      "var": 4.0
+    }
+  ],
+  "edge_factors": [
+    {
+      "kind": "discrete",
+      "i": 0,
+      "j": 1,
+      "table": [
+        [
+          0.25,
+          0.25
+        ],
+        [
+          0.125,
+          0.375
+        ]
+      ]
+    },
+    {
+      "kind": "mixed",
+      "gauss": 2,
+      "disc": 0,
+      "class_probs": [
+        0.5,
+        0.5
+      ],
+      "class_means": [
+        -1.0,
+        1.0
+      ],
+      "resid_var": 0.5
+    },
+    {
+      "kind": "gaussian",
+      "i": 2,
+      "j": 3,
+      "rho": 0.5,
+      "mean_i": 0.0,
+      "var_i": 1.5,
+      "mean_j": 2.0,
+      "var_j": 4.0
+    }
+  ],
+  "n": 8,
+  "param_count": 9
+}"""
