@@ -390,13 +390,13 @@ class RootedForest:
         return Forest.from_edges(len(self.parents), pairs)
 
     def topological_order(self) -> list[int]:
-        """Vertices ordered so every parent precedes its children;
-        deterministic (lowest id first among the ready).
+        """Vertices ordered so every parent precedes its children: repeated
+        ascending sweeps over the ids, each taking every vertex whose parent
+        is already taken. Parents (None, 2, None, 0) give [0, 2, 3, 1].
 
-        This is the order of repeated ascending sweeps that each take every
-        vertex whose parent is already taken: a vertex joins its parent's
+        Roots join the first sweep; any other vertex joins its parent's
         sweep when it comes after the parent in id order, and the next
-        sweep otherwise. Roots join the first sweep.
+        sweep otherwise.
         """
         parents = self.parents
         sweep: list[Optional[int]] = [0 if p is None else None for p in parents]
@@ -425,36 +425,25 @@ def orient_forest(forest: Forest, schema: VariableSchema) -> RootedForest:
             f"forest has {forest.n_vertices} vertices but schema has {schema.n_vars}"
         )
     n = forest.n_vertices
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    for i, j in forest.sorted_edges:
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for i, j in forest.edges:
         adjacency[i].append(j)
         adjacency[j].append(i)
 
     parents: list[Optional[int]] = [None] * n
     seen = [False] * n
-    for start in range(n):
-        if seen[start]:
+    # the first root tried in a component is its lowest discrete vertex,
+    # else its lowest vertex; in a tree the root fixes every parent
+    for root in [v for v in range(n) if schema.is_discrete(v)] + list(range(n)):
+        if seen[root]:
             continue
-        # collect the component first so the root can be chosen before orienting
-        component = [start]
-        seen[start] = True
-        head = 0
-        while head < len(component):
-            v = component[head]
-            head += 1
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
             for w in adjacency[v]:
                 if not seen[w]:
                     seen[w] = True
-                    component.append(w)
-        discrete = [v for v in component if schema.is_discrete(v)]
-        root = min(discrete) if discrete else min(component)
-        stack = [root]
-        visited = {root}
-        while stack:
-            v = stack.pop()
-            for w in sorted(adjacency[v]):
-                if w not in visited:
-                    visited.add(w)
                     parents[w] = v
                     stack.append(w)
     return RootedForest(parents=tuple(parents))

@@ -63,6 +63,8 @@ def schema_from_jsonable(obj) -> VariableSchema:
             raise DataFormatError(
                 f"schema entry {k} must be an object with 'name' and 'kind'"
             )
+        if not isinstance(entry["name"], str):
+            raise DataFormatError(f"schema entry {k}: 'name' must be a string")
         kind = entry["kind"]
         if kind == "discrete":
             labels = entry.get("labels")
@@ -71,6 +73,8 @@ def schema_from_jsonable(obj) -> VariableSchema:
                     f"schema entry {k} ({entry['name']!r}): discrete variables "
                     "need a nonempty 'labels' list"
                 )
+            if not all(isinstance(label, str) for label in labels):
+                raise DataFormatError(f"schema entry {k}: labels must be strings")
             try:
                 variables.append(Variable(entry["name"], Discrete(tuple(labels))))
             except ValueError as err:

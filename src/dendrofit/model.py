@@ -322,7 +322,9 @@ def _read(annotation: str, name: str, value):
         return float(value)
     if annotation == "np.ndarray" and isinstance(value, list):
         array = np.array(value)
-        if array.dtype.kind in "iuf" and np.isfinite(array).all():
+        # np.array reads a bool among numbers as 0 or 1
+        bools = any(isinstance(x, bool) for x in np.array(value, dtype=object).flat)
+        if array.dtype.kind in "iuf" and np.isfinite(array).all() and not bools:
             return array.astype(np.float64)
     raise ValueError(f"{name!r} must be {_EXPECTED[annotation]}")
 
@@ -489,8 +491,7 @@ def sample(model: DendroidModel, count: int, seed: int) -> Dataset:
         marg = model.marginals[v]
         if parent is None:
             if isinstance(marg, DiscreteMarginal):
-                cdf = np.cumsum(marg.probs)[None, :]
-                columns[v] = _draw_categorical(rng, np.broadcast_to(cdf, (count, cdf.shape[1])), count)
+                columns[v] = _draw_categorical(rng, np.cumsum(marg.probs)[None, :], count)
             else:
                 columns[v] = marg.mean + math.sqrt(marg.var) * rng.standard_normal(count)
             continue
@@ -498,18 +499,9 @@ def sample(model: DendroidModel, count: int, seed: int) -> Dataset:
         factor = model.factor_for(v, parent)
         parent_col = columns[parent]
         if isinstance(factor, DiscreteEdgeFactor):
-            if v == factor.i:  # child indexes rows, parent indexes columns
-                cond = factor.table / np.where(
-                    factor.table.sum(axis=0) > 0, factor.table.sum(axis=0), 1.0
-                )
-                cond = cond.T
-            else:
-                cond = factor.table / np.where(
-                    factor.table.sum(axis=1)[:, None] > 0,
-                    factor.table.sum(axis=1)[:, None],
-                    1.0,
-                )
-            cdf_rows = np.cumsum(cond, axis=1)[parent_col]
+            joint = factor.table.T if v == factor.i else factor.table  # rows: parent
+            rows = joint.sum(axis=1, keepdims=True)
+            cdf_rows = np.cumsum(joint / np.where(rows > 0, rows, 1.0), axis=1)[parent_col]
             columns[v] = _draw_categorical(rng, cdf_rows, count)
         elif isinstance(factor, GaussianEdgeFactor):
             if v == factor.i:

@@ -9,9 +9,15 @@ from hypothesis import settings
 
 from dendrofit import (
     Dataset,
+    DendroidModel,
     Discrete,
+    DiscreteEdgeFactor,
+    DiscreteMarginal,
     Forest,
     Gaussian,
+    GaussianEdgeFactor,
+    GaussianMarginal,
+    MixedEdgeFactor,
     ScoredEdge,
     Variable,
     VariableSchema,
@@ -49,6 +55,56 @@ def dataset_from_columns(schema: VariableSchema, *cols) -> Dataset:
         dtype = np.int64 if schema.is_discrete(i) else np.float64
         arrays.append(np.asarray(col, dtype=dtype))
     return Dataset(schema, tuple(arrays))
+
+
+def every_kind_model() -> DendroidModel:
+    """A model from literal parameters with every marginal and factor kind,
+    each factor kind met by sampling in both orientations.
+
+    Oriented, component {0..5} roots at discrete 1 and component {6, 7, 8}
+    at Gaussian 6: Gaussian 0 is a child of discrete 1 (mixed), 3 of 1
+    and 2 of 3 (discrete, child as column then as row, one zero cell),
+    4 of 0 (Gaussian), discrete 5 of Gaussian 4 (mixed, Bayes inversion),
+    8 of 6 and 7 of 8 (Gaussian, child as j then as i). The values are
+    dyadic, so each table reproduces its marginals exactly.
+    """
+    p1 = np.array([0.375, 0.25, 0.375])
+    p5 = np.array([0.25, 0.75])
+    return DendroidModel.build(
+        schema=mixed_schema("gDddgdggg"),
+        forest=Forest.from_edges(
+            9, [(0, 1), (0, 4), (1, 3), (2, 3), (4, 5), (6, 8), (7, 8)]
+        ),
+        marginals=(
+            GaussianMarginal(mean=0.5, var=5.4375),
+            DiscreteMarginal(p1),
+            DiscreteMarginal(np.array([0.375, 0.625])),
+            DiscreteMarginal(np.array([0.5, 0.5])),
+            GaussianMarginal(mean=-1.0, var=2.0),
+            DiscreteMarginal(p5),
+            GaussianMarginal(mean=3.0, var=0.5),
+            GaussianMarginal(mean=10.0, var=9.0),
+            GaussianMarginal(mean=0.0, var=1.0),
+        ),
+        factors=(
+            MixedEdgeFactor(
+                gauss=0, disc=1, class_probs=p1,
+                class_means=np.array([-2.0, 0.5, 3.0]), resid_var=0.75,
+            ),
+            GaussianEdgeFactor(0, 4, rho=0.6, mean_i=0.5, var_i=5.4375, mean_j=-1.0, var_j=2.0),
+            DiscreteEdgeFactor(
+                1, 3, np.array([[0.25, 0.125], [0.125, 0.125], [0.125, 0.25]])
+            ),
+            DiscreteEdgeFactor(2, 3, np.array([[0.375, 0.0], [0.125, 0.5]])),
+            MixedEdgeFactor(
+                gauss=4, disc=5, class_probs=p5,
+                class_means=np.array([-2.5, -0.5]), resid_var=1.25,
+            ),
+            GaussianEdgeFactor(6, 8, rho=-0.4, mean_i=3.0, var_i=0.5, mean_j=0.0, var_j=1.0),
+            GaussianEdgeFactor(7, 8, rho=0.9, mean_i=10.0, var_i=9.0, mean_j=0.0, var_j=1.0),
+        ),
+        n=16,
+    )
 
 
 def random_discrete_dataset(

@@ -38,7 +38,7 @@ from dendrofit import oracle
 from dendrofit.oracle import render_csv_rows
 from dendrofit.scoring import score_all_pairs
 
-from conftest import dataset_from_columns, discrete_schema, mixed_schema
+from conftest import dataset_from_columns, discrete_schema, every_kind_model, mixed_schema
 
 
 def write_text(path, text):
@@ -212,6 +212,25 @@ class TestLearn:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[bad]}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry, header, message",
+        [({"name": 5, "kind": "gaussian"}, "5", "'name' must be a string"),
+         ({"name": "d", "kind": "discrete", "labels": [1, 2]}, "d",
+          "labels must be strings")],
+        ids=["name", "label"],
+    )
+    def test_non_string_schema_name_or_label_exits_2_naming_it(
+        self, tmp_path, capsys, entry, header, message
+    ):
+        schema_path = write_text(tmp_path / "s.json", json.dumps([entry]))
+        data_path = write_text(tmp_path / "d.csv", f"{header}\n1\n2\n")
+        rc = main(["learn", "--data", data_path, "--schema", schema_path])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {schema_path}: not a valid schema document: schema entry 0: "
+            f"{message}\n"
+        )
 
     def test_trailing_blank_lines_are_ignored(self, tmp_path, star_files):
         data, schema, _ = star_files
@@ -570,7 +589,20 @@ BAD_MODELS = {
     "2-D probs": lambda doc: doc["marginals"][0].update(probs=[[0.5], [0.5]]),
     "fractional n": lambda doc: doc.update(n=3.7),
     "bad schema entry": lambda doc: doc["schema"][0].update(kind="ordinal"),
+    # a bool among numbers, read as 1 or 0, would make a valid array
+    "bool among class means": lambda doc: doc["edge_factors"][0].update(
+        class_means=[True, 1.0]
+    ),
+    "bool in a discrete table": lambda doc: bool_in_table(every_kind_model().to_json_dict()),
 }
+
+
+def bool_in_table(doc):
+    """doc with the zero cell of its (2, 3) table written as false."""
+    table = doc["edge_factors"][3]["table"]
+    assert table[0][1] == 0.0
+    table[0][1] = False
+    return doc
 
 
 class TestEval:

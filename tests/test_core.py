@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrofit import (
     Discrete,
@@ -20,6 +22,7 @@ from dendrofit.errors import (
     UnknownCategory,
 )
 
+from dendrofit.core import UnionFind
 from dendrofit.oracle import sweep_topological_order
 
 from conftest import discrete_schema, mixed_schema, dataset_from_columns
@@ -196,6 +199,10 @@ class TestRootedForest:
             if p is not None:
                 assert pos[p] < pos[v]
 
+    def test_topological_order_is_ascending_sweeps_not_lowest_ready(self):
+        # vertex 1 waits for the second sweep: its parent 2 comes after it
+        assert RootedForest((None, 2, None, 0)).topological_order() == [0, 2, 3, 1]
+
     def test_topological_order_matches_sweep_reference(self):
         rng = np.random.default_rng(11)
         n = 300
@@ -212,7 +219,43 @@ class TestRootedForest:
             assert rooted.topological_order() == sweep_topological_order(rooted)
 
 
+@st.composite
+def kinded_forests(draw):
+    """A schema of 1-10 discrete or Gaussian variables and a random forest
+    over it: each vertex, in a random order, joins an earlier one or not."""
+    n = draw(st.integers(1, 10))
+    schema = mixed_schema(draw(st.text(alphabet="dg", min_size=n, max_size=n)))
+    order = draw(st.permutations(range(n)))
+    edges = []
+    for k in range(1, n):
+        attach = draw(st.one_of(st.none(), st.integers(0, k - 1)))
+        if attach is not None:
+            edges.append((order[k], order[attach]))
+    return schema, Forest.from_edges(n, edges)
+
+
 class TestOrientForest:
+    # in a tree the root fixes every parent, so these pin the output
+    @settings(max_examples=300, deadline=None)
+    @given(case=kinded_forests())
+    def test_roots_are_lowest_discrete_else_lowest_and_edges_kept(self, case):
+        schema, forest = case
+        n = forest.n_vertices
+        rooted = orient_forest(forest, schema)
+        uf = UnionFind(n)
+        for i, j in forest.edges:
+            uf.union(i, j)
+        components: dict[int, list[int]] = {}
+        for v in range(n):
+            components.setdefault(uf.find(v), []).append(v)
+        for members in components.values():
+            discrete = [v for v in members if schema.is_discrete(v)]
+            roots = [v for v in members if rooted.parents[v] is None]
+            assert roots == [min(discrete or members)]
+        for v, p in enumerate(rooted.parents):
+            assert p is None or (min(v, p), max(v, p)) in forest.edges
+        assert rooted.undirected() == forest
+
     def test_star_orientation(self):
         # vertices 1..4 with hub 1; vertex 0 stays isolated
         schema = discrete_schema(2, 2, 2, 2, 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -24,12 +25,14 @@ from dendrofit import (
 )
 from dendrofit.errors import DegenerateGaussian, InvalidCount, SchemaMismatch
 from dendrofit.forest import build_forest_suzuki
+from dendrofit.dataio import render_csv
 from dendrofit.model import count_parameters
 
 from conftest import (
     all_forests,
     dataset_from_columns,
     discrete_schema,
+    every_kind_model,
     mixed_schema,
     random_discrete_dataset,
 )
@@ -244,6 +247,13 @@ class TestDescriptionLength:
             assert learned_dl <= dl + 1e-9
 
 
+# sha256 of the CSV text of 40 rows drawn from every_kind_model(), by seed
+PINNED_SAMPLE_SHA256 = {
+    5: "f21019d62b26b08cd5b067061937c2ebdc2c6173a78bbc227f113e226aae9bc9",
+    6: "5aa19da70282f0604d8b38312286bf8873d26f84dc3ef4e599e8b84a86d87b66",
+}
+
+
 class TestSampling:
     def test_fixed_seed_bit_identical(self):
         model = discrete_chain_model()
@@ -253,6 +263,13 @@ class TestSampling:
             assert np.array_equal(a.column(v), b.column(v))
         c = sample(model, 500, seed=43)
         assert any(not np.array_equal(a.column(v), c.column(v)) for v in range(3))
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_SAMPLE_SHA256))
+    def test_csv_bytes_are_pinned(self, seed):
+        # literal parameters, so no fit (and no BLAS) can move their bits;
+        # every factor kind is drawn in both orientations
+        text = render_csv(sample(every_kind_model(), 40, seed))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_SAMPLE_SHA256[seed]
 
     def test_factor_for_looks_up_either_orientation(self):
         model = discrete_chain_model()
