@@ -16,9 +16,9 @@ __all__ = [
     "mixture_mi_batch",
 ]
 
-# Golub-Welsch weights at or below this are rounding noise (the weights sum
-# to sqrt(pi)); the terms they carry are far below the quadrature ladder's
-# absolute tolerance
+# nodes whose weight is at most this are skipped, a cut by magnitude (the
+# weights sum to sqrt(pi) and fall off like e^{-t^2}); the terms they carry
+# are far below the quadrature ladder's absolute tolerance
 _NODE_WEIGHT_FLOOR = 1e-30
 # most elements of the (mixtures, classes, classes, nodes) array that one
 # step of mixture_mi_batch holds: 2^14 to 2^18 ran equally fast on the

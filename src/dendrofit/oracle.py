@@ -1,8 +1,9 @@
 """Brute-force reference implementations for desk-scale verification:
 exhaustive forest search, exact KL divergence of small discrete joints
 against their forest factorization, Monte Carlo mutual information
-for mixed factors, a row-at-a-time CSV renderer, and the one-object-
-per-edge greedy loop and report renderers of the CLI.
+for mixed factors, Golub-Welsch Gauss-Hermite rules, a row-at-a-time
+CSV renderer, and the one-object-per-edge greedy loop and report
+renderers of the CLI.
 
 Everything here is deliberately slow and independent of the production
 code paths it checks.
@@ -143,6 +144,17 @@ def sweep_topological_order(rooted: RootedForest) -> list[int]:
                 done[v] = True
                 order.append(v)
     return order
+
+
+def golub_welsch_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``estimators._hermite_rule``: Gauss-Hermite nodes and
+    weights for weight e^{-t^2} by Golub & Welsch 1969, the eigenvalues
+    and first eigenvector components of the dense symmetric Jacobi
+    matrix. Nodes are accurate to rounding; a weight only to rounding
+    relative to the largest, sqrt(pi)."""
+    off = np.sqrt(np.arange(1, order) / 2.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, math.sqrt(math.pi) * vectors[0, :] ** 2
 
 
 def mixture_mi_loop(

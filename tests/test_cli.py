@@ -282,6 +282,21 @@ class TestScore:
         assert lines[1].startswith("0,1,v0,v1,")
         assert float(lines[1].split(",")[4]) == pytest.approx(4 * math.log(2))
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+    def test_non_finite_quad_tolerance_exits_2(self, tmp_path, capsys, tol):
+        # the pair's I_n is exactly 0, where tolerance inf * 0 = nan could
+        # never confirm a rung
+        write_text(tmp_path / "d.csv", "d,g\na,0\na,1\nb,0\nb,1\n")
+        schema = [{"name": "d", "kind": "discrete", "labels": ["a", "b"]},
+                  {"name": "g", "kind": "gaussian"}]
+        write_text(tmp_path / "s.json", json.dumps(schema))
+        rc = main(["score", "--data", str(tmp_path / "d.csv"),
+                   "--schema", str(tmp_path / "s.json"), "--quad-tol", tol])
+        assert rc == 2
+        err = capsys.readouterr().err
+        want = "nan" if tol == "nan" else "inf"
+        assert err == f"error: tolerance must be finite and positive, got {want}\n"
+
     def test_degenerate_column_exits_1_naming_it(self, tmp_path, capsys):
         schema = mixed_schema("gg")
         ds = dataset_from_columns(schema, [1.0, 1.0, 1.0], [0.0, 1.0, 2.0])

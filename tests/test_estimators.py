@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from dendrofit import (
     mi_discrete,
     mi_gaussian,
     mi_mixed,
+    oracle,
 )
 from dendrofit.errors import DegenerateGaussian, QuadratureFailure, SameVertex
-from dendrofit.estimators import _hermite_rule
+from dendrofit.estimators import _MAX_QUAD_ORDER, _hermite_rule
 
 from conftest import dataset_from_columns, mixed_schema
 
@@ -247,6 +249,31 @@ class TestMiMixed:
         with pytest.raises(QuadratureFailure):
             mi_mixed(mixed_pair([0.5, 0.5], [-1.0, 1.0], 1.0))
 
+    @pytest.mark.parametrize(
+        "start, rungs",
+        [
+            (8, [8, 16, 32, 64, 128, 256, 512, 1024]),
+            (10, [10, 20, 40, 80, 160, 320, 640]),
+            (66, [66, 132, 264, 528]),
+            (96, [96, 192, 384, 768]),
+            (512, [512, 1024]),
+        ],
+    )
+    def test_ladder_never_passes_the_ceiling(self, monkeypatch, start, rungs):
+        orders = []
+
+        def unstable(probs, means, var, nodes, weights):
+            orders.append(len(nodes))
+            return np.full(len(probs), float(len(orders)))  # never confirms
+
+        monkeypatch.setattr("dendrofit.estimators.kernels.mixture_mi_batch", unstable)
+        with pytest.raises(QuadratureFailure) as failure:
+            mi_mixed(mixed_pair([0.5, 0.5], [-1.0, 1.0], 1.0), QuadratureSpec(order=start))
+        assert orders == rungs
+        assert str(failure.value).startswith(
+            f"doubling up to order {rungs[-1]} never confirmed the integral (last value "
+        )
+
     def test_escalation_handles_slow_knee_case(self):
         # 4-8 sigma separations converge too slowly at order 64; the
         # ladder must still confirm them at the default tolerance
@@ -265,9 +292,20 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(order=6)
 
+    def test_order_must_be_an_integer(self):
+        # the rule's recurrence runs order - 1 steps
+        with pytest.raises(ValueError, match="even integer"):
+            QuadratureSpec(order=64.0)
+        assert QuadratureSpec(order=np.int64(64)).order == 64
+
     def test_tolerance_positive(self):
         with pytest.raises(ValueError):
             QuadratureSpec(tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, float("1e400"), math.nan])
+    def test_tolerance_finite(self, tolerance):
+        with pytest.raises(ValueError, match="^tolerance must be finite and positive, got "):
+            QuadratureSpec(tolerance=tolerance)
 
     def test_hermite_rule_matches_numpy_reference(self):
         for order in (8, 32, 64):
@@ -280,3 +318,25 @@ class TestQuadratureSpec:
         nodes, weights = _hermite_rule(1024)
         assert np.isfinite(nodes).all() and np.isfinite(weights).all()
         assert weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+# every order the ladder reaches from starts 8, 10, 66 and 96
+LADDER_ORDERS = sorted(
+    {start << k for start in (8, 10, 66, 96) for k in range(8) if start << k <= _MAX_QUAD_ORDER}
+)
+
+
+class TestHermiteRule:
+    @pytest.mark.parametrize("order", LADDER_ORDERS)
+    def test_matches_golub_welsch(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes, weights = _hermite_rule.__wrapped__(order)  # uncached
+        ref_nodes, ref_weights = oracle.golub_welsch_rule(order)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-14)
+        assert (nodes == -nodes[::-1]).all()
+        assert (weights == weights[::-1]).all()
+        for k in range(min(order, 12)):
+            moment = (weights * nodes ** (2 * k)).sum()
+            assert moment == pytest.approx(math.gamma(k + 0.5), rel=1e-13)
