@@ -6,10 +6,12 @@ All estimators return I_n(i, j) = n * (plug-in mutual information) in
 nats, the log-likelihood gain from joining the pair by an edge. Plug-in
 parameters are maximum-likelihood throughout: relative frequencies,
 divide-by-n moments, per-class means with a pooled residual variance.
-``pair_mi_table`` computes I_n for every pair of a dataset in one batched
-pass. It and the per-pair path share the row-invariant statistics
-kernels and the quadrature ladder, so a pair's I_n and its error are
-the same bits and the same message on both.
+``pair_mi_table`` computes I_n for every pair in one batched pass, and
+``collect_stats`` the statistics of given vertices and pairs in another
+(``fit`` calls it once; ``collect_pair_stats`` is its one-pair case).
+Through them the ``mi_*`` estimators share the row-invariant kernels
+and the quadrature ladder with the table, so a pair's I_n and its error
+are the same bits and the same message on every path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -221,24 +223,84 @@ def _zero_variance(name: str) -> DegenerateGaussian:
     return DegenerateGaussian(f"column {name!r} has zero sample variance")
 
 
-def check_gaussian_column(dataset: Dataset, v: int) -> None:
-    """Raise DegenerateGaussian when Gaussian column v has zero variance,
-    that is when all its cells are equal."""
-    if kernels.all_equal(dataset.column(v)):
-        raise _zero_variance(dataset.schema.name(v))
+def _beyond_range(name: str) -> DegenerateGaussian:
+    return DegenerateGaussian(f"column {name!r} has a variance beyond the float range")
 
 
-def check_variance_in_range(dataset: Dataset, v: int, var: float) -> None:
-    """Raise DegenerateGaussian when a nonzero variance of Gaussian column
-    v underflows to 0 or overflows in original units."""
-    if not 0.0 < var < math.inf:
-        raise DegenerateGaussian(
-            f"column {dataset.schema.name(v)!r} has a variance beyond the float range"
-        )
+def collect_stats(
+    dataset: Dataset, vertices: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> tuple[dict[int, tuple[float, float]], list[PairStats]]:
+    """(mean, variance) in original units of each Gaussian vertex in
+    ``vertices``, by vertex, and ``collect_pair_stats`` of each pair, in
+    one batched pass. The Gaussian columns are centred once, so a vertex
+    and its Gaussian pairs hold the same moments, and each discrete
+    member of a mixed pair makes one ``class_stats_rows`` call. No value
+    depends on what else is asked for. Vertices are checked in order,
+    then pairs in order, each as ``collect_pair_stats`` checks it.
+    """
+    schema, n = dataset.schema, dataset.n
+    gauss = sorted(v for v in set(vertices).union(*pairs) if not schema.is_discrete(v))
+    row = {g: r for r, g in enumerate(gauss)}
+    xt = np.stack([dataset.column(g) for g in gauss]) if gauss else np.empty((0, n))
+    degenerate = kernels.all_equal(xt)
+    e, mean, centred = kernels.centred_rows(xt)
+    with np.errstate(over="ignore"):
+        mean, var = np.ldexp(mean, e), np.ldexp([c @ c / n for c in centred], 2 * e)
+    partners = defaultdict(dict)  # discrete member -> {partner's stack row: its class_stats row}
+    for pair in pairs:
+        if schema.is_discrete(pair[0]) != schema.is_discrete(pair[1]):
+            g, d = sorted(pair, key=schema.is_discrete)
+            partners[d].setdefault(row[g], len(partners[d]))
+    class_stats = {
+        d: kernels.class_stats_rows(xt[list(rows)], dataset.column(d), schema.cardinality(d))
+        for d, rows in partners.items()
+    }
+
+    def check(*columns: int) -> None:
+        for g in columns:
+            if degenerate[row[g]]:
+                raise _zero_variance(schema.name(g))
+        for g in columns:
+            if not 0.0 < var[row[g]] < math.inf:
+                raise _beyond_range(schema.name(g))
+
+    moments = {}
+    for v in vertices:
+        if not schema.is_discrete(v):
+            check(v)
+            moments[v] = (float(mean[row[v]]), float(var[row[v]]))
+    stats: list[PairStats] = []
+    for i, j in pairs:
+        a, b = min(i, j), max(i, j)
+        if schema.is_discrete(i) and schema.is_discrete(j):
+            cards = schema.cardinality(a), schema.cardinality(b)
+            counts = kernels.joint_counts(dataset.column(a), dataset.column(b), *cards)
+            stats.append(DiscretePair(a, b, counts, n))
+        elif not (schema.is_discrete(i) or schema.is_discrete(j)):
+            check(a, b)
+            r, s = row[a], row[b]
+            with np.errstate(over="ignore"):
+                cov = np.ldexp(centred[r] @ centred[s] / n, e[r] + e[s])
+            moments_ab = map(float, (mean[r], mean[s], var[r], var[s], cov))
+            stats.append(GaussianPair(a, b, n, *moments_ab))
+        else:
+            g, d = sorted((i, j), key=schema.is_discrete)
+            if degenerate[row[g]]:
+                raise _zero_variance(schema.name(g))
+            e_d, counts, means, resid = class_stats[d]
+            k = partners[d][row[g]]
+            with np.errstate(over="ignore"):
+                resid_var = float(np.ldexp(resid[k], 2 * e_d[k]))
+            # a zero residual is an exact degeneracy, which mi_mixed reports
+            if resid[k] > 0.0 and not 0.0 < resid_var < math.inf:
+                raise _beyond_range(schema.name(g))
+            stats.append(MixedPair(g, d, float(n), counts, np.ldexp(means[k], e_d[k]), resid_var))
+    return moments, stats
 
 
 def collect_pair_stats(dataset: Dataset, i: int, j: int) -> PairStats:
-    """Gather the sufficient statistics for vertex pair (i, j).
+    """Gather the sufficient statistics for vertex pair (i, j): the
+    one-pair case of ``collect_stats``.
 
     The returned variant matches the (kind_i, kind_j) combination; for a
     mixed pair the Gaussian member is recorded first regardless of
@@ -256,56 +318,7 @@ def collect_pair_stats(dataset: Dataset, i: int, j: int) -> PairStats:
     """
     if i == j:
         raise SameVertex(f"pair statistics need two distinct vertices, got {i}")
-    schema = dataset.schema
-    n = dataset.n
-
-    disc_i = schema.is_discrete(i)
-    disc_j = schema.is_discrete(j)
-    if disc_i and disc_j:
-        a, b = (i, j) if i < j else (j, i)
-        counts = kernels.joint_counts(
-            dataset.column(a),
-            dataset.column(b),
-            schema.cardinality(a),
-            schema.cardinality(b),
-        )
-        return DiscretePair(i=a, j=b, counts=counts, n=n)
-    if not disc_i and not disc_j:
-        a, b = (i, j) if i < j else (j, i)
-        check_gaussian_column(dataset, a)
-        check_gaussian_column(dataset, b)
-        e, mean, cov = kernels.gaussian_moments(np.stack([dataset.column(a), dataset.column(b)]))
-        with np.errstate(over="ignore"):
-            mean, cov = np.ldexp(mean, e), np.ldexp(cov, e[:, None] + e)
-        check_variance_in_range(dataset, a, cov[0, 0])
-        check_variance_in_range(dataset, b, cov[1, 1])
-        return GaussianPair(
-            i=a,
-            j=b,
-            n=n,
-            mean_i=float(mean[0]),
-            mean_j=float(mean[1]),
-            var_i=float(cov[0, 0]),
-            var_j=float(cov[1, 1]),
-            cov=float(cov[0, 1]),
-        )
-    gauss, disc = (i, j) if disc_j else (j, i)
-    check_gaussian_column(dataset, gauss)
-    e, counts, means, var = kernels.class_stats_rows(
-        dataset.column(gauss)[None], dataset.column(disc), schema.cardinality(disc)
-    )
-    with np.errstate(over="ignore"):
-        resid_var = float(np.ldexp(var[0], 2 * e[0]))
-    if var[0] > 0.0:  # 0 is an exact degeneracy, which mi_mixed reports
-        check_variance_in_range(dataset, gauss, resid_var)
-    return MixedPair(
-        gauss=gauss,
-        disc=disc,
-        n=float(n),
-        class_counts=counts,
-        class_means=np.ldexp(means[0], e[0]),
-        resid_var=resid_var,
-    )
+    return collect_stats(dataset, (), ((i, j),))[1][0]
 
 
 def _discrete_mi(counts: np.ndarray, n: int) -> np.ndarray:

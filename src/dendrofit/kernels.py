@@ -10,6 +10,7 @@ import numpy as np
 
 __all__ = [
     "joint_counts",
+    "centred_rows",
     "gaussian_moments",
     "all_equal",
     "class_stats_rows",
@@ -46,22 +47,28 @@ def _exponents(xt: np.ndarray) -> np.ndarray:
     return np.frexp(np.maximum(xt.max(axis=1), -xt.min(axis=1)))[1]
 
 
-def gaussian_moments(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e, mean, cov): the ``_exponents`` of the rows of xt (rows x n), and
-    the biased (divide-by-n) means and covariance matrix of the rows
-    scaled by them. Row r's mean is ldexp(mean[r], e[r]) and cov[r, s] is
-    ldexp(cov[r, s], e[r] + e[s]) in original units. Each entry is a row
-    sum or one dot product of two centred rows, never a matrix product,
-    so its bits do not depend on the other rows stacked with it.
-    """
+def centred_rows(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e, mean, centred): the ``_exponents`` of the rows of xt (rows x n),
+    and the means (row sums / n) and centred rows of xt scaled by them."""
     e = _exponents(xt)
     xs = np.ldexp(xt, -e[:, None])
-    n = xs.shape[1]
-    mean = xs.sum(axis=1) / n
-    centred = xs - mean[:, None]
-    cov = np.empty((len(xs), len(xs)))
+    mean = xs.sum(axis=1) / xs.shape[1]
+    return e, mean, xs - mean[:, None]
+
+
+def gaussian_moments(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e, mean, cov): ``centred_rows`` of xt, and the biased covariances
+    cov[r, s] = centred[r] @ centred[s] / n of the scaled rows. Row r's
+    mean is ldexp(mean[r], e[r]) and cov[r, s] is ldexp(cov[r, s],
+    e[r] + e[s]) in original units. Each entry is a row sum or one dot
+    product, never a matrix product, so its bits do not depend on the
+    other rows stacked with it.
+    """
+    e, mean, centred = centred_rows(xt)
+    n = centred.shape[1]
+    cov = np.empty((len(centred), len(centred)))
     for r, row in enumerate(centred):
-        for s in range(r, len(xs)):
+        for s in range(r, len(centred)):
             cov[r, s] = cov[s, r] = row @ centred[s] / n
     return e, mean, cov
 

@@ -33,20 +33,19 @@ from .core import (
     orient_forest,
 )
 from .dataio import schema_from_jsonable, schema_to_jsonable
-from .errors import DegenerateGaussian, EmptyDataset, InvalidCount, SchemaMismatch
-from .estimators import (
-    DiscretePair,
-    GaussianPair,
-    check_gaussian_column,
-    check_variance_in_range,
-    collect_pair_stats,
-)
+from .errors import DegenerateGaussian, InvalidCount, SchemaMismatch
+from .estimators import DiscretePair, GaussianPair, collect_stats
 from .scoring import effective_cardinality
 
 MODEL_FORMAT = "dendrofit-model"
 MODEL_VERSION = 1
 
 _MARGINAL_TOL = 1e-12
+# relative tolerance to which a Gaussian or mixed factor must reproduce
+# its Gaussian endpoint's marginal (see _moments_agree). fit stores the
+# marginal's own moments; model files of earlier versions are within
+# 4.2e-16 (Gaussian factors) and 4e-15 (class mixtures) on the benchmark
+_MOMENT_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +144,52 @@ def _factor_pair(factor: EdgeFactor) -> tuple[int, int]:
     return (factor.i, factor.j)
 
 
+def _probs_agree(probs: np.ndarray, marg: DiscreteMarginal) -> bool:
+    return bool((np.abs(probs - marg.probs) <= _MARGINAL_TOL).all())
+
+
+def _moments_agree(mean: float, var: float, marg: GaussianMarginal) -> bool:
+    """Whether mean and var reproduce marg within _MOMENT_RTOL relative to
+    |mean| + sd and to sd (|mean| + sd): the scales at which rounding
+    moves a mean and a variance of data at that offset and spread."""
+    sd = math.sqrt(marg.var)
+    scale = abs(marg.mean) + sd
+    return (
+        abs(mean - marg.mean) <= _MOMENT_RTOL * scale
+        and abs(var - marg.var) <= _MOMENT_RTOL * sd * scale
+    )
+
+
+def _contradiction(factor: EdgeFactor, marginals: tuple[NodeMarginal, ...]) -> Optional[str]:
+    """What in factor contradicts its endpoints' marginals, or None."""
+    if isinstance(factor, DiscreteEdgeFactor):
+        rows, cols = factor.table.sum(axis=1), factor.table.sum(axis=0)
+        if not _probs_agree(rows, marginals[factor.i]) or not _probs_agree(
+            cols, marginals[factor.j]
+        ):
+            return "table marginals do not reproduce the node marginals"
+    elif isinstance(factor, GaussianEdgeFactor):
+        for end, v, mean, var in (
+            ("i", factor.i, factor.mean_i, factor.var_i),
+            ("j", factor.j, factor.mean_j, factor.var_j),
+        ):
+            if not _moments_agree(mean, var, marginals[v]):
+                return f"mean_{end} and var_{end} do not reproduce the marginal of vertex {v}"
+    elif not _probs_agree(factor.class_probs, marginals[factor.disc]):
+        return f"class_probs do not reproduce the marginal of vertex {factor.disc}"
+    else:
+        # the class mixture: mean sum_k p_k m_k, variance
+        # resid_var + sum_k p_k (m_k - mean)^2, over the occupied classes
+        occupied = factor.class_probs > 0
+        p, m = factor.class_probs[occupied], factor.class_means[occupied]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(p @ m)
+            var = factor.resid_var + float(p @ (m - mean) ** 2)
+        if not _moments_agree(mean, var, marginals[factor.gauss]):
+            return f"the class mixture does not reproduce the marginal of vertex {factor.gauss}"
+    return None
+
+
 def count_parameters(schema: VariableSchema, forest: Forest) -> int:
     """Free parameters: alpha_i - 1 per discrete node, 2 per Gaussian
     node, plus (a_i - 1)(a_j - 1) per edge with a = 2 for Gaussian."""
@@ -214,17 +259,9 @@ class DendroidModel:
                 shape = tuple(schema.cardinality(v) for v in vertices)
                 if getattr(factor, name).shape != shape:
                     raise ValueError(f"edge {edge}: {name} must have shape {shape}")
-            if isinstance(factor, DiscreteEdgeFactor):
-                row = factor.table.sum(axis=1)
-                col = factor.table.sum(axis=0)
-                if not (
-                    np.allclose(row, marginals[factor.i].probs, rtol=0.0, atol=_MARGINAL_TOL)
-                    and np.allclose(col, marginals[factor.j].probs, rtol=0.0, atol=_MARGINAL_TOL)
-                ):
-                    raise ValueError(
-                        f"edge ({factor.i}, {factor.j}): table marginals do not "
-                        "reproduce the node marginals"
-                    )
+            contradiction = _contradiction(factor, marginals)
+            if contradiction:
+                raise ValueError(f"edge {edge}: {contradiction}")
         return cls(
             schema=schema,
             forest=forest,
@@ -339,62 +376,44 @@ def _part_from_json(kinds: dict, obj) -> Union[NodeMarginal, EdgeFactor]:
 
 def fit(dataset: Dataset, forest: Forest) -> DendroidModel:
     """Maximum-likelihood fit of marginals and edge factors on a given
-    structure."""
-    schema = dataset.schema
+    structure, from one ``collect_stats`` pass: a Gaussian vertex's
+    marginal and its factors hold the same mean and variance."""
+    schema, n = dataset.schema, dataset.n
     if forest.n_vertices != schema.n_vars:
         raise ValueError("forest and dataset disagree on the number of vertices")
-    if dataset.n < 1:
-        raise EmptyDataset("cannot fit on an empty dataset")
-    n = dataset.n
-
-    marginals: list[NodeMarginal] = []
-    for v in range(schema.n_vars):
-        col = dataset.column(v)
-        if schema.is_discrete(v):
-            counts = np.bincount(col, minlength=schema.cardinality(v))
-            marginals.append(DiscreteMarginal(counts / n))
-        else:
-            check_gaussian_column(dataset, v)
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean, var = float(np.mean(col)), float(np.var(col))
-            check_variance_in_range(dataset, v, var)
-            marginals.append(GaussianMarginal(mean=mean, var=var))
-
+    moments, stats = collect_stats(dataset, range(schema.n_vars), forest.sorted_edges)
+    marginals = tuple(
+        GaussianMarginal(*moments[v])
+        if v in moments
+        else DiscreteMarginal(np.bincount(dataset.column(v), minlength=schema.cardinality(v)) / n)
+        for v in range(schema.n_vars)
+    )
     factors: list[EdgeFactor] = []
-    for i, j in forest.sorted_edges:
-        stats = collect_pair_stats(dataset, i, j)
-        if isinstance(stats, DiscretePair):
-            factors.append(
-                DiscreteEdgeFactor(i=stats.i, j=stats.j, table=stats.counts / n)
-            )
-        elif isinstance(stats, GaussianPair):
-            if abs(stats.rho) >= 1.0:
-                raise DegenerateGaussian(
-                    f"edge ({schema.name(i)!r}, {schema.name(j)!r}): perfectly "
-                    "correlated columns cannot be fitted"
-                )
+    for (i, j), pair in zip(forest.sorted_edges, stats):
+        edge = f"edge ({schema.name(i)!r}, {schema.name(j)!r})"
+        if isinstance(pair, DiscretePair):
+            factors.append(DiscreteEdgeFactor(i=i, j=j, table=pair.counts / n))
+        elif isinstance(pair, GaussianPair):
+            if abs(pair.rho) >= 1.0:
+                raise DegenerateGaussian(f"{edge}: perfectly correlated columns cannot be fitted")
             names = [f.name for f in fields(GaussianEdgeFactor)]
-            factors.append(GaussianEdgeFactor(**{k: getattr(stats, k) for k in names}))
+            factors.append(GaussianEdgeFactor(**{k: getattr(pair, k) for k in names}))
+        elif pair.resid_var <= 0.0:
+            raise DegenerateGaussian(f"{edge}: zero pooled residual variance")
         else:
-            if stats.resid_var <= 0.0:
-                raise DegenerateGaussian(
-                    f"edge ({schema.name(i)!r}, {schema.name(j)!r}): zero pooled "
-                    "residual variance"
-                )
-            means = np.where(stats.class_counts > 0, stats.class_means, 0.0)
             factors.append(
                 MixedEdgeFactor(
-                    gauss=stats.gauss,
-                    disc=stats.disc,
-                    class_probs=stats.class_counts / stats.n,
-                    class_means=means,
-                    resid_var=stats.resid_var,
+                    gauss=pair.gauss,
+                    disc=pair.disc,
+                    class_probs=pair.class_counts / pair.n,
+                    class_means=np.where(pair.class_counts > 0, pair.class_means, 0.0),
+                    resid_var=pair.resid_var,
                 )
             )
     return DendroidModel.build(
         schema=schema,
         forest=forest,
-        marginals=tuple(marginals),
+        marginals=marginals,
         factors=tuple(factors),
         n=n,
     )

@@ -584,6 +584,21 @@ class TestSample:
 # edits that make the chain model file (marginals: discrete, Gaussian,
 # Gaussian; factors: mixed (0, 1), Gaussian (1, 2)) invalid; an edit that
 # returns a value replaces the whole document
+# edits to the chain model's document that make a factor contradict its
+# endpoints' marginals, and the edge each contradiction is in
+CONTRADICTIONS = {
+    "gaussian var_i times 4": ("(1, 2)", lambda doc: doc["edge_factors"][1].update(
+        var_i=4 * doc["edge_factors"][1]["var_i"]
+    )),
+    "rotated class_probs": ("(0, 1)", lambda doc: doc["edge_factors"][0].update(
+        class_probs=doc["edge_factors"][0]["class_probs"][1:]
+        + doc["edge_factors"][0]["class_probs"][:1]
+    )),
+    "class means plus 10": ("(0, 1)", lambda doc: doc["edge_factors"][0].update(
+        class_means=[m + 10.0 for m in doc["edge_factors"][0]["class_means"]]
+    )),
+}
+
 BAD_MODELS = {
     "top-level list": lambda doc: [1, 2],
     "unknown marginal kind": lambda doc: doc["marginals"][1].update(kind="gausian"),
@@ -609,6 +624,7 @@ BAD_MODELS = {
         class_means=[True, 1.0]
     ),
     "bool in a discrete table": lambda doc: bool_in_table(every_kind_model().to_json_dict()),
+    **{name: edit for name, (_, edit) in CONTRADICTIONS.items()},
 }
 
 
@@ -637,6 +653,20 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edge, edit", CONTRADICTIONS.values(), ids=CONTRADICTIONS.keys())
+    def test_contradicting_factor_names_its_edge(
+        self, tmp_path, chain_model_file, capsys, edge, edit
+    ):
+        model_path, _, ds = chain_model_file
+        data = tmp_path / "d.csv"
+        write_csv_dataset(data, ds)
+        doc = json.loads(Path(model_path).read_text())
+        edit(doc)
+        Path(model_path).write_text(json.dumps(doc))
+        assert main(["eval", "--model", model_path, "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: ") and f"edge {edge}: " in err
 
     def test_reproduces_learn_description_length_bit_for_bit(
         self, tmp_path, star_files, capsys

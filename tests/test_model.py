@@ -18,6 +18,7 @@ from dendrofit import (
     fit,
     log_likelihood,
     mi_discrete,
+    mi_gaussian,
     orient_forest,
     sample,
     score_all_pairs,
@@ -60,7 +61,63 @@ def discrete_chain_model() -> DendroidModel:
     )
 
 
+def random_mixed_case(rng: np.random.Generator):
+    """A random mixed dataset, its Gaussian columns at random offsets and
+    scales, some shifted by the column before them, and a random forest."""
+    kinds = "".join(rng.choice(list("dDg"), size=int(rng.integers(2, 8))))
+    n = int(rng.integers(5, 300))
+    columns = []
+    for kind in kinds:
+        if kind != "g":
+            columns.append(rng.integers(0, 2 if kind == "d" else 3, n))
+            continue
+        x = rng.standard_normal(n)
+        if columns and rng.random() < 0.5:
+            x += 2.0 * (columns[-1] - columns[-1].mean()) / (columns[-1].std() or 1.0)
+        columns.append(rng.choice([0.0, -7.0, 5e4]) + 10.0 ** rng.uniform(-3, 3) * x)
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, len(kinds)) if rng.random() < 0.8]
+    forest = Forest.from_edges(len(kinds), edges)
+    return dataset_from_columns(mixed_schema(kinds), *columns), forest
+
+
+def assert_one_moment_per_vertex(ds, forest) -> None:
+    """Each Gaussian factor of fit(ds, forest) holds its endpoints'
+    marginal moments, and each factor is its edge's collect_pair_stats."""
+    model = fit(ds, forest)
+    for factor, edge in zip(model.factors, forest.sorted_edges):
+        stats = collect_pair_stats(ds, *edge)
+        if isinstance(factor, DiscreteEdgeFactor):
+            assert (factor.table == stats.counts / ds.n).all()
+        elif isinstance(factor, GaussianEdgeFactor):
+            for v, mean, var in ((factor.i, factor.mean_i, factor.var_i),
+                                 (factor.j, factor.mean_j, factor.var_j)):
+                assert (mean, var) == (model.marginals[v].mean, model.marginals[v].var)
+            assert (factor.mean_i, factor.var_i, factor.mean_j, factor.var_j, factor.rho) == (
+                stats.mean_i, stats.var_i, stats.mean_j, stats.var_j, stats.rho
+            )
+        else:
+            occupied = stats.class_counts > 0
+            assert (factor.gauss, factor.disc, factor.resid_var) == (
+                stats.gauss, stats.disc, stats.resid_var
+            )
+            assert (factor.class_probs == stats.class_counts / ds.n).all()
+            assert (factor.class_means[occupied] == stats.class_means[occupied]).all()
+
+
 class TestFit:
+    def test_one_mean_and_variance_per_gaussian_vertex(self):
+        # a Gaussian chain on which np.var and the moment kernel round
+        # differently for some columns, so a marginal taken from np.var
+        # would not be the variance its factors hold
+        rng = np.random.default_rng(7)
+        columns = [rng.standard_normal(2000) * 10.0 ** rng.uniform(-2, 2) for _ in range(10)]
+        ds = dataset_from_columns(mixed_schema("g" * 10), *columns)
+        model = fit(ds, Forest.from_edges(10, [(v, v + 1) for v in range(9)]))
+        assert any(float(np.var(x)) != f.var_i for x, f in zip(columns, model.factors))
+        assert_one_moment_per_vertex(ds, model.forest)
+        for _ in range(40):
+            assert_one_moment_per_vertex(*random_mixed_case(rng))
+
     def test_binary_marginal_relative_frequencies(self):
         schema = discrete_schema(2)
         ds = dataset_from_columns(schema, [0, 0, 1, 1])
@@ -173,6 +230,22 @@ class TestLogLikelihood:
             with_edge = fit(ds, augmented)
             gain = log_likelihood(with_edge, ds) - log_likelihood(without, ds)
             expected = mi_discrete(collect_pair_stats(ds, *new_edge))
+            assert gain == pytest.approx(expected, rel=1e-9)
+
+    def test_adding_a_gaussian_edge_adds_its_mutual_information(self):
+        rng = np.random.default_rng(13)
+        n = 400
+        x0 = rng.standard_normal(n)
+        x1 = 3.0 - 0.8 * x0 + rng.standard_normal(n)
+        x2 = 5e4 + 1e-3 * (0.6 * x1 + rng.standard_normal(n))  # offset 5e4, sd 1e-3
+        x3 = 20.0 * x0 + rng.standard_normal(n)
+        ds = dataset_from_columns(mixed_schema("gggg"), x0, x1, x2, x3)
+        base_edges = [(0, 1)]
+        for new_edge in [(1, 2), (2, 3), (0, 2), (0, 3)]:
+            without = fit(ds, Forest.from_edges(4, base_edges))
+            with_edge = fit(ds, Forest.from_edges(4, base_edges + [new_edge]))
+            gain = log_likelihood(with_edge, ds) - log_likelihood(without, ds)
+            expected = mi_gaussian(collect_pair_stats(ds, *new_edge))
             assert gain == pytest.approx(expected, rel=1e-9)
 
     def test_unseen_category_gives_minus_infinity(self):
@@ -354,8 +427,10 @@ class TestSampling:
         g1 = np.array([-2.0, 2.0])
         mean1 = float((p0 * g1).sum())
         var1 = 1.0 + float((p0 * (g1 - mean1) ** 2).sum())
+        # both class mixtures reproduce the marginal of vertex 1
         p2 = np.array([0.5, 0.5])
-        g2 = np.array([-1.0, 1.0])
+        g2 = mean1 + np.array([-1.0, 1.0])
+        r2 = var1 - float((p2 * (g2 - mean1) ** 2).sum())
         model = DendroidModel.build(
             schema=schema,
             forest=Forest.from_edges(3, [(0, 1), (1, 2)]),
@@ -369,7 +444,7 @@ class TestSampling:
                     gauss=1, disc=0, class_probs=p0, class_means=g1, resid_var=1.0
                 ),
                 MixedEdgeFactor(
-                    gauss=1, disc=2, class_probs=p2, class_means=g2, resid_var=1.0
+                    gauss=1, disc=2, class_probs=p2, class_means=g2, resid_var=r2
                 ),
             ),
             n=1,
@@ -383,8 +458,8 @@ class TestSampling:
             p0[y] * np.exp(-((grid - g1[y]) ** 2) / 2.0) / math.sqrt(2 * math.pi)
             for y in range(2)
         )
-        w1 = p2[1] * np.exp(-((grid - g2[1]) ** 2) / 2.0)
-        w0 = p2[0] * np.exp(-((grid - g2[0]) ** 2) / 2.0)
+        w1 = p2[1] * np.exp(-((grid - g2[1]) ** 2) / (2.0 * r2))
+        w0 = p2[0] * np.exp(-((grid - g2[0]) ** 2) / (2.0 * r2))
         post1 = w1 / (w0 + w1)
         prob_y2 = float(np.trapezoid(fx * post1, grid))
         mean_x_given_y2 = float(np.trapezoid(grid * fx * post1, grid)) / prob_y2
@@ -468,6 +543,16 @@ class TestSerialization:
         doc["param_count"] = 99
         with pytest.raises(ValueError):
             DendroidModel.from_json_dict(doc)
+
+    def test_build_tolerates_rounding_between_factors_and_marginals(self):
+        # earlier versions took each Gaussian marginal from np.mean and
+        # np.var, which round differently from the moment kernels
+        doc = every_kind_model().to_json_dict()
+        for marg in doc["marginals"]:
+            if marg["kind"] == "gaussian":
+                marg["mean"] = float(np.nextafter(marg["mean"], math.inf))
+                marg["var"] = float(np.nextafter(np.nextafter(marg["var"], 0.0), 0.0))
+        DendroidModel.from_json_dict(doc)
 
     def test_build_rejects_inconsistent_table_marginals(self):
         schema = discrete_schema(2, 2)
