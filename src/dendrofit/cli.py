@@ -43,7 +43,7 @@ from .errors import (
 )
 from .estimators import QuadratureSpec
 from .forest import ACCEPTED, REASONS, EdgeDecision, greedy_outcomes
-from .model import DendroidModel, description_length, fit, log_likelihood, sample
+from .model import DendroidModel, code_length, fit, log_likelihood, sample
 from .scoring import Criterion, PairScores, pair_scores
 
 FOREST_FORMAT = "dendrofit-forest"
@@ -225,7 +225,7 @@ def cmd_learn(config: RunConfig) -> int:
 
     fitted = fit(dataset, forest)
     ll = log_likelihood(fitted, dataset)
-    dl = description_length(fitted, dataset, criterion)
+    dl = code_length(ll, fitted.param_count, dn)
 
     out = sys.stdout
     print(f"n={dataset.n} variables={schema.n_vars} criterion={criterion.kind} dn={dn!r}", file=out)
@@ -291,6 +291,8 @@ def cmd_score(config: RunConfig) -> int:
 
 
 def cmd_sample(config: RunConfig) -> int:
+    if config.seed < 0:
+        raise DataFormatError(f"--seed must be a nonnegative integer, got {config.seed}")
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     drawn = sample(model, config.count, config.seed)
     blocks = iter_csv_blocks(drawn)
@@ -308,7 +310,7 @@ def cmd_eval(config: RunConfig) -> int:
     dataset = read_csv_dataset(config.data, model.schema)
     ll = log_likelihood(model, dataset)
     dn = criterion.dn(dataset.n)
-    dl = description_length(model, dataset, criterion)
+    dl = code_length(ll, model.param_count, dn)
     print(f"log_likelihood={ll!r}")
     print(f"param_count={model.param_count}")
     print(f"dn={dn!r}")

@@ -9,9 +9,10 @@ divide-by-n moments, per-class means with a pooled residual variance.
 ``pair_mi_table`` computes I_n for every pair in one batched pass, and
 ``collect_stats`` the statistics of given vertices and pairs in another
 (``fit`` calls it once; ``collect_pair_stats`` is its one-pair case).
-Through them the ``mi_*`` estimators share the row-invariant kernels
-and the quadrature ladder with the table, so a pair's I_n and its error
-are the same bits and the same message on every path.
+Each pass scales its Gaussian columns once (``kernels.scaled_rows``) and
+forms every covariance by ``kernels.covariances``; the ``mi_*``
+estimators share these kernels and the quadrature ladder with the table,
+so a pair's I_n and its error are the same bits and message on every path.
 """
 
 from __future__ import annotations
@@ -232,27 +233,29 @@ def collect_stats(
 ) -> tuple[dict[int, tuple[float, float]], list[PairStats]]:
     """(mean, variance) in original units of each Gaussian vertex in
     ``vertices``, by vertex, and ``collect_pair_stats`` of each pair, in
-    one batched pass. The Gaussian columns are centred once, so a vertex
-    and its Gaussian pairs hold the same moments, and each discrete
-    member of a mixed pair makes one ``class_stats_rows`` call. No value
+    one batched pass. The Gaussian columns are scaled and centred once
+    (``kernels.scaled_rows``), so a vertex and its Gaussian pairs hold the
+    same moments, and each discrete member of a mixed pair makes one
+    ``class_stats_rows`` call on the scaled rows. No value
     depends on what else is asked for. Vertices are checked in order,
     then pairs in order, each as ``collect_pair_stats`` checks it.
     """
     schema, n = dataset.schema, dataset.n
     gauss = sorted(v for v in set(vertices).union(*pairs) if not schema.is_discrete(v))
     row = {g: r for r, g in enumerate(gauss)}
-    xt = np.stack([dataset.column(g) for g in gauss]) if gauss else np.empty((0, n))
-    degenerate = kernels.all_equal(xt)
-    e, mean, centred = kernels.centred_rows(xt)
+    e, scaled, mean, centred, degenerate = kernels.scaled_rows(
+        [dataset.column(g) for g in gauss], n
+    )
     with np.errstate(over="ignore"):
-        mean, var = np.ldexp(mean, e), np.ldexp([c @ c / n for c in centred], 2 * e)
+        mean = np.ldexp(mean, e)
+        var = np.ldexp(kernels.covariances(centred, *np.diag_indices(len(gauss))), 2 * e)
     partners = defaultdict(dict)  # discrete member -> {partner's stack row: its class_stats row}
     for pair in pairs:
         if schema.is_discrete(pair[0]) != schema.is_discrete(pair[1]):
             g, d = sorted(pair, key=schema.is_discrete)
             partners[d].setdefault(row[g], len(partners[d]))
     class_stats = {
-        d: kernels.class_stats_rows(xt[list(rows)], dataset.column(d), schema.cardinality(d))
+        d: kernels.class_stats_rows(scaled[list(rows)], dataset.column(d), schema.cardinality(d))
         for d, rows in partners.items()
     }
 
@@ -280,21 +283,21 @@ def collect_stats(
             check(a, b)
             r, s = row[a], row[b]
             with np.errstate(over="ignore"):
-                cov = np.ldexp(centred[r] @ centred[s] / n, e[r] + e[s])
+                cov = np.ldexp(kernels.covariances(centred, [r], [s])[0], e[r] + e[s])
             moments_ab = map(float, (mean[r], mean[s], var[r], var[s], cov))
             stats.append(GaussianPair(a, b, n, *moments_ab))
         else:
             g, d = sorted((i, j), key=schema.is_discrete)
             if degenerate[row[g]]:
                 raise _zero_variance(schema.name(g))
-            e_d, counts, means, resid = class_stats[d]
-            k = partners[d][row[g]]
+            counts, means, resid = class_stats[d]
+            k, e_g = partners[d][row[g]], e[row[g]]
             with np.errstate(over="ignore"):
-                resid_var = float(np.ldexp(resid[k], 2 * e_d[k]))
+                resid_var = float(np.ldexp(resid[k], 2 * e_g))
             # a zero residual is an exact degeneracy, which mi_mixed reports
             if resid[k] > 0.0 and not 0.0 < resid_var < math.inf:
                 raise _beyond_range(schema.name(g))
-            stats.append(MixedPair(g, d, float(n), counts, np.ldexp(means[k], e_d[k]), resid_var))
+            stats.append(MixedPair(g, d, float(n), counts, np.ldexp(means[k], e_g), resid_var))
     return moments, stats
 
 
@@ -460,19 +463,19 @@ def pair_mi_table(dataset: Dataset, quad: QuadratureSpec = QuadratureSpec()) -> 
     gauss = np.array([v for v in range(schema.n_vars) if not schema.is_discrete(v)], dtype=int)
     _discrete_into(table, dataset, disc)
     if gauss.size and schema.n_vars > 1:
-        xt = np.stack([dataset.column(g) for g in gauss])
-        degenerate = kernels.all_equal(xt)
+        columns = [dataset.column(g) for g in gauss]
+        _, scaled, _, centred, degenerate = kernels.scaled_rows(columns, dataset.n)
         if degenerate.any():
             # every pair holding a degenerate column fails; the first of
             # them in canonical order holds the lowest one
             g = int(gauss[degenerate][0])
             failures.append((0, g or 1, _zero_variance(schema.name(g))))
-            gauss, xt = gauss[~degenerate], xt[~degenerate]
-        _, _, cov = kernels.gaussian_moments(xt)
+            gauss, scaled, centred = gauss[~degenerate], scaled[~degenerate], centred[~degenerate]
+        var = kernels.covariances(centred, *np.diag_indices(gauss.size))
         a, b = np.triu_indices(gauss.size, 1)
-        var = np.diag(cov)
-        table[gauss[a], gauss[b]] = _gaussian_mi(_rho(cov[a, b], var[a], var[b]), dataset.n)
-        _mixed_into(table, failures, dataset, disc, gauss, xt, quad)
+        cov = kernels.covariances(centred, a, b)
+        table[gauss[a], gauss[b]] = _gaussian_mi(_rho(cov, var[a], var[b]), dataset.n)
+        _mixed_into(table, failures, dataset, disc, gauss, scaled, quad)
     if failures:
         i, j, err = min(failures, key=lambda failure: failure[:2])
         raise type(err)(f"pair ({schema.name(i)!r}, {schema.name(j)!r}): {err}")
@@ -502,7 +505,7 @@ def _mixed_into(
     dataset: Dataset,
     disc: list[int],
     gauss: np.ndarray,
-    xt: np.ndarray,
+    scaled: np.ndarray,
     quad: QuadratureSpec,
 ) -> None:
     """Fill in I_n of every mixed pair, with the ladder in lockstep over
@@ -511,8 +514,8 @@ def _mixed_into(
     n = dataset.n
     groups = defaultdict(list)  # occupied classes -> [(i, j, probs, means, var)]
     for d in disc:
-        _, counts, means, var = kernels.class_stats_rows(
-            xt, dataset.column(d), dataset.schema.cardinality(d)
+        counts, means, var = kernels.class_stats_rows(
+            scaled, dataset.column(d), dataset.schema.cardinality(d)
         )
         zero = var <= 0.0
         failures += [(min(d, g), max(d, g), DegenerateGaussian(_ZERO_RESIDUAL)) for g in gauss[zero]]

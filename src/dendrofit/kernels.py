@@ -1,18 +1,20 @@
-"""Hot numeric kernels: pairwise statistics collection and the
-Gauss-Hermite mixture integral, in numpy.
+"""Hot numeric kernels, in numpy: joint counts, the one scaled stack of
+Gaussian columns, every variance and covariance, class statistics, and
+the Gauss-Hermite mixture integral. A statistic of a row or pair of rows
+has the same bits whatever other rows are stacked with it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "joint_counts",
-    "centred_rows",
-    "gaussian_moments",
-    "all_equal",
+    "scaled_rows",
+    "covariances",
     "class_stats_rows",
     "mixture_mi_batch",
 ]
@@ -33,53 +35,39 @@ def joint_counts(xi: np.ndarray, xj: np.ndarray, card_i: int, card_j: int) -> np
     return np.bincount(flat, minlength=card_i * card_j).reshape(card_i, card_j)
 
 
-def all_equal(x: np.ndarray) -> np.ndarray:
-    """Whether all values along the last axis of x are equal: the exact
-    test for a zero-variance column, which a variance computed around a
-    rounded mean is not."""
-    return (x == x[..., :1]).all(axis=-1)
-
-
-def _exponents(xt: np.ndarray) -> np.ndarray:
-    """Per row of xt, the exponent e that np.frexp gives for its largest
-    |x|. Scaling the row by 2^-e is exact and brings rows of normal
-    floats into (-1, 1), where no statistic below overflows."""
-    return np.frexp(np.maximum(xt.max(axis=1), -xt.min(axis=1)))[1]
-
-
-def centred_rows(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e, mean, centred): the ``_exponents`` of the rows of xt (rows x n),
-    and the means (row sums / n) and centred rows of xt scaled by them."""
-    e = _exponents(xt)
-    xs = np.ldexp(xt, -e[:, None])
-    mean = xs.sum(axis=1) / xs.shape[1]
-    return e, mean, xs - mean[:, None]
-
-
-def gaussian_moments(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e, mean, cov): ``centred_rows`` of xt, and the biased covariances
-    cov[r, s] = centred[r] @ centred[s] / n of the scaled rows. Row r's
-    mean is ldexp(mean[r], e[r]) and cov[r, s] is ldexp(cov[r, s],
-    e[r] + e[s]) in original units. Each entry is a row sum or one dot
-    product, never a matrix product, so its bits do not depend on the
-    other rows stacked with it.
+def scaled_rows(columns: Sequence[np.ndarray], n: int):
+    """(e, scaled, mean, centred, constant): the columns (n values each)
+    stacked as rows, row r scaled by 2^-e[r] with e[r] the np.frexp
+    exponent of its largest |x|; the scaled rows' means (row sums / n);
+    the scaled rows minus their means; and whether each row is all
+    equal, the exact test for a zero variance, which a variance around a
+    rounded mean is not. Scaling brings each row into (-1, 1), where no
+    statistic overflows; it is exact for every cell above 2^-1021 times
+    its row's largest |x|, and a scaled row is all equal exactly when its
+    column is. In original units, mean[r] is ldexp(mean[r], e[r]), and a
+    covariance of rows r and s is scaled by 2^(e[r] + e[s]).
     """
-    e, mean, centred = centred_rows(xt)
+    scaled = np.array(columns, dtype=np.float64).reshape(len(columns), n)
+    e = np.frexp(np.maximum(scaled.max(axis=1), -scaled.min(axis=1)))[1]
+    np.ldexp(scaled, -e[:, None], out=scaled)
+    mean = scaled.sum(axis=1) / n
+    return e, scaled, mean, scaled - mean[:, None], (scaled == scaled[:, :1]).all(axis=1)
+
+
+def covariances(centred: np.ndarray, r, s) -> np.ndarray:
+    """Biased covariances centred[r[k]] @ centred[s[k]] / n of the rows
+    of centred (rows x n), for index sequences r and s; r[k] = s[k]
+    gives a variance. Each entry is one dot product of two rows, never a
+    matrix product, so its bits do not depend on the other rows stacked
+    with them."""
     n = centred.shape[1]
-    cov = np.empty((len(centred), len(centred)))
-    for r, row in enumerate(centred):
-        for s in range(r, len(centred)):
-            cov[r, s] = cov[s, r] = row @ centred[s] / n
-    return e, mean, cov
+    return np.array([centred[a] @ centred[b] / n for a, b in zip(r, s)], dtype=np.float64)
 
 
-def class_stats_rows(xt: np.ndarray, y: np.ndarray, n_classes: int):
-    """(e, counts, means, var): the ``_exponents`` of the rows of xt
-    (rows x n), the class counts of y, and per-class means
+def class_stats_rows(scaled: np.ndarray, y: np.ndarray, n_classes: int):
+    """(counts, means, var): the class counts of y, and per-class means
     (rows, n_classes) and pooled (divide-by-n) residual variances around
-    them of the rows scaled by them. Row r's means are
-    ldexp(means[r], e[r]) and its variance ldexp(var[r], 2 e[r]) in
-    original units.
+    them of each row of scaled (rows x n, as ``scaled_rows`` gives it).
 
     Classes that never occur get count 0 and mean NaN. The variance is
     a second pass around the class means, never sum(x^2) - sum(S^2)/c,
@@ -89,28 +77,27 @@ def class_stats_rows(xt: np.ndarray, y: np.ndarray, n_classes: int):
     own bincount and dot product, so its bits do not depend on the other
     rows stacked with it.
     """
-    e = _exponents(xt)
     n = y.size
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     occupied = counts > 0
     member = np.zeros(n_classes, dtype=np.intp)
     member[y] = np.arange(n)  # some cell of each occupied class
     member = member[y]
-    # a scaled row whose classes each hold one value has residuals below
-    # 2 n 2^-53 (a class mean of c equal cells carries under c roundings),
-    # so only a variance below (n 2^-51)^2 can be one and takes the test
+    # a row within (-1, 1) whose classes each hold one value has residuals
+    # below 2 n 2^-53 (a class mean of c equal cells carries under c
+    # roundings), so only a variance below (n 2^-51)^2 can be one and
+    # takes the test
     tiny = (n * 2.0**-51) ** 2
-    means = np.full((len(xt), n_classes), np.nan)
-    var = np.empty(len(xt))
-    for r, row in enumerate(xt):
-        row = np.ldexp(row, -e[r])
+    means = np.full((len(scaled), n_classes), np.nan)
+    var = np.empty(len(scaled))
+    for r, row in enumerate(scaled):
         sums = np.bincount(y, weights=row, minlength=n_classes)
         np.divide(sums, counts, out=means[r], where=occupied)
         resid = row - means[r][y]
         var[r] = resid @ resid / n
         if var[r] <= tiny and (row == row[member]).all():
             var[r] = 0.0
-    return e, counts, means, var
+    return counts, means, var
 
 
 def mixture_mi_batch(

@@ -480,8 +480,12 @@ def log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
 def description_length(model: DendroidModel, dataset: Dataset, criterion) -> float:
     """Two-part code length: -log-likelihood + (k/2) d_n, the
     structure-independent constant omitted."""
-    dn = criterion.dn(dataset.n)
-    return -log_likelihood(model, dataset) + 0.5 * model.param_count * dn
+    return code_length(log_likelihood(model, dataset), model.param_count, criterion.dn(dataset.n))
+
+
+def code_length(log_lik: float, param_count: int, dn: float) -> float:
+    """``description_length`` from a log-likelihood already computed."""
+    return -log_lik + 0.5 * param_count * dn
 
 
 def _draw_categorical(rng: np.random.Generator, cdf_rows: np.ndarray, count: int) -> np.ndarray:

@@ -22,6 +22,12 @@ from .estimators import QuadratureSpec, pair_mi_table
 _KINDS = ("ml", "mdl", "aic", "custom")
 
 
+def _check_dn(dn) -> None:
+    """The one rule for a d_n: finite and nonnegative."""
+    if dn is None or not 0.0 <= dn < math.inf:
+        raise ValueError(f"d_n must be finite and nonnegative, got {dn}")
+
+
 @dataclass(frozen=True)
 class Criterion:
     """Scoring criterion: which d_n sequence penalizes added parameters.
@@ -39,8 +45,7 @@ class Criterion:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown criterion {self.kind!r}, expected one of {_KINDS}")
         if self.kind == "custom":
-            if self.custom_dn is None or not 0.0 <= self.custom_dn < math.inf:
-                raise ValueError(f"d_n must be finite and nonnegative, got {self.custom_dn}")
+            _check_dn(self.custom_dn)
         elif self.custom_dn is not None:
             raise ValueError(f"criterion {self.kind!r} does not take a custom d_n")
 
@@ -79,8 +84,7 @@ def effective_cardinality(kind: VariableKind) -> int:
 def penalty_weight(kind_i: VariableKind, kind_j: VariableKind, dn: float) -> float:
     """Penalty in nats for adding edge (i, j):
     (1/2)(a_i - 1)(a_j - 1) d_n."""
-    if not dn >= 0.0:
-        raise ValueError(f"d_n must be nonnegative, got {dn}")
+    _check_dn(dn)
     a_i = effective_cardinality(kind_i)
     a_j = effective_cardinality(kind_j)
     return 0.5 * (a_i - 1) * (a_j - 1) * dn
@@ -125,8 +129,7 @@ def scores_from_mi(
     in (-1e-9, 0) is clamped to 0, and the penalty multiplies in the same
     order. Raises the ``ValueError`` of ``ScoredEdge`` for the first pair
     it would reject."""
-    if not 0.0 <= dn < math.inf:
-        raise ValueError(f"d_n must be finite and nonnegative, got {dn}")
+    _check_dn(dn)
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
     mi = np.array(mi, dtype=np.float64)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -63,6 +64,28 @@ def learned_artifacts(out, data, schema):
     return [Path(f"{out}{ext}").read_bytes() for ext in (".json", ".dot", ".model.json")]
 
 
+# 32 rows of two binary columns (a, b) and two Gaussian ones (x, z), in
+# which every class holds 16 rows and every Gaussian cell is a multiple of
+# 1/8 below 4, so every count, mean, variance and covariance of ``fit`` is
+# an exact sum, whatever order BLAS adds it in. The ml forest is a - b,
+# a - x, x - z: one discrete, one mixed and one Gaussian factor.
+PINNED_FIT_X = [
+    0.25, -0.5, -0.375, -2.5, 1.75, 1.125, -0.375, 0.75, 0.25, -0.5, 1.0, -0.25, -0.375, -0.75,
+    0.5, -0.125, 2.5, 1.375, 2.125, 1.125, 2.875, 2.25, 2.375, 2.375, 1.0, 2.75, 4.0, 0.375,
+    0.25, 0.5, 2.875, 2.125,
+]
+PINNED_FIT_Z = [
+    0.75, -0.125, -0.25, -2.375, 1.625, 1.5, -1.0, 0.5, 0.375, 0.375, 0.625, -0.75, -0.625,
+    -0.25, 0.375, 0.5, 1.625, 2.0, 2.625, 0.375, 3.0, 2.875, 2.375, 2.875, 2.125, 2.875, 3.875,
+    0.0, 0.625, 0.375, 2.75, 2.125,
+]
+# sha256 of the model JSON and the DOT file that learn writes for them
+PINNED_FIT_SHA256 = {
+    "model.json": "455633c681b066e829bc33c8ddc534f087f5af42f9b8c055c15ec36522deca30",
+    "forest.dot": "1d8ab0bbecaca3f02d913dbfa443ff544d4dd45dfe6282f679f09c05cdd43ac4",
+}
+
+
 @pytest.fixture
 def star_files(tmp_path):
     ds = star_dataset()
@@ -93,6 +116,29 @@ class TestLearn:
         assert '"v1" -- "v2"' not in dot
         console = capsys.readouterr().out
         assert "description_length=" in console and "accepted" in console
+
+    def test_fitted_model_bytes_are_pinned(self, tmp_path):
+        a = [0] * 16 + [1] * 16
+        b = [1 - v if k % 16 < 4 else v for k, v in enumerate(a)]
+        schema = tmp_path / "pinned.schema.json"
+        schema.write_text(json.dumps([
+            {"name": "a", "kind": "discrete", "labels": ["p", "q"]},
+            {"name": "b", "kind": "discrete", "labels": ["p", "q"]},
+            {"name": "x", "kind": "gaussian"},
+            {"name": "z", "kind": "gaussian"},
+        ]), encoding="utf-8")
+        rows = zip(a, b, PINNED_FIT_X, PINNED_FIT_Z)
+        lines = ["a,b,x,z"] + [f"{'pq'[u]},{'pq'[v]},{x!r},{z!r}" for u, v, x, z in rows]
+        data = write_text(tmp_path / "pinned.csv", "\n".join(lines) + "\n")
+        rc = main(["learn", "--data", data, "--schema", str(schema), "--criterion", "ml",
+                   "--format", "both", "--out", str(tmp_path / "forest"),
+                   "--model-out", str(tmp_path / "model.json")])
+        assert rc == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED_FIT_SHA256
+        }
+        assert digests == PINNED_FIT_SHA256
 
     def test_byte_identical_artifacts_across_runs(self, tmp_path, star_files):
         data, schema, _ = star_files
@@ -540,6 +586,12 @@ class TestSample:
     def test_missing_model_exits_2(self, tmp_path):
         rc = main(["sample", "--model", str(tmp_path / "no.json"), "--count", "5"])
         assert rc == 2
+
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
+        # checked before the model is read: the missing file is not reported
+        args = ["sample", "--model", str(tmp_path / "no.json"), "--count", "5", "--seed", "-1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --seed must be a nonnegative integer, got -1\n"
 
     @pytest.mark.parametrize(
         "error, message",

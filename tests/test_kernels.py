@@ -12,6 +12,22 @@ from dendrofit.estimators import _hermite_rule
 rng = np.random.default_rng(5)
 
 
+def gaussian_moments(xt):
+    """(e, mean, cov): the exponents and means ``scaled_rows`` gives for
+    the rows of xt, and ``covariances`` of every ordered pair of rows as
+    a matrix, in scaled units."""
+    e, _, mean, centred, _ = kernels.scaled_rows(xt, xt.shape[1])
+    r, s = np.indices((len(xt), len(xt))).reshape(2, -1)
+    return e, mean, kernels.covariances(centred, r, s).reshape(len(xt), len(xt))
+
+
+def class_stats(xt, y, n_classes):
+    """(e, counts, means, var): ``class_stats_rows`` of the rows of xt as
+    ``scaled_rows`` scales them, with their exponents."""
+    e, scaled, _, _, _ = kernels.scaled_rows(xt, xt.shape[1])
+    return (e, *kernels.class_stats_rows(scaled, y, n_classes))
+
+
 class TestNumpyPath:
     def test_joint_counts_matches_manual(self):
         xi = np.array([0, 0, 1, 1, 2], dtype=np.int64)
@@ -22,7 +38,7 @@ class TestNumpyPath:
     def test_gaussian_moments_match_numpy(self):
         x = rng.standard_normal(500)
         y = 0.3 * x + rng.standard_normal(500)
-        e, mean, cov = kernels.gaussian_moments(np.stack([x, y]))
+        e, mean, cov = gaussian_moments(np.stack([x, y]))
         mx = np.ldexp(mean[0], e[0])
         vx = np.ldexp(cov[0, 0], 2 * e[0])
         cxy = np.ldexp(cov[0, 1], e[0] + e[1])
@@ -33,7 +49,7 @@ class TestNumpyPath:
     def test_class_stats_empty_class_is_nan(self):
         x = np.array([1.0, 3.0])
         y = np.array([0, 0], dtype=np.int64)
-        e, counts, means, var = kernels.class_stats_rows(x[None], y, 3)
+        e, counts, means, var = class_stats(x[None], y, 3)
         means, pooled = np.ldexp(means[0], e[0]), np.ldexp(var[0], 2 * e[0])
         assert counts.tolist() == [2.0, 0.0, 0.0]
         assert means[0] == 2.0 and np.isnan(means[1]) and np.isnan(means[2])
@@ -46,7 +62,7 @@ class TestNumpyPath:
         y = np.arange(n) % 3
         x = np.array([0.1, 0.7, 1 / 3])[y]
         rows = np.stack([x, -x, x + 2.0**-40 * (y == 1)])
-        var = kernels.class_stats_rows(rows, y, 3)[3]
+        var = class_stats(rows, y, 3)[3]
         assert var.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -79,13 +95,13 @@ class TestRowInvariance:
     @given(case=stacked_rows())
     def test_gaussian_moments(self, case):
         xt, _, _, subset = case
-        e, mean, cov = kernels.gaussian_moments(xt)
-        sub_e, sub_mean, sub_cov = kernels.gaussian_moments(xt[subset])
+        e, mean, cov = gaussian_moments(xt)
+        sub_e, sub_mean, sub_cov = gaussian_moments(xt[subset])
         assert (sub_e == e[subset]).all()
         assert same_bits(sub_mean, mean[subset])
         assert same_bits(sub_cov, cov[np.ix_(subset, subset)])
         for r in subset:
-            alone = kernels.gaussian_moments(xt[r : r + 1])
+            alone = gaussian_moments(xt[r : r + 1])
             assert same_bits(alone[1], mean[r : r + 1])
             assert same_bits(alone[2], cov[r : r + 1, r : r + 1])
 
@@ -93,13 +109,24 @@ class TestRowInvariance:
     @given(case=stacked_rows())
     def test_class_stats_rows(self, case):
         xt, y, card, subset = case
-        e, counts, means, var = kernels.class_stats_rows(xt, y, card)
-        sub_e, sub_counts, sub_means, sub_var = kernels.class_stats_rows(xt[subset], y, card)
+        e, counts, means, var = class_stats(xt, y, card)
+        sub_e, sub_counts, sub_means, sub_var = class_stats(xt[subset], y, card)
         assert (sub_e == e[subset]).all() and same_bits(sub_counts, counts)
         assert same_bits(sub_means, means[subset]) and same_bits(sub_var, var[subset])
         for r in subset:
-            alone = kernels.class_stats_rows(xt[r : r + 1], y, card)
+            alone = class_stats(xt[r : r + 1], y, card)
             assert same_bits(alone[2], means[r : r + 1]) and same_bits(alone[3], var[r : r + 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=stacked_rows())
+    def test_scaling_is_exact(self, case):
+        # scaled rows lie within (-1, 1), scale back to their columns bit
+        # for bit, and are all equal exactly when their columns are
+        xt, _, _, _ = case
+        e, scaled, _, _, constant = kernels.scaled_rows(list(xt), xt.shape[1])
+        assert (np.abs(scaled) < 1.0).all()
+        assert same_bits(np.ldexp(scaled, e[:, None]), xt)
+        assert (constant == (xt == xt[:, :1]).all(axis=1)).all()
 
 
 ORDERS = (8, 16, 32, 64, 128, 256, 512, 1024)

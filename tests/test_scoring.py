@@ -77,6 +77,14 @@ class TestPenaltyWeight:
         with pytest.raises(ValueError):
             penalty_weight(D(2), D(2), -0.1)
 
+    @pytest.mark.parametrize("dn", [math.inf, math.nan])
+    def test_non_finite_dn_rejected_as_the_criterion_rejects_it(self, dn):
+        with pytest.raises(ValueError) as want:
+            Criterion.custom(dn)
+        with pytest.raises(ValueError) as got:
+            penalty_weight(D(2), D(2), dn)
+        assert str(got.value) == str(want.value) == f"d_n must be finite and nonnegative, got {dn}"
+
     def test_zero_dn_means_zero_penalty(self):
         assert penalty_weight(D(9), D(9), 0.0) == 0.0
 
