@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -208,9 +208,24 @@ def _artifact_paths(out: str, fmt: str) -> dict[str, Path]:
     return paths
 
 
+def _check_writable(paths: Iterable[Path]) -> None:
+    """Fail naming the first path that cannot be written because it is a
+    directory or its parent is not one, so that a run fails before it
+    reads data, prints or writes anything."""
+    for path in paths:
+        if path.is_dir():
+            raise DataFormatError(f"{path}: cannot write: it is a directory")
+        if not path.parent.is_dir():
+            raise DataFormatError(f"{path}: cannot write: {path.parent} is not a directory")
+
+
 def cmd_learn(config: RunConfig) -> int:
     criterion = config.make_criterion()
     quad = config.make_quadrature()
+    paths = _artifact_paths(config.out, config.fmt or "json") if config.out else {}
+    if config.model_out:
+        paths["model"] = Path(config.model_out)
+    _check_writable(paths.values())
     schema = read_schema(config.schema)
     dataset = read_csv_dataset(config.data, schema)
     dn = criterion.dn(dataset.n)
@@ -248,25 +263,22 @@ def cmd_learn(config: RunConfig) -> int:
         "param_count": fitted.param_count,
         "description_length": dl,
     }
-    fmt = config.fmt or "json"
-    if config.out:
-        paths = _artifact_paths(config.out, fmt)
-        if "json" in paths:
-            report = _report_json(schema.names, ranked, outcome)
-            paths["json"].write_text(_json_text(doc, report=report), encoding="utf-8")
-        if "dot" in paths:
-            decisions = [EdgeDecision(e, accepted=True) for e in accepted]
-            paths["dot"].write_text(forest_dot(schema, decisions), encoding="utf-8")
-    if config.model_out:
-        Path(config.model_out).write_text(
-            _json_text(fitted.to_json_dict()), encoding="utf-8"
-        )
+    if "json" in paths:
+        report = _report_json(schema.names, ranked, outcome)
+        paths["json"].write_text(_json_text(doc, report=report), encoding="utf-8")
+    if "dot" in paths:
+        decisions = [EdgeDecision(e, accepted=True) for e in accepted]
+        paths["dot"].write_text(forest_dot(schema, decisions), encoding="utf-8")
+    if "model" in paths:
+        paths["model"].write_text(_json_text(fitted.to_json_dict()), encoding="utf-8")
     return 0
 
 
 def cmd_score(config: RunConfig) -> int:
     criterion = config.make_criterion()
     quad = config.make_quadrature()
+    if config.out:
+        _check_writable([Path(config.out)])
     schema = read_schema(config.schema)
     dataset = read_csv_dataset(config.data, schema)
     scores = pair_scores(dataset, criterion, quad)
@@ -293,6 +305,8 @@ def cmd_score(config: RunConfig) -> int:
 def cmd_sample(config: RunConfig) -> int:
     if config.seed < 0:
         raise DataFormatError(f"--seed must be a nonnegative integer, got {config.seed}")
+    if config.out:
+        _check_writable([Path(config.out)])
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     drawn = sample(model, config.count, config.seed)
     blocks = iter_csv_blocks(drawn)

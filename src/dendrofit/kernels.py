@@ -1,7 +1,9 @@
 """Hot numeric kernels, in numpy: joint counts, the one scaled stack of
 Gaussian columns, every variance and covariance, class statistics, and
-the Gauss-Hermite mixture integral. A statistic of a row or pair of rows
-has the same bits whatever other rows are stacked with it.
+the Gauss-Hermite mixture integral, whose Gaussian kernel separates into
+one per-class factor and one per-node factor contracted by numpy's own
+``einsum`` loops. A statistic of a row or pair of rows has the same bits
+whatever other rows are stacked with it.
 """
 
 from __future__ import annotations
@@ -23,10 +25,15 @@ __all__ = [
 # weights sum to sqrt(pi) and fall off like e^{-t^2}); the terms they carry
 # are far below the quadrature ladder's absolute tolerance
 _NODE_WEIGHT_FLOOR = 1e-30
-# most elements of the (mixtures, classes, classes, nodes) array that one
-# step of mixture_mi_batch holds: 2^14 to 2^18 ran equally fast on the
-# benchmark workloads, 2^13 slower, and larger chunks only hold more memory
-_BATCH_ELEMENTS = 2**15
+# most elements of the largest array that one step of mixture_mi_batch
+# holds, (mixtures, classes, nodes) in the separable form, which holds two
+# such arrays at once. On the benchmark workloads 2^15 to 2^17 ran the
+# kernel about 7% faster but raised mixed-hard learn's peak RSS by 0.5 MB;
+# 2^13 and 2^18 ran 15-40% slower than 2^15
+_BATCH_ELEMENTS = 2**14
+# the largest 2 max|u| max|t| - log min p of a mixture in the separable
+# form of mixture_mi_batch; e^600 is about 4e260
+_SEPARABLE_LIMIT = 600.0
 
 
 def joint_counts(xi: np.ndarray, xj: np.ndarray, card_i: int, card_j: int) -> np.ndarray:
@@ -116,22 +123,72 @@ def mixture_mi_batch(
     ``var[p]``. ``nodes``/``weights`` are the raw Hermite points for
     weight e^{-t^2}. With x = m_y + sqrt(2 var) t for class y, the
     integrand is -log sum_k p_k exp(-d_yk (2t + d_yk)), where
-    d_yk = (m_y - m_k) / sqrt(2 var); it is evaluated over a
-    (mixtures, classes, classes, nodes) array with a max-shifted
-    log-sum-exp, at most ``_BATCH_ELEMENTS`` elements (and at least one
-    mixture) at a time. Nodes whose weight is at most
-    ``_NODE_WEIGHT_FLOOR`` are skipped. Each mixture's value depends only
-    on its own row, so it does not change with the batch or the chunk.
+    d_yk = u_y - u_k and u = (m - c) / sqrt(2 var), centred on the
+    class-weighted mean c. The exponent separates,
+    -d_yk (2t + d_yk) = -(u_y - u_k)^2 - 2 u_y t + 2 u_k t, so the log-sum
+    is -2 u_y t + log sum_k M_yk D_k(t) with M_yk = p_k exp(-(u_y - u_k)^2)
+    and D_k(t) = exp(2 u_k t): one (K x K)(K x T) contraction per mixture
+    and K^2 + K T exponentials, not K^2 T. The -2 u_y t terms cancel from
+    the p-weighted sum, since the centring makes sum_y p_y u_y = 0.
+
+    A mixture takes this form when 2 max|u| max|t| - log min p is at most
+    ``_SEPARABLE_LIMIT``. Then every D lies within e^{-600} and e^{600},
+    and every sum, which its k = y term keeps at least p_y exp(2 u_y t),
+    at or above e^{-600}: nothing overflows and no sum underflows. Any
+    other mixture (at order 1024, one with a class about 50 sd or more
+    from c) takes the direct form, a max-shifted log-sum-exp over a
+    (mixtures, classes, classes, nodes) array. Each step holds at most
+    ``_BATCH_ELEMENTS`` elements of its largest array (and at least one
+    mixture). Nodes whose weight is at most ``_NODE_WEIGHT_FLOOR`` are
+    skipped. Each mixture's value depends only on its own row, so it
+    does not change with the batch or the chunk.
     """
     keep = weights > _NODE_WEIGHT_FLOOR
     t, w = nodes[keep], weights[keep]
+    scale = np.sqrt(2.0 * var)
+    centre = (probs * means).sum(axis=1) / probs.sum(axis=1)
+    u = (means - centre[:, None]) / scale[:, None]
+    reach = np.abs(u).max(axis=1) * (2.0 * np.abs(t).max()) - np.log(probs.min(axis=1))
+    near = reach <= _SEPARABLE_LIMIT
+    out = np.empty(len(var))
+    out[near] = _separable(probs[near], u[near], t, w)
+    out[~near] = _direct(probs[~near], means[~near], scale[~near], t, w)
+    return out / -math.sqrt(math.pi)
+
+
+def _separable(probs, u, t, w):
+    """sum_y p_y sum_t w_t log sum_k M_yk D_k(t) of each mixture."""
+    count, k = probs.shape
+    step = max(1, _BATCH_ELEMENTS // (k * t.size))
+    out = np.empty(count)
+    for lo in range(0, count, step):
+        p, v = probs[lo : lo + step], u[lo : lo + step]
+        gap = v[:, :, None] - v[:, None, :]
+        m = np.exp(-gap * gap)
+        m *= p[:, None, :]
+        d = (2.0 * v)[:, :, None] * t
+        np.exp(d, out=d)
+        # numpy's own loops: matmul would take BLAS's summation order
+        s = np.einsum("pyk,pkt->pyt", m, d)
+        np.log(s, out=s)
+        s *= w
+        out[lo : lo + step] = (p * s.sum(axis=2)).sum(axis=1)
+    return out
+
+
+def _direct(probs, means, scale, t, w):
+    """sum_y p_y sum_t w_t log sum_k p_k exp(-d_yk (2t + d_yk)) of each
+    mixture, max-shifted over k."""
     count, k = probs.shape
     step = max(1, _BATCH_ELEMENTS // (k * k * t.size))
     out = np.empty(count)
     for lo in range(0, count, step):
         p, m = probs[lo : lo + step], means[lo : lo + step]
-        scale = np.sqrt(2.0 * var[lo : lo + step])[:, None, None]
-        d = ((m[:, :, None] - m[:, None, :]) / scale)[..., None]
+        d = (m[:, :, None] - m[:, None, :]) / scale[lo : lo + step, None, None]
+        # a term with |d| > 1e150 is exp(-1e300) = 0 either way; the cap
+        # keeps d^2 finite where a subnormal variance puts classes 1e160
+        # sd apart
+        d = np.clip(d, -1e150, 1e150)[..., None]
         # expo[p, y, k, node] = log p_k - d_yk (2t + d_yk)
         expo = 2.0 * t + d
         expo *= d
@@ -141,5 +198,5 @@ def mixture_mi_batch(
         np.exp(expo, out=expo)
         lse = np.log(expo.sum(axis=2)) + peak
         lse *= w
-        out[lo : lo + step] = -(p * lse.sum(axis=2)).sum(axis=1) / math.sqrt(math.pi)
+        out[lo : lo + step] = (p * lse.sum(axis=2)).sum(axis=1)
     return out

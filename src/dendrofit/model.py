@@ -183,8 +183,8 @@ def _contradiction(factor: EdgeFactor, marginals: tuple[NodeMarginal, ...]) -> O
         occupied = factor.class_probs > 0
         p, m = factor.class_probs[occupied], factor.class_means[occupied]
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(p @ m)
-            var = factor.resid_var + float(p @ (m - mean) ** 2)
+            mean = float((p * m).sum())
+            var = factor.resid_var + float((p * (m - mean) ** 2).sum())
         if not _moments_agree(mean, var, marginals[factor.gauss]):
             return f"the class mixture does not reproduce the marginal of vertex {factor.gauss}"
     return None

@@ -312,6 +312,31 @@ class TestLearn:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--format", "both", "--out", "{d}/f", "--model-out", "{d}/nodir/m.json"],
+             "{d}/nodir/m.json"),
+            (["--format", "both", "--out", "{d}/nodir/f.json"], "{d}/nodir/f.json"),
+            (["--format", "dot", "--out", "{d}/nodir/f"], "{d}/nodir/f.dot"),
+            (["--out", "{d}/star.csv/f"], "{d}/star.csv/f.json"),
+            (["--model-out", "{d}"], "{d}"),
+        ],
+        ids=["model-out", "json", "dot", "parent-is-a-file", "a-directory"],
+    )
+    def test_unwritable_output_exits_2_before_anything_runs(
+        self, tmp_path, star_files, capsys, flags, named
+    ):
+        data, schema, _ = star_files
+        before = sorted(tmp_path.rglob("*"))
+        args = [flag.format(d=tmp_path) for flag in flags]
+        assert main(["learn", "--data", data, "--schema", schema, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named.format(d=tmp_path)}: cannot write: ")
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestScore:
     def test_two_variable_table(self, tmp_path, capsys):
@@ -389,6 +414,23 @@ class TestScore:
         rc = main([*command, "--data", str(data), "--schema", str(schema_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: pair ('g0', 'd0'): {message}\n"
+
+    def test_subnormal_residual_variance_scores_without_a_warning(self, tmp_path, capsys):
+        # class a holds 0.5, class b alternates 1e-160 and 2e-160: in scaled
+        # units the residual variance is subnormal and the class means are
+        # about 1e160 sd apart, so I_n is the class entropy, n ln 2
+        rows = "".join("a,0.5\n" if r % 2 else f"b,{(1 + r % 4 // 2) * 1e-160!r}\n"
+                       for r in range(20))
+        data = write_text(tmp_path / "d.csv", "d,g\n" + rows)
+        schema = write_text(
+            tmp_path / "s.json",
+            '[{"name": "d", "kind": "discrete", "labels": ["a", "b"]}, '
+            '{"name": "g", "kind": "gaussian"}]',
+        )
+        assert main(["score", "--data", data, "--schema", schema]) == 0
+        captured = capsys.readouterr()
+        mi = float(captured.out.splitlines()[1].split(",")[4])
+        assert captured.err == "" and mi == pytest.approx(20 * math.log(2), rel=1e-12)
 
     @pytest.mark.parametrize("power", [-332, 532])
     def test_gaussian_columns_at_extreme_scales_score_as_at_scale_one(
@@ -485,6 +527,14 @@ class TestScore:
         rc = main(["score", "--data", data, "--schema", schema, "--out", str(out)])
         assert rc == 0
         assert out.read_text().count("\n") == 7  # header + 6 pairs
+
+    def test_out_in_missing_directory_exits_2_naming_it(self, tmp_path, star_files, capsys):
+        data, schema, _ = star_files
+        out = tmp_path / "nodir" / "scores.csv"
+        assert main(["score", "--data", data, "--schema", schema, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.parent.exists()
+        assert captured.err == f"error: {out}: cannot write: {out.parent} is not a directory\n"
 
     def test_names_with_commas_and_quotes_read_back(self, tmp_path, capsys):
         names = ("a,b", 'say "hi"', "plain")
@@ -586,6 +636,15 @@ class TestSample:
     def test_missing_model_exits_2(self, tmp_path):
         rc = main(["sample", "--model", str(tmp_path / "no.json"), "--count", "5"])
         assert rc == 2
+
+    def test_out_in_missing_directory_exits_2_naming_it(self, tmp_path, capsys):
+        # checked before the model is read: the missing model is not reported
+        out = tmp_path / "nodir" / "rows.csv"
+        args = ["sample", "--model", str(tmp_path / "no.json"), "--count", "5", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: cannot write: {out.parent} is not a directory\n"
+        )
 
     def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
         # checked before the model is read: the missing file is not reported

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,3 +174,91 @@ class TestMixtureMiAgainstLoop:
         base = one_mixture(probs, means, var, nodes, weights)
         shifted = one_mixture(probs, means + 1e3 * math.sqrt(var), var, nodes, weights)
         assert abs(shifted - base) <= 1e-9 * abs(base) + 1e-15
+
+
+@st.composite
+def spread_mixtures(draw):
+    """(probs, means, var): 2-8 classes with probabilities down to about
+    1e-12, a variance in [1e-6, 1e6] and class means up to 400 standard
+    deviations from their centre, on both sides of the separable form's
+    range guard."""
+    k = draw(st.integers(2, 8))
+    exponents = draw(st.lists(st.floats(-12.0, 0.0), min_size=k, max_size=k))
+    weights = 10.0 ** np.array(exponents)
+    var = 10.0 ** draw(st.floats(-6.0, 6.0))
+    spread = draw(st.sampled_from((1.0, 10.0, 40.0, 60.0, 150.0, 400.0)))
+    offsets = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+    return weights / weights.sum(), spread * (offsets - offsets.mean()) * math.sqrt(var), var
+
+
+def count_forms(monkeypatch):
+    """{"separable": rows, "direct": rows}, counting the mixtures each form
+    of mixture_mi_batch evaluates from now on."""
+    rows = {"separable": 0, "direct": 0}
+    for form in rows:
+        real = getattr(kernels, f"_{form}")
+
+        def counted(probs, *rest, form=form, real=real):
+            rows[form] += len(probs)
+            return real(probs, *rest)
+
+        monkeypatch.setattr(kernels, f"_{form}", counted)
+    return rows
+
+
+class TestSeparableForm:
+    """The separable form against the loop reference, across its range
+    guard, in any batch and chunk, without a warning."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixture=spread_mixtures(), order=st.sampled_from(ORDERS))
+    def test_matches_loop_reference_on_both_sides_of_the_guard(self, mixture, order):
+        probs, means, var = mixture
+        nodes, weights = _hermite_rule(order)
+        got = one_mixture(probs, means, var, nodes, weights)
+        want = oracle.mixture_mi_loop(probs, means, var, nodes, weights)
+        assert abs(got - want) <= 1e-12 + 1e-12 * abs(want)
+
+    def test_both_forms_are_reached(self, monkeypatch):
+        # at order 1024 the guard falls near 50 sd from the centre
+        rows = count_forms(monkeypatch)
+        nodes, weights = _hermite_rule(1024)
+        probs = np.array([0.25, 0.75])
+        for sd in (1.0, 40.0, 80.0, 400.0):
+            means = np.array([-0.75, 0.25]) * sd
+            got = one_mixture(probs, means, 1.0, nodes, weights)
+            want = oracle.mixture_mi_loop(probs, means, 1.0, nodes, weights)
+            assert abs(got - want) <= 1e-12 + 1e-12 * abs(want)
+        assert rows == {"separable": 2, "direct": 2}
+
+    @pytest.mark.parametrize("bound", [1, 2**20])
+    def test_each_row_has_its_bits_alone_in_a_mixed_batch(self, monkeypatch, bound):
+        batch_rng = np.random.default_rng(8)
+        k, count = 5, 40
+        probs = batch_rng.dirichlet(np.ones(k), count)
+        spread = batch_rng.choice([0.5, 5.0, 30.0, 80.0, 400.0], (count, 1))
+        var = 10.0 ** batch_rng.uniform(-3.0, 3.0, count)
+        means = spread * batch_rng.uniform(-1.0, 1.0, (count, k)) * np.sqrt(var)[:, None]
+        nodes, weights = _hermite_rule(256)
+        alone = [one_mixture(probs[r], means[r], var[r], nodes, weights) for r in range(count)]
+        rows = count_forms(monkeypatch)
+        monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", bound)
+        batch = kernels.mixture_mi_batch(probs, means, var, nodes, weights)
+        assert rows["separable"] and rows["direct"]
+        assert same_bits(batch, alone)
+
+    @pytest.mark.parametrize("order", [8, 64, 1024])
+    @pytest.mark.parametrize("var", [1e-6, 1.0, 1e6])
+    def test_no_warning_at_any_separation(self, order, var):
+        nodes, weights = _hermite_rule(order)
+        probs = np.array([1e-12, 0.3, 0.7 - 1e-12])
+        seps = [0.0, 1e-9, 0.5, 3.0, 30.0, 60.0, 400.0, 1e4, 1e8, 1e100, 1e200, 1e300]
+        means = np.array([[-1.0, 0.0, 1.0]]) * np.array(seps)[:, None] * math.sqrt(var)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.mixture_mi_batch(
+                np.tile(probs, (len(seps), 1)), means, np.full(len(seps), var), nodes, weights
+            )
+        entropy = -(probs * np.log(probs)).sum()
+        assert np.isfinite(got).all()
+        assert (got >= -1e-12).all() and (got <= entropy + 1e-12).all()
