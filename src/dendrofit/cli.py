@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -210,13 +211,19 @@ def _artifact_paths(out: str, fmt: str) -> dict[str, Path]:
 
 def _check_writable(paths: Iterable[Path]) -> None:
     """Fail naming the first path that cannot be written because it is a
-    directory or its parent is not one, so that a run fails before it
-    reads data, prints or writes anything."""
+    directory, its parent is not one, or it is the same file as an
+    earlier path, which the run would overwrite; so that a run fails
+    before it reads data, prints or writes anything."""
+    seen = set()
     for path in paths:
         if path.is_dir():
             raise DataFormatError(f"{path}: cannot write: it is a directory")
         if not path.parent.is_dir():
             raise DataFormatError(f"{path}: cannot write: {path.parent} is not a directory")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise DataFormatError(f"{path}: cannot write: another output goes to the same file")
+        seen.add(real)
 
 
 def cmd_learn(config: RunConfig) -> int:

@@ -6,13 +6,13 @@ All estimators return I_n(i, j) = n * (plug-in mutual information) in
 nats, the log-likelihood gain from joining the pair by an edge. Plug-in
 parameters are maximum-likelihood throughout: relative frequencies,
 divide-by-n moments, per-class means with a pooled residual variance.
-``pair_mi_table`` computes I_n for every pair in one batched pass, and
-``collect_stats`` the statistics of given vertices and pairs in another
-(``fit`` calls it once; ``collect_pair_stats`` is its one-pair case).
-Each pass scales its Gaussian columns once (``kernels.scaled_rows``) and
-forms every covariance by ``kernels.covariances``; the ``mi_*``
-estimators share these kernels and the quadrature ladder with the table,
-so a pair's I_n and its error are the same bits and message on every path.
+One pass, ``_statistics``, gathers the statistics of given vertices and
+pairs and is the only caller of the statistics kernels. Its two readers
+are ``pair_mi_table``, I_n of every pair, and ``collect_stats``, the
+statistics in original units (``fit`` calls it once, and
+``collect_pair_stats`` is its one-pair case). The ``mi_*`` estimators
+share the quadrature ladder with the table, so a pair's I_n and its
+error are the same bits and message on every path.
 """
 
 from __future__ import annotations
@@ -228,40 +228,67 @@ def _beyond_range(name: str) -> DegenerateGaussian:
     return DegenerateGaussian(f"column {name!r} has a variance beyond the float range")
 
 
+def _statistics(dataset: Dataset, vertices: Sequence[int], a, b) -> tuple:
+    """The one statistics pass behind ``pair_mi_table`` and
+    ``collect_stats``, over some vertices and the pairs (a[k], b[k]),
+    a[k] < b[k], in the scaled units of ``kernels.scaled_rows``, which
+    stacks the Gaussian columns among them once. Returns row (each
+    Gaussian vertex's stack row, -1 elsewhere); each row's e, mean, var
+    and constant (all equal: its variance is exactly zero); whether each
+    pair is discrete and whether it is gaussian; each discrete pair's
+    joint table (counts) and each Gaussian pair's covariance (cov), in
+    pair order; and classes: each discrete member of a mixed pair -> its
+    partners' rows, ascending, and their ``kernels.class_stats_rows``.
+    """
+    schema, col = dataset.schema, dataset.column
+    is_discrete = np.array([schema.is_discrete(v) for v in range(schema.n_vars)])
+    asked = np.zeros(schema.n_vars, dtype=bool)
+    asked[list(vertices)] = asked[a] = asked[b] = True
+    gauss = np.flatnonzero(asked & ~is_discrete)
+    row = np.full(schema.n_vars, -1)
+    row[gauss] = np.arange(gauss.size)
+    e, scaled, mean, centred, constant = kernels.scaled_rows([col(g) for g in gauss], dataset.n)
+    var = kernels.covariances(centred, *np.diag_indices(gauss.size))
+    discrete = is_discrete[a] & is_discrete[b]
+    gaussian = ~(is_discrete[a] | is_discrete[b])
+    counts = [
+        kernels.joint_counts(col(i), col(j), schema.cardinality(i), schema.cardinality(j))
+        for i, j in zip(a[discrete].tolist(), b[discrete].tolist())
+    ]
+    cov = kernels.covariances(centred, row[a[gaussian]], row[b[gaussian]])
+    mixed = is_discrete[a] != is_discrete[b]
+    d, g = np.where(is_discrete[a], (a, b), (b, a))[:, mixed]
+    classes = {}
+    # np.unique would import numpy.ma: about 1 MB and 15 ms in a cold process
+    for v in np.flatnonzero(np.bincount(d)).tolist():
+        rows = np.sort(row[g[d == v]])
+        classes[v] = rows, *kernels.class_stats_rows(scaled[rows], col(v), schema.cardinality(v))
+    return row, e, mean, var, constant, discrete, gaussian, counts, cov, classes
+
+
 def collect_stats(
     dataset: Dataset, vertices: Sequence[int], pairs: Sequence[tuple[int, int]]
 ) -> tuple[dict[int, tuple[float, float]], list[PairStats]]:
     """(mean, variance) in original units of each Gaussian vertex in
-    ``vertices``, by vertex, and ``collect_pair_stats`` of each pair, in
-    one batched pass. The Gaussian columns are scaled and centred once
-    (``kernels.scaled_rows``), so a vertex and its Gaussian pairs hold the
-    same moments, and each discrete member of a mixed pair makes one
-    ``class_stats_rows`` call on the scaled rows. No value
+    ``vertices``, by vertex, and ``collect_pair_stats`` of each pair: the
+    ``_statistics`` pass, converted from scaled to original units. A
+    vertex and its Gaussian pairs hold the same moments, and no value
     depends on what else is asked for. Vertices are checked in order,
     then pairs in order, each as ``collect_pair_stats`` checks it.
     """
     schema, n = dataset.schema, dataset.n
-    gauss = sorted(v for v in set(vertices).union(*pairs) if not schema.is_discrete(v))
-    row = {g: r for r, g in enumerate(gauss)}
-    e, scaled, mean, centred, degenerate = kernels.scaled_rows(
-        [dataset.column(g) for g in gauss], n
+    a, b = np.sort(np.array(pairs, dtype=np.intp).reshape(-1, 2), axis=1).T
+    row, e, mean, var, constant, discrete, gaussian, counts, cov, classes = _statistics(
+        dataset, vertices, a, b
     )
     with np.errstate(over="ignore"):
-        mean = np.ldexp(mean, e)
-        var = np.ldexp(kernels.covariances(centred, *np.diag_indices(len(gauss))), 2 * e)
-    partners = defaultdict(dict)  # discrete member -> {partner's stack row: its class_stats row}
-    for pair in pairs:
-        if schema.is_discrete(pair[0]) != schema.is_discrete(pair[1]):
-            g, d = sorted(pair, key=schema.is_discrete)
-            partners[d].setdefault(row[g], len(partners[d]))
-    class_stats = {
-        d: kernels.class_stats_rows(scaled[list(rows)], dataset.column(d), schema.cardinality(d))
-        for d, rows in partners.items()
-    }
+        mean, var = np.ldexp(mean, e), np.ldexp(var, 2 * e)
+        cov = iter(np.ldexp(cov, e[row[a[gaussian]]] + e[row[b[gaussian]]]).tolist())
+    counts = iter(counts)
 
     def check(*columns: int) -> None:
         for g in columns:
-            if degenerate[row[g]]:
+            if constant[row[g]]:
                 raise _zero_variance(schema.name(g))
         for g in columns:
             if not 0.0 < var[row[g]] < math.inf:
@@ -273,31 +300,25 @@ def collect_stats(
             check(v)
             moments[v] = (float(mean[row[v]]), float(var[row[v]]))
     stats: list[PairStats] = []
-    for i, j in pairs:
-        a, b = min(i, j), max(i, j)
-        if schema.is_discrete(i) and schema.is_discrete(j):
-            cards = schema.cardinality(a), schema.cardinality(b)
-            counts = kernels.joint_counts(dataset.column(a), dataset.column(b), *cards)
-            stats.append(DiscretePair(a, b, counts, n))
-        elif not (schema.is_discrete(i) or schema.is_discrete(j)):
-            check(a, b)
-            r, s = row[a], row[b]
-            with np.errstate(over="ignore"):
-                cov = np.ldexp(kernels.covariances(centred, [r], [s])[0], e[r] + e[s])
-            moments_ab = map(float, (mean[r], mean[s], var[r], var[s], cov))
-            stats.append(GaussianPair(a, b, n, *moments_ab))
+    for i, j, both_discrete, both_gaussian in zip(a.tolist(), b.tolist(), discrete, gaussian):
+        if both_discrete:
+            stats.append(DiscretePair(i, j, next(counts), n))
+        elif both_gaussian:
+            check(i, j)
+            moments_ij = map(float, (mean[row[i]], mean[row[j]], var[row[i]], var[row[j]]))
+            stats.append(GaussianPair(i, j, n, *moments_ij, next(cov)))
         else:
-            g, d = sorted((i, j), key=schema.is_discrete)
-            if degenerate[row[g]]:
+            g, d = (j, i) if schema.is_discrete(i) else (i, j)
+            if constant[row[g]]:
                 raise _zero_variance(schema.name(g))
-            counts, means, resid = class_stats[d]
-            k, e_g = partners[d][row[g]], e[row[g]]
+            rows, sizes, means, resid = classes[d]
+            k, e_g = np.searchsorted(rows, row[g]), e[row[g]]
             with np.errstate(over="ignore"):
                 resid_var = float(np.ldexp(resid[k], 2 * e_g))
             # a zero residual is an exact degeneracy, which mi_mixed reports
             if resid[k] > 0.0 and not 0.0 < resid_var < math.inf:
                 raise _beyond_range(schema.name(g))
-            stats.append(MixedPair(g, d, float(n), counts, np.ldexp(means[k], e_g), resid_var))
+            stats.append(MixedPair(g, d, float(n), sizes, np.ldexp(means[k], e_g), resid_var))
     return moments, stats
 
 
@@ -448,80 +469,47 @@ def pair_mi_table(dataset: Dataset, quad: QuadratureSpec = QuadratureSpec()) -> 
     """I_n of every pair in one batched pass: an (N, N) array holding
     I_n(i, j) at [i, j] for i < j, zero elsewhere.
 
-    Each value is that of collect_pair_stats and the mi_* estimators bit
-    for bit: discrete pairs from stacked joint tables, Gaussian pairs from
-    the moments of all Gaussian columns at once, and mixed pairs from the
-    class statistics of all Gaussian columns against each discrete
-    column, with the ladder in lockstep over the pairs with the same
-    number of occupied classes. The first failing pair in canonical
+    The ``_statistics`` pass over all pairs, then each kind's estimator
+    over all its pairs at once: discrete pairs from stacks of joint
+    tables, Gaussian pairs from their correlations, and mixed pairs with
+    the ladder in lockstep over the pairs with the same number of
+    occupied classes. Each value is that of collect_pair_stats and the
+    mi_* estimators bit for bit. The first failing pair in canonical
     order raises the per-pair path's error, with the pair named.
     """
-    schema = dataset.schema
+    schema, n = dataset.schema, dataset.n
+    a, b = np.triu_indices(schema.n_vars, 1)
+    row, _, _, var, constant, discrete, gaussian, counts, cov, classes = _statistics(
+        dataset, (), a, b
+    )
+    gauss = np.flatnonzero(row >= 0)  # the vertex of each stack row
     table = np.zeros((schema.n_vars, schema.n_vars))
     failures = []  # (i, j, error), in the order the per-pair path checks a pair
-    disc = [v for v in range(schema.n_vars) if schema.is_discrete(v)]
-    gauss = np.array([v for v in range(schema.n_vars) if not schema.is_discrete(v)], dtype=int)
-    _discrete_into(table, dataset, disc)
-    if gauss.size and schema.n_vars > 1:
-        columns = [dataset.column(g) for g in gauss]
-        _, scaled, _, centred, degenerate = kernels.scaled_rows(columns, dataset.n)
-        if degenerate.any():
-            # every pair holding a degenerate column fails; the first of
-            # them in canonical order holds the lowest one
-            g = int(gauss[degenerate][0])
-            failures.append((0, g or 1, _zero_variance(schema.name(g))))
-            gauss, scaled, centred = gauss[~degenerate], scaled[~degenerate], centred[~degenerate]
-        var = kernels.covariances(centred, *np.diag_indices(gauss.size))
-        a, b = np.triu_indices(gauss.size, 1)
-        cov = kernels.covariances(centred, a, b)
-        table[gauss[a], gauss[b]] = _gaussian_mi(_rho(cov, var[a], var[b]), dataset.n)
-        _mixed_into(table, failures, dataset, disc, gauss, scaled, quad)
-    if failures:
-        i, j, err = min(failures, key=lambda failure: failure[:2])
-        raise type(err)(f"pair ({schema.name(i)!r}, {schema.name(j)!r}): {err}")
-    return table
+    if constant.any():
+        # every pair holding a constant column fails; the first of them in
+        # canonical order holds the lowest one
+        g = int(gauss[constant][0])
+        failures.append((0, g or 1, _zero_variance(schema.name(g))))
+    by_shape = defaultdict(list)  # table shape -> [index among the discrete pairs]
+    for k, joint in enumerate(counts):
+        by_shape[joint.shape].append(k)
+    i, j = a[discrete], b[discrete]
+    for ks in by_shape.values():
+        table[i[ks], j[ks]] = _discrete_mi(np.stack([counts[k] for k in ks]), n)
+    i, j = a[gaussian], b[gaussian]
+    live = ~(constant[row[i]] | constant[row[j]])
+    i, j, cov = i[live], j[live], cov[live]
+    table[i, j] = _gaussian_mi(_rho(cov, var[row[i]], var[row[j]]), n)
 
-
-def _discrete_into(table: np.ndarray, dataset: Dataset, disc: list[int]) -> None:
-    """Fill in I_n of every discrete pair, one stack of joint tables per
-    pair of cardinalities."""
-    schema = dataset.schema
-    by_shape = defaultdict(list)
-    for k, a in enumerate(disc):
-        for b in disc[k + 1 :]:
-            by_shape[schema.cardinality(a), schema.cardinality(b)].append((a, b))
-    for (card_a, card_b), pairs in by_shape.items():
-        counts = [
-            kernels.joint_counts(dataset.column(a), dataset.column(b), card_a, card_b)
-            for a, b in pairs
-        ]
-        a, b = np.array(pairs).T
-        table[a, b] = _discrete_mi(np.stack(counts), dataset.n)
-
-
-def _mixed_into(
-    table: np.ndarray,
-    failures: list,
-    dataset: Dataset,
-    disc: list[int],
-    gauss: np.ndarray,
-    scaled: np.ndarray,
-    quad: QuadratureSpec,
-) -> None:
-    """Fill in I_n of every mixed pair, with the ladder in lockstep over
-    the pairs whose discrete member has the same number of occupied
-    classes, and append the pairs that fail to failures."""
-    n = dataset.n
     groups = defaultdict(list)  # occupied classes -> [(i, j, probs, means, var)]
-    for d in disc:
-        counts, means, var = kernels.class_stats_rows(
-            scaled, dataset.column(d), dataset.schema.cardinality(d)
-        )
-        zero = var <= 0.0
-        failures += [(min(d, g), max(d, g), DegenerateGaussian(_ZERO_RESIDUAL)) for g in gauss[zero]]
+    for d, (rows, counts, means, var) in classes.items():
+        # a constant column's residual is exactly zero too, but its own
+        # failure comes first
+        g, zero = gauss[rows], var <= 0.0
+        failures += [(min(d, x), max(d, x), DegenerateGaussian(_ZERO_RESIDUAL)) for x in g[zero]]
         occupied = counts > 0
         if occupied.sum() > 1:  # one class leaves I_n = 0
-            g, means = gauss[~zero], means[~zero][:, occupied]
+            g, means = g[~zero], means[~zero][:, occupied]
             probs = np.broadcast_to(counts[occupied] / n, means.shape)
             groups[occupied.sum()].append(
                 (np.minimum(d, g), np.maximum(d, g), probs, means, var[~zero])
@@ -531,3 +519,7 @@ def _mixed_into(
         values, failed = _mixture_mi(probs, means, var, quad)
         table[i, j] = n * values
         failures += [(int(i[k]), int(j[k]), QuadratureFailure(message)) for k, message in failed]
+    if failures:
+        i, j, err = min(failures, key=lambda failure: failure[:2])
+        raise type(err)(f"pair ({schema.name(i)!r}, {schema.name(j)!r}): {err}")
+    return table

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dendrofit
 from dendrofit import (
     Criterion,
     Discrete,
@@ -159,6 +163,35 @@ class TestLearn:
                 )
             )
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("data_set", ["star", "every-kind"])
+    def test_byte_identical_artifacts_across_hash_seeds(self, tmp_path, star_files, data_set):
+        # two processes with different hash seeds: no dict or set keyed by
+        # vertex, pair or name may order what learn prints or writes
+        data, schema, _ = star_files
+        if data_set == "every-kind":
+            model = every_kind_model()
+            data, schema = str(tmp_path / "kinds.csv"), str(tmp_path / "kinds.schema.json")
+            write_csv_dataset(data, sample(model, 400, seed=1))
+            write_schema(schema, model.schema)
+        package = str(Path(dendrofit.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}"
+            run = subprocess.run(
+                [sys.executable, "-m", "dendrofit", "learn", "--data", data, "--schema", schema,
+                 "--criterion", "mdl", "--format", "both", "--out", str(out),
+                 "--model-out", f"{out}.model.json"],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+                capture_output=True,
+                timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append([run.stdout] + [
+                Path(f"{out}{ext}").read_bytes() for ext in (".json", ".dot", ".model.json")
+            ])
+        assert outputs[0] == outputs[1]
 
     def test_mdl_on_independent_columns_gives_empty_forest(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -321,8 +354,11 @@ class TestLearn:
             (["--format", "dot", "--out", "{d}/nodir/f"], "{d}/nodir/f.dot"),
             (["--out", "{d}/star.csv/f"], "{d}/star.csv/f.json"),
             (["--model-out", "{d}"], "{d}"),
+            (["--out", "{d}/f.json", "--model-out", "{d}/f.json"], "{d}/f.json"),
+            (["--format", "both", "--out", "{d}/f", "--model-out", "{d}/f.dot"], "{d}/f.dot"),
         ],
-        ids=["model-out", "json", "dot", "parent-is-a-file", "a-directory"],
+        ids=["model-out", "json", "dot", "parent-is-a-file", "a-directory", "same-file",
+             "model-out-is-the-dot"],
     )
     def test_unwritable_output_exits_2_before_anything_runs(
         self, tmp_path, star_files, capsys, flags, named
@@ -432,12 +468,13 @@ class TestScore:
         mi = float(captured.out.splitlines()[1].split(",")[4])
         assert captured.err == "" and mi == pytest.approx(20 * math.log(2), rel=1e-12)
 
-    @pytest.mark.parametrize("power", [-332, 532])
+    @pytest.mark.parametrize("power", [-332, 532, -560])
     def test_gaussian_columns_at_extreme_scales_score_as_at_scale_one(
         self, tmp_path, capsys, power
     ):
-        # at 2^-332 a product of two variances underflows, and at 2^532 a
-        # variance overflows; I_n is a property of the scaled columns
+        # at 2^-332 a product of two variances underflows, at 2^532 a
+        # variance overflows and at 2^-560 one underflows; I_n is a property
+        # of the scaled columns, but a fitted model holds the variances
         rng = np.random.default_rng(1)
         d0 = rng.integers(0, 3, 40)
         g0 = rng.standard_normal(40)
@@ -458,7 +495,7 @@ class TestScore:
         assert rc == 0 and scaled.err == ""
         assert json.loads(scaled.out)["pairs"] == json.loads(at_one.out)["pairs"]
         rc, learned = run(["learn", "--criterion", "mdl"], power)
-        if power > 0:
+        if power in (532, -560):
             assert rc == 1
             assert learned.err == "error: column 'v0' has a variance beyond the float range\n"
         else:
