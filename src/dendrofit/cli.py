@@ -15,9 +15,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -99,16 +100,22 @@ class RunConfig:
             raise DataFormatError(str(err)) from err
 
 
-def _json_text(doc, **lists: str) -> str:
-    """``json.dumps(doc, indent=2)`` and a newline. ``lists`` maps a
-    top-level key of ``doc`` to the indented text of its list, rendered
-    elsewhere; ``doc`` holds an empty list under that key."""
+def _write_json(out: TextIO, doc, key: Optional[str] = None, items: str = "[]") -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline to ``out``, with
+    ``items``, the indented text of a list rendered elsewhere, in place of
+    the empty list ``doc`` holds under its top-level ``key``. The text
+    around the list and the list are written one after another, so the
+    document's whole text is never held."""
     text = json.dumps(doc, indent=2)
-    for key, value in lists.items():
+    if key is not None:
         # the first match is the key itself: a quote inside a string
         # value is escaped, so no value holds this text
-        text = text.replace(f"{json.dumps(key)}: []", f"{json.dumps(key)}: {value}", 1)
-    return text + "\n"
+        cut = text.index(f"{json.dumps(key)}: []") + len(json.dumps(key)) + 2
+        out.write(text[:cut])
+        out.write(items)
+        text = text[cut + 2 :]
+    out.write(text)
+    out.write("\n")
 
 
 _JSON_SPECIAL = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
@@ -209,12 +216,13 @@ def _artifact_paths(out: str, fmt: str) -> dict[str, Path]:
     return paths
 
 
-def _check_writable(paths: Iterable[Path]) -> None:
+def _check_writable(paths: Iterable[Path], inputs: dict[str, str]) -> None:
     """Fail naming the first path that cannot be written because it is a
-    directory, its parent is not one, or it is the same file as an
-    earlier path, which the run would overwrite; so that a run fails
-    before it reads data, prints or writes anything."""
-    seen = set()
+    directory, its parent is not one, or it is the same file as one of
+    the run's ``inputs`` (flag -> path) or as an earlier path, which the
+    run would overwrite; so that a run fails before it reads data,
+    prints or writes anything."""
+    seen = {os.path.realpath(path): f"it is the {flag} input" for flag, path in inputs.items()}
     for path in paths:
         if path.is_dir():
             raise DataFormatError(f"{path}: cannot write: it is a directory")
@@ -222,8 +230,8 @@ def _check_writable(paths: Iterable[Path]) -> None:
             raise DataFormatError(f"{path}: cannot write: {path.parent} is not a directory")
         real = os.path.realpath(path)
         if real in seen:
-            raise DataFormatError(f"{path}: cannot write: another output goes to the same file")
-        seen.add(real)
+            raise DataFormatError(f"{path}: cannot write: {seen[real]}")
+        seen[real] = "another output goes to the same file"
 
 
 def cmd_learn(config: RunConfig) -> int:
@@ -232,7 +240,7 @@ def cmd_learn(config: RunConfig) -> int:
     paths = _artifact_paths(config.out, config.fmt or "json") if config.out else {}
     if config.model_out:
         paths["model"] = Path(config.model_out)
-    _check_writable(paths.values())
+    _check_writable(paths.values(), {"--data": config.data, "--schema": config.schema})
     schema = read_schema(config.schema)
     dataset = read_csv_dataset(config.data, schema)
     dn = criterion.dn(dataset.n)
@@ -272,12 +280,14 @@ def cmd_learn(config: RunConfig) -> int:
     }
     if "json" in paths:
         report = _report_json(schema.names, ranked, outcome)
-        paths["json"].write_text(_json_text(doc, report=report), encoding="utf-8")
+        with open(paths["json"], "w", encoding="utf-8") as fh:
+            _write_json(fh, doc, "report", report)
     if "dot" in paths:
         decisions = [EdgeDecision(e, accepted=True) for e in accepted]
         paths["dot"].write_text(forest_dot(schema, decisions), encoding="utf-8")
     if "model" in paths:
-        paths["model"].write_text(_json_text(fitted.to_json_dict()), encoding="utf-8")
+        with open(paths["model"], "w", encoding="utf-8") as fh:
+            _write_json(fh, fitted.to_json_dict())
     return 0
 
 
@@ -285,27 +295,24 @@ def cmd_score(config: RunConfig) -> int:
     criterion = config.make_criterion()
     quad = config.make_quadrature()
     if config.out:
-        _check_writable([Path(config.out)])
+        _check_writable([Path(config.out)], {"--data": config.data, "--schema": config.schema})
     schema = read_schema(config.schema)
     dataset = read_csv_dataset(config.data, schema)
     scores = pair_scores(dataset, criterion, quad)
 
-    fmt = config.fmt or "csv"
-    if fmt == "json":
-        doc = {
-            "criterion": {"kind": criterion.kind, "dn": criterion.dn(dataset.n)},
-            "n": dataset.n,
-            "variables": list(schema.names),
-            "pairs": [],
-        }
-        pairs = _json_objects(_PAIR_FIELDS, _pair_columns(schema.names, scores))
-        text = _json_text(doc, pairs=pairs)
-    else:
-        text = _score_csv(schema.names, scores)
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    stream = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout)
+    with stream as out:
+        if config.fmt == "json":
+            doc = {
+                "criterion": {"kind": criterion.kind, "dn": criterion.dn(dataset.n)},
+                "n": dataset.n,
+                "variables": list(schema.names),
+                "pairs": [],
+            }
+            pairs = _json_objects(_PAIR_FIELDS, _pair_columns(schema.names, scores))
+            _write_json(out, doc, "pairs", pairs)
+        else:
+            out.write(_score_csv(schema.names, scores))
     return 0
 
 
@@ -313,7 +320,7 @@ def cmd_sample(config: RunConfig) -> int:
     if config.seed < 0:
         raise DataFormatError(f"--seed must be a nonnegative integer, got {config.seed}")
     if config.out:
-        _check_writable([Path(config.out)])
+        _check_writable([Path(config.out)], {"--model": config.model})
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     drawn = sample(model, config.count, config.seed)
     blocks = iter_csv_blocks(drawn)

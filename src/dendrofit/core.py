@@ -214,9 +214,11 @@ def _parse_columns(
     return tuple(columns)
 
 
-def _scan_rows(schema: VariableSchema, rows: list) -> tuple[np.ndarray, ...]:
+def _scan_rows(
+    schema: VariableSchema, rows: list, first_row: int = 0
+) -> tuple[np.ndarray, ...]:
     """Parse cell by cell in row-major order, raising at the first bad cell
-    with its row index."""
+    with its row index; rows[0] is row first_row."""
     n_vars = schema.n_vars
     label_maps = _label_maps(schema)
 
@@ -226,7 +228,7 @@ def _scan_rows(schema: VariableSchema, rows: list) -> tuple[np.ndarray, ...]:
         return err
 
     columns: list[list] = [[] for _ in range(n_vars)]
-    for r, row in enumerate(rows):
+    for r, row in enumerate(rows, first_row):
         cells = list(row)
         if len(cells) != n_vars:
             raise row_error(

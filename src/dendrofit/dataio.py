@@ -14,8 +14,18 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
-from .core import Dataset, Discrete, Gaussian, Variable, VariableSchema, validate_dataset
-from .errors import DataFormatError, DendrofitError, SchemaMismatch
+import numpy as np
+
+from .core import (
+    Dataset,
+    Discrete,
+    Gaussian,
+    Variable,
+    VariableSchema,
+    _parse_columns,
+    _scan_rows,
+)
+from .errors import DataFormatError, DendrofitError, EmptyDataset, SchemaMismatch
 
 PathLike = Union[str, Path]
 T = TypeVar("T")
@@ -124,29 +134,82 @@ def write_schema(path: PathLike, schema: VariableSchema) -> None:
 def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
     """Read a header-bearing CSV against a schema; errors carry file line
     numbers. A leading UTF-8 byte order mark and blank lines at the end of
-    the file are ignored; a blank line before the last record is an error."""
+    the file are ignored; a blank line before the last record is an error.
+
+    Records are parsed in blocks of about BLOCK_CELLS cells, so no table of
+    cell strings is held, and the first fault in file order is reported; a
+    byte that is not UTF-8 is found when its chunk of about 8 KB is
+    decoded, so it is reported before a bad cell earlier in that chunk."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        records = csv.reader(fh)
+        try:
+            header = next(records, None)
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise DataFormatError(f"{path}: {err}") from err
+        if header is None:
+            raise DataFormatError(f"{path}: empty file (missing header row)")
+        if tuple(header) != schema.names:
+            raise SchemaMismatch(
+                f"{path}: header {header} does not match schema columns "
+                f"{list(schema.names)}"
+            )
+        parts = _read_blocks(path, records, schema)
+    if not parts[0]:
+        raise EmptyDataset(f"{path}: no data rows")
+    columns = []
+    for blocks in parts:
+        columns.append(np.concatenate(blocks))
+        blocks.clear()  # so a finished column is not held twice
+    return Dataset(schema=schema, columns=tuple(columns))
+
+
+def _read_blocks(
+    path: PathLike, records: Iterator[list], schema: VariableSchema
+) -> list[list[np.ndarray]]:
+    """Each column's arrays, one per block of data records. A decode or
+    CSV error is raised after the records before it are parsed, and a
+    blank record before a later one is an arity fault at its row."""
+    parts: list[list[np.ndarray]] = [[] for _ in schema.variables]
+
+    def parse(block: list, first: int) -> None:
+        """Append the block's columns; block[0] is row first of the file."""
+        columns = _parse_columns(schema, block)
+        try:
+            if columns is None:
+                columns = _scan_rows(schema, block, first)
+        except DendrofitError as err:
+            raise type(err)(f"{path} line {err.row_index + 2}: {err}") from err
+        for blocks, column in zip(parts, columns):
+            blocks.append(column)
+
+    step = max(1, BLOCK_CELLS // schema.n_vars)
+    block: list = []
+    first = 0
+    blank = False  # a blank record was read after the last stored one
+    fault = None
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
+        for record in records:
+            if not record:
+                blank = True
+            elif blank:
+                break
+            else:
+                block.append(record)
+                if len(block) == step:
+                    parse(block, first)
+                    first += step
+                    block = []
+        else:
+            blank = False  # blank records at the end of the file are dropped
     except (UnicodeDecodeError, csv.Error) as err:
-        raise DataFormatError(f"{path}: {err}") from err
-    if not rows:
-        raise DataFormatError(f"{path}: empty file (missing header row)")
-    header = rows.pop(0)
-    if tuple(header) != schema.names:
-        raise SchemaMismatch(
-            f"{path}: header {header} does not match schema columns "
-            f"{list(schema.names)}"
-        )
-    while rows and not rows[-1]:
-        rows.pop()
-    try:
-        return validate_dataset(schema, rows)
-    except DendrofitError as err:
-        row = getattr(err, "row_index", None)
-        if row is not None:
-            raise type(err)(f"{path} line {row + 2}: {err}") from err
-        raise type(err)(f"{path}: {err}") from err
+        fault = err
+    if blank:
+        block.append([])  # its arity fault is raised unless an earlier one is
+    if block:
+        parse(block, first)
+    if fault is not None:
+        raise DataFormatError(f"{path}: {fault}") from fault
+    return parts
 
 
 def write_csv_dataset(path: PathLike, dataset: Dataset) -> None:

@@ -2,8 +2,8 @@
 exhaustive forest search, exact KL divergence of small discrete joints
 against their forest factorization, Monte Carlo mutual information
 for mixed factors, Golub-Welsch Gauss-Hermite rules, a row-at-a-time
-CSV renderer, and the one-object-per-edge greedy loop and report
-renderers of the CLI.
+CSV renderer, a whole-file CSV reader, and the one-object-per-edge
+greedy loop and report renderers of the CLI.
 
 Everything here is deliberately slow and independent of the production
 code paths it checks.
@@ -11,6 +11,7 @@ code paths it checks.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
@@ -25,8 +26,15 @@ from .core import (
     ScoredEdge,
     UnionFind,
     VariableSchema,
+    validate_dataset,
 )
-from .errors import TooLarge, UnsupportedSupport
+from .errors import (
+    DataFormatError,
+    DendrofitError,
+    SchemaMismatch,
+    TooLarge,
+    UnsupportedSupport,
+)
 from .forest import EdgeDecision
 from .model import MixedEdgeFactor
 
@@ -208,6 +216,34 @@ def render_csv_rows(dataset: Dataset) -> str:
                 row.append(format(float(col[r]), ".17g"))
         lines.append(csv_record(row))
     return "".join(lines)
+
+
+def read_csv_whole(path, schema: VariableSchema) -> Dataset:
+    """Reference for ``dataio.read_csv_dataset``: every record read into one
+    list of rows before any is checked, so a decode or CSV error anywhere
+    wins over an earlier bad cell."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise DataFormatError(f"{path}: {err}") from err
+    if not rows:
+        raise DataFormatError(f"{path}: empty file (missing header row)")
+    header = rows.pop(0)
+    if tuple(header) != schema.names:
+        raise SchemaMismatch(
+            f"{path}: header {header} does not match schema columns "
+            f"{list(schema.names)}"
+        )
+    while rows and not rows[-1]:
+        rows.pop()
+    try:
+        return validate_dataset(schema, rows)
+    except DendrofitError as err:
+        row = getattr(err, "row_index", None)
+        if row is not None:
+            raise type(err)(f"{path} line {row + 2}: {err}") from err
+        raise type(err)(f"{path}: {err}") from err
 
 
 def greedy_decisions(

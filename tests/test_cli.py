@@ -374,6 +374,42 @@ class TestLearn:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+class TestOutputOntoInput:
+    """An output that resolves to one of the run's inputs exits 2 naming
+    it, before anything is read, printed or written."""
+
+    @pytest.mark.parametrize(
+        "argv, named, flag",
+        [
+            (["learn", "--data", "{d}/star.csv", "--schema", "{d}/star.schema.json",
+              "--model-out", "{d}/star.csv"], "{d}/star.csv", "--data"),
+            (["learn", "--data", "{d}/star.csv", "--schema", "{d}/star.schema.json",
+              "--out", "{d}/star.schema"], "{d}/star.schema.json", "--schema"),
+            (["score", "--data", "{d}/star.csv", "--schema", "{d}/star.schema.json",
+              "--out", "{d}/sub/../star.csv"], "{d}/sub/../star.csv", "--data"),
+            (["sample", "--model", "{d}/model.json", "--count", "5",
+              "--out", "{d}/model.json"], "{d}/model.json", "--model"),
+        ],
+        ids=["learn", "learn-out-is-the-schema", "score", "sample"],
+    )
+    def test_output_onto_an_input_exits_2_naming_it(
+        self, tmp_path, star_files, capsys, argv, named, flag
+    ):
+        _, _, ds = star_files
+        (tmp_path / "sub").mkdir()
+        model = fit(ds, Forest.from_edges(4, [(0, 1)]))
+        write_text(tmp_path / "model.json", json.dumps(model.to_json_dict()) + "\n")
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {named.format(d=tmp_path)}: cannot write: it is the {flag} input\n"
+        )
+        after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert after == before
+
+
 class TestScore:
     def test_two_variable_table(self, tmp_path, capsys):
         schema = discrete_schema(2, 2)

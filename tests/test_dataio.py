@@ -1,9 +1,11 @@
 """Column-wise CSV parse and render against their row-at-a-time
-references, and DOT quoting of awkward names."""
+references, the block reader against the whole-file one, and DOT
+quoting of awkward names."""
 
 import csv
 import io
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,10 +15,17 @@ from hypothesis import strategies as st
 
 from dendrofit import Dataset, Discrete, Gaussian, ScoredEdge, Variable, VariableSchema
 from dendrofit import core, dataio
-from dendrofit.dataio import csv_text, forest_dot, iter_csv_blocks, render_csv
-from dendrofit.errors import NonFiniteValue, UnknownCategory
+from dendrofit.dataio import (
+    csv_text,
+    forest_dot,
+    iter_csv_blocks,
+    read_csv_dataset,
+    render_csv,
+    write_csv_dataset,
+)
+from dendrofit.errors import DataFormatError, NonFiniteValue, UnknownCategory
 from dendrofit.forest import kruskal_decisions
-from dendrofit.oracle import csv_record, render_csv_rows
+from dendrofit.oracle import csv_record, read_csv_whole, render_csv_rows
 
 # labels and names that csv.writer has to quote, plus plain ones
 CHARS = 'ab ,"\n\r\\é'
@@ -183,6 +192,129 @@ class TestParseMatchesRowScan:
         with pytest.raises(NonFiniteValue) as exc:
             core.validate_dataset(schema, [["1.0"], [10**400]])
         assert exc.value.row_index == 1
+
+
+# one more character than csv.reader's default field limit
+OVERSIZED = "x" * (csv.field_size_limit() + 1)
+FAULTS = ["none", "cell", "arity", "blank", "field-limit", "not-utf8", "header-only", "empty"]
+
+
+@st.composite
+def data_files(draw):
+    """A schema and the bytes of a data file for it with at most one
+    fault, in any of the ways a file can be written: with or without a
+    byte order mark, with LF or CRLF line ends, and with blank lines at
+    the end."""
+    dataset = draw(datasets(max_rows=12))
+    schema = dataset.schema
+    rows = data_rows(dataset)
+    fault = draw(st.sampled_from(FAULTS))
+    r = draw(st.integers(0, len(rows) - 1))
+    i = draw(st.integers(0, schema.n_vars - 1))
+    if fault == "cell":
+        bad = ["zz?"] if schema.is_discrete(i) else ["", "x1", "nan", "-inf", "1e999"]
+        rows[r][i] = draw(st.sampled_from(bad))
+    elif fault == "arity":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["a"]
+    elif fault == "field-limit":
+        rows[r][i] = OVERSIZED
+    elif fault == "header-only":
+        rows = []
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    records = [csv_record(row)[:-1] + eol for row in [list(schema.names), *rows]]
+    if fault == "blank":
+        records.insert(1 + r, eol)  # before the last record at the latest
+    records += [eol] * draw(st.integers(0, 2))
+    data = "".join(records).encode("utf-8")
+    if fault == "not-utf8":
+        at = draw(st.integers(len(records[0].encode("utf-8")), len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    if fault == "empty":
+        data = b""
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return schema, data
+
+
+@pytest.fixture(scope="module")
+def data_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "data.csv"
+
+
+class TestBlockReaderMatchesWholeFile:
+    @settings(max_examples=300, deadline=None)
+    @given(case=data_files(), block_cells=st.integers(1, 40))
+    def test_same_columns_or_same_error(self, data_path, case, block_cells):
+        schema, data = case
+        data_path.write_bytes(data)
+        with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
+            kind, got = outcome(read_csv_dataset, data_path, schema)
+        ref_kind, ref = outcome(read_csv_whole, data_path, schema)
+        assert kind == ref_kind
+        if kind == "raised":
+            assert type(got) is type(ref)
+            assert str(got) == str(ref)
+        else:
+            for col, ref_col in zip(got.columns, ref.columns):
+                assert col.dtype == ref_col.dtype
+                assert col.tobytes() == ref_col.tobytes()
+
+    @pytest.mark.parametrize("block_cells", [1, 4, dataio.BLOCK_CELLS])
+    @pytest.mark.parametrize(
+        "tail, error",
+        [
+            (OVERSIZED + ",1\n", "field larger than field limit"),
+            # a later chunk of the file, after about 10 KB of good rows
+            ("a,1\n" * 2500 + "\udcff,1\n", "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["csv-error", "not-utf8"],
+    )
+    def test_first_of_two_faults_in_file_order_is_reported(
+        self, data_path, block_cells, tail, error
+    ):
+        schema = VariableSchema(
+            (Variable("d", Discrete(("a", "b"))), Variable("g", Gaussian()))
+        )
+        # surrogateescape writes "\udcff" as the byte 0xff
+        data_path.write_bytes(("d,g\na,1\nzz?,2\na,3\n" + tail).encode("utf-8", "surrogateescape"))
+        with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
+            with pytest.raises(UnknownCategory) as exc:
+                read_csv_dataset(data_path, schema)
+        assert str(exc.value).startswith(f"{data_path} line 3: row 1: 'zz?' is not a category")
+        # the whole-file reader reports the later fault instead
+        with pytest.raises(DataFormatError, match=re.escape(error)):
+            read_csv_whole(data_path, schema)
+
+
+def test_read_peak_grows_by_two_arrays_of_eight_bytes_per_cell(tmp_path):
+    """The reader holds no table of cell strings: from a small file to a
+    large one, its peak grows by the finished columns and at most one more
+    copy of them, 8 bytes per cell each."""
+    schema = VariableSchema(
+        tuple(Variable(f"d{k}", Discrete(("a", "b", "c"))) for k in range(2))
+        + tuple(Variable(f"g{k}", Gaussian()) for k in range(2))
+    )
+    rng = np.random.default_rng(5)
+
+    def peak(n):
+        path = tmp_path / f"{n}.csv"
+        columns = [rng.integers(0, 3, n), rng.integers(0, 3, n)]
+        columns += [rng.standard_normal(n), rng.standard_normal(n)]
+        write_csv_dataset(path, Dataset(schema, tuple(columns)))
+        read_csv_dataset(path, schema)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            read_csv_dataset(path, schema)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # blocks of 256 rows: both files span many, so the cell strings of
+    # one block weigh the same in both peaks
+    with mock.patch.object(dataio, "BLOCK_CELLS", 1024):
+        small, large = peak(2_000), peak(20_000)
+    added_cells = (20_000 - 2_000) * schema.n_vars
+    assert large - small <= 2 * 8 * added_cells + 64 * 1024
 
 
 DOT_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"')
