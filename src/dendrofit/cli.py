@@ -27,7 +27,7 @@ from .core import Forest, ScoredEdge
 from .dataio import (
     csv_text,
     forest_dot,
-    iter_csv_blocks,
+    iter_csv_text,
     load_json_document,
     quoted_cells,
     read_csv_dataset,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .estimators import QuadratureSpec
 from .forest import ACCEPTED, REASONS, EdgeDecision, greedy_outcomes
-from .model import DendroidModel, code_length, fit, log_likelihood, sample
+from .model import DendroidModel, code_length, fit, log_likelihood, sample_blocks
 from .scoring import Criterion, PairScores, pair_scores
 
 FOREST_FORMAT = "dendrofit-forest"
@@ -317,18 +317,19 @@ def cmd_score(config: RunConfig) -> int:
 
 
 def cmd_sample(config: RunConfig) -> int:
+    if config.count < 1:
+        raise DataFormatError(f"--count must be a positive integer, got {config.count}")
     if config.seed < 0:
         raise DataFormatError(f"--seed must be a nonnegative integer, got {config.seed}")
     if config.out:
         _check_writable([Path(config.out)], {"--model": config.model})
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
-    drawn = sample(model, config.count, config.seed)
-    blocks = iter_csv_blocks(drawn)
+    text = iter_csv_text(model.schema, sample_blocks(model, config.count, config.seed))
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
-            fh.writelines(blocks)
+            fh.writelines(text)
     else:
-        sys.stdout.writelines(blocks)
+        sys.stdout.writelines(text)
     return 0
 
 

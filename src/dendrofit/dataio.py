@@ -131,6 +131,16 @@ def write_schema(path: PathLike, schema: VariableSchema) -> None:
 # -- CSV datasets ---------------------------------------------------------------
 
 
+# cells per block of the CSV reader, the renderer and model.sample_blocks:
+# bounds what is held at once whatever the width of a row
+BLOCK_CELLS = 16384
+
+
+def block_rows(n_vars: int) -> int:
+    """Rows in a block of about BLOCK_CELLS cells, for rows of n_vars cells."""
+    return max(1, BLOCK_CELLS // n_vars)
+
+
 def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
     """Read a header-bearing CSV against a schema; errors carry file line
     numbers. A leading UTF-8 byte order mark and blank lines at the end of
@@ -182,7 +192,7 @@ def _read_blocks(
         for blocks, column in zip(parts, columns):
             blocks.append(column)
 
-    step = max(1, BLOCK_CELLS // schema.n_vars)
+    step = block_rows(schema.n_vars)
     block: list = []
     first = 0
     blank = False  # a blank record was read after the last stored one
@@ -223,11 +233,6 @@ def render_csv(dataset: Dataset) -> str:
     return "".join(iter_csv_blocks(dataset))
 
 
-# cells per block of iter_csv_blocks: bounds the text held at once
-# whatever the width of a row
-BLOCK_CELLS = 16384
-
-
 def quoted_cells(texts: Sequence[str], row_width: int) -> list[str]:
     """Each text as csv_text writes it in a row of row_width cells. A
     row of one empty cell is written as "", so a lone text is written
@@ -239,7 +244,14 @@ def quoted_cells(texts: Sequence[str], row_width: int) -> list[str]:
 def iter_csv_blocks(dataset: Dataset) -> Iterator[str]:
     """The text of render_csv in pieces: the header line, then blocks of
     whole rows, about BLOCK_CELLS cells each, formatted column by column."""
-    schema = dataset.schema
+    return iter_csv_text(dataset.schema, [dataset.columns])
+
+
+def iter_csv_text(schema: VariableSchema, parts: Iterable[Sequence[np.ndarray]]) -> Iterator[str]:
+    """The CSV text of the rows of parts, each a sequence of one array per
+    column of schema, all of one length: the header line, then each part's
+    rows in blocks of block_rows(schema.n_vars), formatted column by
+    column. The text depends on the rows, not on how parts split them."""
     yield csv_text([schema.names])
     cell_text = [
         quoted_cells(var.kind.labels, schema.n_vars).__getitem__
@@ -247,13 +259,20 @@ def iter_csv_blocks(dataset: Dataset) -> Iterator[str]:
         else "{:.17g}".format
         for var in schema.variables
     ]
-    step = max(1, BLOCK_CELLS // schema.n_vars)
-    for start in range(0, dataset.n, step):
-        cells = [
-            map(text, col[start : start + step].tolist())
-            for text, col in zip(cell_text, dataset.columns)
-        ]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    step = block_rows(schema.n_vars)
+    for columns in parts:
+        for start in range(0, len(columns[0]), step):
+            yield _records(cell_text, [col[start : start + step] for col in columns])
+        del columns  # so that the next part is not made beside this one
+
+
+def _records(cell_text: Sequence[Callable[[Any], str]], columns: Sequence[np.ndarray]) -> str:
+    """The CSV records of the rows of columns, formatted column by column
+    with each column's cell_text. zip stops at the first map to run out,
+    so the others still hold their lists of cells until they are dropped,
+    on return."""
+    cells = [map(text, col.tolist()) for text, col in zip(cell_text, columns)]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 # -- DOT export -------------------------------------------------------------------

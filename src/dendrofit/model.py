@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .core import (
     VariableSchema,
     orient_forest,
 )
-from .dataio import schema_from_jsonable, schema_to_jsonable
-from .errors import DegenerateGaussian, InvalidCount, SchemaMismatch
+from .dataio import block_rows, schema_from_jsonable, schema_to_jsonable
+from .errors import DegenerateGaussian, InvalidCount, NonFiniteValue, SchemaMismatch
 from .estimators import DiscretePair, GaussianPair, collect_stats
 from .scoring import effective_cardinality
 
@@ -492,7 +492,117 @@ def _draw_categorical(rng: np.random.Generator, cdf_rows: np.ndarray, count: int
     """One uniform per row, inverted through each row's cdf."""
     u = rng.random(count)
     idx = (cdf_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1).astype(np.int64)
+    return np.minimum(idx, cdf_rows.shape[1] - 1).astype(np.int64, copy=False)
+
+
+# render blocks (dataio.block_rows) per block that sample_blocks draws: the
+# fewest whose per-block numpy calls, a few per vertex, do not slow the
+# draw of a wide model (163 rows per render block at 100 columns); more
+# would raise the peak, since a block holds its columns and cdf temporaries
+DRAW_BLOCKS = 8
+
+
+def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[Callable, bool]:
+    """Vertex v's draw given its parent, with every table and constant
+    built once, and whether it draws normals (else uniforms). The draw
+    maps (v's generator, the parent's block column or None, the block's
+    rows) to v's block column, computed row by row as a whole-column draw
+    computes it, so blocks give the same bits."""
+    marg = model.marginals[v]
+    if parent is None:
+        if isinstance(marg, DiscreteMarginal):
+            cdf = np.cumsum(marg.probs)[None, :]
+            return (lambda rng, _, rows: _draw_categorical(rng, cdf, rows)), False
+        mean, sd = marg.mean, math.sqrt(marg.var)
+        return (lambda rng, _, rows: mean + sd * rng.standard_normal(rows)), True
+
+    factor = model.factor_for(v, parent)
+    if isinstance(factor, DiscreteEdgeFactor):
+        joint = factor.table.T if v == factor.i else factor.table  # rows: parent
+        rows_sum = joint.sum(axis=1, keepdims=True)
+        table = np.cumsum(joint / np.where(rows_sum > 0, rows_sum, 1.0), axis=1)
+        return (lambda rng, col, rows: _draw_categorical(rng, table[col], rows)), False
+    if isinstance(factor, GaussianEdgeFactor):
+        if v == factor.i:
+            mean_c, var_c = factor.mean_i, factor.var_i
+            mean_p, var_p = factor.mean_j, factor.var_j
+        else:
+            mean_c, var_c = factor.mean_j, factor.var_j
+            mean_p, var_p = factor.mean_i, factor.var_i
+        rho = factor.rho
+        slope = rho * math.sqrt(var_c / var_p)
+        sd = math.sqrt(var_c * (1.0 - rho * rho))
+        return (
+            lambda rng, col, rows: mean_c + slope * (col - mean_p) + sd * rng.standard_normal(rows)
+        ), True
+    if v == factor.gauss:  # Gaussian child of a discrete parent
+        means, sd = factor.class_means, math.sqrt(factor.resid_var)
+        return (lambda rng, col, rows: means[col] + sd * rng.standard_normal(rows)), True
+
+    # discrete child of a Gaussian parent: Bayes inversion
+    with np.errstate(divide="ignore"):
+        log_probs = np.log(factor.class_probs)[None, :]
+    means, twice_var = factor.class_means[None, :], 2.0 * factor.resid_var
+
+    def invert(rng: np.random.Generator, col: np.ndarray, rows: int) -> np.ndarray:
+        logits = log_probs - (col[:, None] - means) ** 2 / twice_var
+        logits -= logits.max(axis=1, keepdims=True)
+        weights = np.exp(logits)
+        weights /= weights.sum(axis=1, keepdims=True)
+        return _draw_categorical(rng, np.cumsum(weights, axis=1), rows)
+
+    return invert, False
+
+
+def sample_blocks(model: DendroidModel, count: int, seed: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The rows of ``sample(model, count, seed)`` in blocks of
+    DRAW_BLOCKS * dataio.block_rows(n_vars) rows, each one array per
+    column, drawn one block at a time: the memory held does not grow with
+    count. The count is checked here; the draw starts at the first block.
+
+    PCG64 draws a whole column per vertex in topological order, so each
+    vertex starts from the shared generator's state after its
+    predecessors' count draws. A first pass copies that state for each
+    vertex, then moves the shared generator past the vertex's draws by
+    drawing and discarding them a block at a time (the ziggurat normal
+    takes a variable number of raw outputs, so the state cannot be jumped
+    ahead). Each block then draws every vertex from its own generator.
+    """
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise InvalidCount(f"sample count must be a positive integer, got {count!r}")
+    return _draw_blocks(model, count, seed, DRAW_BLOCKS * block_rows(model.schema.n_vars))
+
+
+def _draw_blocks(
+    model: DendroidModel, count: int, seed: int, rows: int
+) -> Iterator[tuple[np.ndarray, ...]]:
+    shared = np.random.default_rng(seed)
+    rooted = orient_forest(model.forest, model.schema)
+    discard = np.empty(min(rows, count))
+    draws = []
+    for v in rooted.topological_order():
+        parent = rooted.parents[v]
+        draw, normal = _conditional(model, v, parent)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.bit_generator.state = shared.bit_generator.state  # where v's draws start
+        draws.append((v, parent, rng, draw, normal))
+        fill = shared.standard_normal if normal else shared.random
+        for start in range(0, count, rows):
+            fill(out=discard[: min(rows, count - start)])
+    del discard
+
+    for start in range(0, count, rows):
+        size = min(rows, count - start)
+        # a new list, so that the last block is not held while this one is drawn
+        columns: list[Optional[np.ndarray]] = [None] * model.schema.n_vars
+        for v, parent, rng, draw, normal in draws:
+            columns[v] = draw(rng, None if parent is None else columns[parent], size)
+            # parameters at the edge of the float range can overflow
+            if normal and not np.isfinite(columns[v]).all():
+                raise NonFiniteValue(
+                    f"column {model.schema.name(v)!r} contains non-finite values"
+                )
+        yield tuple(columns)
 
 
 def sample(model: DendroidModel, count: int, seed: int) -> Dataset:
@@ -501,55 +611,20 @@ def sample(model: DendroidModel, count: int, seed: int) -> Dataset:
     Roots are drawn from their marginals, children from the stored
     factors' conditionals; a discrete child of a Gaussian parent is drawn
     by Bayes inversion of the mixed factor. Deterministic for a fixed
-    seed (PCG64; one batched draw per vertex in topological order).
+    seed: PCG64 draws the vertices' columns one after another in
+    topological order. The rows are the blocks of ``sample_blocks``,
+    joined.
     """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise InvalidCount(f"sample count must be a positive integer, got {count!r}")
-    rng = np.random.default_rng(seed)
-    rooted = orient_forest(model.forest, model.schema)
-    columns: list[Optional[np.ndarray]] = [None] * model.schema.n_vars
-
-    for v in rooted.topological_order():
-        parent = rooted.parents[v]
-        marg = model.marginals[v]
-        if parent is None:
-            if isinstance(marg, DiscreteMarginal):
-                columns[v] = _draw_categorical(rng, np.cumsum(marg.probs)[None, :], count)
-            else:
-                columns[v] = marg.mean + math.sqrt(marg.var) * rng.standard_normal(count)
-            continue
-
-        factor = model.factor_for(v, parent)
-        parent_col = columns[parent]
-        if isinstance(factor, DiscreteEdgeFactor):
-            joint = factor.table.T if v == factor.i else factor.table  # rows: parent
-            rows = joint.sum(axis=1, keepdims=True)
-            cdf_rows = np.cumsum(joint / np.where(rows > 0, rows, 1.0), axis=1)[parent_col]
-            columns[v] = _draw_categorical(rng, cdf_rows, count)
-        elif isinstance(factor, GaussianEdgeFactor):
-            if v == factor.i:
-                mean_c, var_c = factor.mean_i, factor.var_i
-                mean_p, var_p = factor.mean_j, factor.var_j
-            else:
-                mean_c, var_c = factor.mean_j, factor.var_j
-                mean_p, var_p = factor.mean_i, factor.var_i
-            rho = factor.rho
-            cond_mean = mean_c + rho * math.sqrt(var_c / var_p) * (parent_col - mean_p)
-            cond_sd = math.sqrt(var_c * (1.0 - rho * rho))
-            columns[v] = cond_mean + cond_sd * rng.standard_normal(count)
-        elif v == factor.gauss:  # Gaussian child of a discrete parent
-            columns[v] = factor.class_means[parent_col] + math.sqrt(
-                factor.resid_var
-            ) * rng.standard_normal(count)
-        else:  # discrete child of a Gaussian parent: Bayes inversion
-            with np.errstate(divide="ignore"):
-                logits = np.log(factor.class_probs)[None, :] - (
-                    parent_col[:, None] - factor.class_means[None, :]
-                ) ** 2 / (2.0 * factor.resid_var)
-            logits -= logits.max(axis=1, keepdims=True)
-            weights = np.exp(logits)
-            weights /= weights.sum(axis=1, keepdims=True)
-            cdf_rows = np.cumsum(weights, axis=1)
-            columns[v] = _draw_categorical(rng, cdf_rows, count)
-
-    return Dataset(schema=model.schema, columns=tuple(columns))
+    blocks = sample_blocks(model, count, seed)
+    schema = model.schema
+    columns = [
+        np.empty(count, dtype=np.int64 if schema.is_discrete(v) else np.float64)
+        for v in range(schema.n_vars)
+    ]
+    start = 0
+    for block in blocks:
+        stop = start + len(block[0])
+        for column, part in zip(columns, block):
+            column[start:stop] = part
+        start = stop
+    return Dataset(schema=schema, columns=tuple(columns))

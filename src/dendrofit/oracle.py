@@ -2,8 +2,8 @@
 exhaustive forest search, exact KL divergence of small discrete joints
 against their forest factorization, Monte Carlo mutual information
 for mixed factors, Golub-Welsch Gauss-Hermite rules, a row-at-a-time
-CSV renderer, a whole-file CSV reader, and the one-object-per-edge
-greedy loop and report renderers of the CLI.
+CSV renderer, a whole-file CSV reader, a whole-column sampler, and the
+one-object-per-edge greedy loop and report renderers of the CLI.
 
 Everything here is deliberately slow and independent of the production
 code paths it checks.
@@ -26,6 +26,7 @@ from .core import (
     ScoredEdge,
     UnionFind,
     VariableSchema,
+    orient_forest,
     validate_dataset,
 )
 from .errors import (
@@ -36,7 +37,13 @@ from .errors import (
     UnsupportedSupport,
 )
 from .forest import EdgeDecision
-from .model import MixedEdgeFactor
+from .model import (
+    DendroidModel,
+    DiscreteEdgeFactor,
+    DiscreteMarginal,
+    GaussianEdgeFactor,
+    MixedEdgeFactor,
+)
 
 _MAX_JOINT_VARS = 6
 _MAX_ENUM_VERTICES = 8
@@ -216,6 +223,66 @@ def render_csv_rows(dataset: Dataset) -> str:
                 row.append(format(float(col[r]), ".17g"))
         lines.append(csv_record(row))
     return "".join(lines)
+
+
+def _draw_categorical(rng: np.random.Generator, cdf_rows: np.ndarray, count: int) -> np.ndarray:
+    u = rng.random(count)
+    idx = (cdf_rows <= u[:, None]).sum(axis=1)
+    return np.minimum(idx, cdf_rows.shape[1] - 1).astype(np.int64)
+
+
+def sample_whole(model: DendroidModel, count: int, seed: int) -> Dataset:
+    """Reference for ``model.sample``: one generator, and one draw of a
+    whole column per vertex in topological order, each conditional built
+    for all count rows at once."""
+    rng = np.random.default_rng(seed)
+    rooted = orient_forest(model.forest, model.schema)
+    columns: list[Optional[np.ndarray]] = [None] * model.schema.n_vars
+
+    for v in rooted.topological_order():
+        parent = rooted.parents[v]
+        marg = model.marginals[v]
+        if parent is None:
+            if isinstance(marg, DiscreteMarginal):
+                columns[v] = _draw_categorical(rng, np.cumsum(marg.probs)[None, :], count)
+            else:
+                columns[v] = marg.mean + math.sqrt(marg.var) * rng.standard_normal(count)
+            continue
+
+        factor = model.factor_for(v, parent)
+        parent_col = columns[parent]
+        if isinstance(factor, DiscreteEdgeFactor):
+            joint = factor.table.T if v == factor.i else factor.table  # rows: parent
+            rows = joint.sum(axis=1, keepdims=True)
+            cdf_rows = np.cumsum(joint / np.where(rows > 0, rows, 1.0), axis=1)[parent_col]
+            columns[v] = _draw_categorical(rng, cdf_rows, count)
+        elif isinstance(factor, GaussianEdgeFactor):
+            if v == factor.i:
+                mean_c, var_c = factor.mean_i, factor.var_i
+                mean_p, var_p = factor.mean_j, factor.var_j
+            else:
+                mean_c, var_c = factor.mean_j, factor.var_j
+                mean_p, var_p = factor.mean_i, factor.var_i
+            rho = factor.rho
+            cond_mean = mean_c + rho * math.sqrt(var_c / var_p) * (parent_col - mean_p)
+            cond_sd = math.sqrt(var_c * (1.0 - rho * rho))
+            columns[v] = cond_mean + cond_sd * rng.standard_normal(count)
+        elif v == factor.gauss:  # Gaussian child of a discrete parent
+            columns[v] = factor.class_means[parent_col] + math.sqrt(
+                factor.resid_var
+            ) * rng.standard_normal(count)
+        else:  # discrete child of a Gaussian parent: Bayes inversion
+            with np.errstate(divide="ignore"):
+                logits = np.log(factor.class_probs)[None, :] - (
+                    parent_col[:, None] - factor.class_means[None, :]
+                ) ** 2 / (2.0 * factor.resid_var)
+            logits -= logits.max(axis=1, keepdims=True)
+            weights = np.exp(logits)
+            weights /= weights.sum(axis=1, keepdims=True)
+            cdf_rows = np.cumsum(weights, axis=1)
+            columns[v] = _draw_categorical(rng, cdf_rows, count)
+
+    return Dataset(schema=model.schema, columns=tuple(columns))
 
 
 def read_csv_whole(path, schema: VariableSchema) -> Dataset:

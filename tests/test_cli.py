@@ -8,7 +8,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dendrofit
+from dendrofit import dataio
 from dendrofit import (
     Criterion,
+    DendroidModel,
     Discrete,
     Forest,
     Gaussian,
+    GaussianEdgeFactor,
+    GaussianMarginal,
     Variable,
     VariableSchema,
     collect_pair_stats,
@@ -706,6 +712,86 @@ class TestSample:
         assert rc == 2
         assert "count" in capsys.readouterr().err.lower()
 
+    def test_zero_count_exits_2_naming_the_flag(self, tmp_path, capsys):
+        # checked before the model is read: the missing file is not reported
+        args = ["sample", "--model", str(tmp_path / "no.json"), "--count", "0"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --count must be a positive integer, got 0\n"
+
+    def test_zero_count_leaves_the_out_file_untouched(self, tmp_path, chain_model_file):
+        model_path, _, _ = chain_model_file
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"kept\n")
+        args = ["sample", "--model", model_path, "--count", "0", "--out", str(out)]
+        assert main(args) == 2
+        assert out.read_bytes() == b"kept\n"
+
+    def test_peak_does_not_grow_with_the_count(self, tmp_path):
+        """Rows are drawn and written a block at a time, and no block is
+        held beside the next: from 20,000 rows to 200,000 the peak grows by
+        at most 256 KiB, where holding the added rows' four columns would
+        take 5.76 MB at 8 bytes a cell."""
+        schema = mixed_schema("dgDg")
+        rng = np.random.default_rng(6)
+        n = 400
+        k = rng.integers(0, 3, n)
+        x = rng.standard_normal(n) + k
+        model = fit(
+            dataset_from_columns(schema, rng.integers(0, 2, n), x, k, x + rng.standard_normal(n)),
+            Forest.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
+        )
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model.to_json_dict()) + "\n")
+
+        def peak(count):
+            args = ["sample", "--model", str(model_path), "--count", str(count),
+                    "--seed", "3", "--out", str(tmp_path / "rows.csv")]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # blocks of at most 1,024 cells to render, so that both counts span
+        # many blocks to draw
+        with mock.patch.object(dataio, "BLOCK_CELLS", 1024):
+            peak(20_000)  # first-call allocations are not counted
+            assert peak(200_000) - peak(20_000) <= 256 * 1024
+
+    def test_draws_that_overflow_exit_2_naming_the_column(self, tmp_path, capsys):
+        # the conditional slope sqrt(var_1 / var_0) of vertex 1 overflows
+        schema = mixed_schema("gg")
+        model = DendroidModel.build(
+            schema=schema,
+            forest=Forest.from_edges(2, [(0, 1)]),
+            marginals=(GaussianMarginal(0.0, 1e-300), GaussianMarginal(0.0, 1e300)),
+            factors=(GaussianEdgeFactor(0, 1, 0.5, 0.0, 1e-300, 0.0, 1e300),),
+            n=2,
+        )
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model.to_json_dict()) + "\n")
+        assert main(["sample", "--model", str(model_path), "--count", "5"]) == 2
+        assert capsys.readouterr().err == "error: column 'v1' contains non-finite values\n"
+
+    def test_importing_the_cli_loads_no_more_of_numpy(self):
+        # numpy 2 loads numpy.random on first use, and that adds about 5.5 MB
+        # to the peak of every subcommand that does not sample
+        package = str(Path(dendrofit.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, numpy; before = set(sys.modules); import dendrofit.cli; "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
     def test_missing_model_exits_2(self, tmp_path):
         rc = main(["sample", "--model", str(tmp_path / "no.json"), "--count", "5"])
         assert rc == 2
@@ -743,7 +829,7 @@ class TestSample:
         def fail(model, count, seed):
             raise error
 
-        monkeypatch.setattr("dendrofit.cli.sample", fail)
+        monkeypatch.setattr("dendrofit.cli.sample_blocks", fail)
         model_path, _, _ = chain_model_file
         rc = main(["sample", "--model", model_path, "--count", "1000000000000"])
         assert rc == 1

@@ -19,6 +19,7 @@ from dendrofit.dataio import (
     csv_text,
     forest_dot,
     iter_csv_blocks,
+    iter_csv_text,
     read_csv_dataset,
     render_csv,
     write_csv_dataset,
@@ -66,12 +67,16 @@ def data_rows(dataset):
 
 class TestRenderMatchesRowReference:
     @settings(max_examples=200, deadline=None)
-    @given(dataset=datasets(), block_cells=st.integers(1, 40))
-    def test_blocks_join_to_the_reference(self, dataset, block_cells):
+    @given(dataset=datasets(), block_cells=st.integers(1, 40), data=st.data())
+    def test_blocks_join_to_the_reference(self, dataset, block_cells, data):
         expected = render_csv_rows(dataset)
         assert render_csv(dataset) == expected
+        cuts = sorted(data.draw(st.lists(st.integers(0, dataset.n), max_size=4)))
+        bounds = list(zip([0, *cuts], [*cuts, dataset.n]))
+        parts = [[col[a:b] for col in dataset.columns] for a, b in bounds]
         with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
             assert "".join(iter_csv_blocks(dataset)) == expected
+            assert "".join(iter_csv_text(dataset.schema, parts)) == expected
 
     @pytest.mark.parametrize("labels", [("", "x"), ("x", ""), ("", ",")])
     def test_lone_empty_label_reads_back(self, labels):

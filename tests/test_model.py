@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrofit import (
     Criterion,
@@ -24,10 +28,13 @@ from dendrofit import (
     score_all_pairs,
     collect_pair_stats,
 )
+from dendrofit import dataio
+from dendrofit import model as model_module
 from dendrofit.errors import DegenerateGaussian, InvalidCount, SchemaMismatch
 from dendrofit.forest import build_forest_suzuki
-from dendrofit.dataio import render_csv
-from dendrofit.model import count_parameters
+from dendrofit.dataio import block_rows, render_csv
+from dendrofit.model import count_parameters, sample_blocks
+from dendrofit.oracle import sample_whole
 
 from conftest import (
     all_forests,
@@ -327,6 +334,65 @@ PINNED_SAMPLE_SHA256 = {
 }
 
 
+# sha256 of the CSV text of rows drawn from every_kind_model(), by (seed,
+# count), taken from the whole-column sampler. Rows of 9 cells make render
+# blocks of 1,820 rows: 1821 and 7281 end one row into a block of one and
+# of four of them, and 25001 spans several of each
+PINNED_BLOCKS_SAMPLE_SHA256 = {
+    (5, 1821): "d1516cc9c6a5ce3cf1c21e54fa572a10569dc6b1f1420a4c8ec18fa42a7cd31f",
+    (5, 7281): "8a6b5dc5003e9a85febd9da03ecf3c80ed8d2a65b8539226e6d772f08ced0d8a",
+    (5, 25001): "6f85483938babbcc6e02e360fed25724ad07620646abc93d9121eca33a563221",
+    (6, 1821): "c4725e39c4fbcb5fe57c3f17a207c42c59cd4284ba346d44da8b11cd033af7a5",
+    (6, 7281): "d3dc8798992f1eefbb985785177a09197163cdc347af9d7e75521a205b4f700e",
+    (6, 25001): "f7bf7b0690ab520d61144ce0b8ba869155d2db39d0d8478099d287af6d4598af",
+}
+
+
+@contextlib.contextmanager
+def blocks_of(rows: int, n_vars: int):
+    """sample_blocks draws blocks of rows rows of n_vars cells within."""
+    with mock.patch.object(model_module, "DRAW_BLOCKS", 1):
+        with mock.patch.object(dataio, "BLOCK_CELLS", rows * n_vars):
+            yield
+
+
+def assert_same_bits(drawn, reference) -> None:
+    for column, expected in zip(drawn.columns, reference.columns):
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes()
+
+
+@st.composite
+def small_forest_models(draw):
+    """A model fitted on a random forest over 2-7 mixed vertices, some
+    discrete columns leaving classes empty, so tables and class
+    probabilities hold zeros."""
+    kinds = "".join(draw(st.lists(st.sampled_from("dDg"), min_size=2, max_size=7)))
+    n = draw(st.integers(12, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "g":
+            x = rng.standard_normal(n)
+            if columns and draw(st.booleans()):
+                x += 3.0 * columns[-1]
+            columns.append(x)
+        else:
+            levels = draw(st.integers(1, 2 if kind == "d" else 3))
+            columns.append(rng.integers(0, levels, n))
+    # each vertex after the first in a random order joins the one before
+    # it (so that paths are long) or another earlier one, or starts a tree
+    order = draw(st.permutations(range(len(kinds))))
+    edges = []
+    for k in range(1, len(order)):
+        earlier = st.one_of(st.just(order[k - 1]), st.sampled_from(order[:k]))
+        joined = draw(st.one_of(st.none(), earlier, earlier))
+        if joined is not None:
+            edges.append((min(joined, order[k]), max(joined, order[k])))
+    ds = dataset_from_columns(mixed_schema(kinds), *columns)
+    return fit(ds, Forest.from_edges(len(kinds), edges))
+
+
 class TestSampling:
     def test_fixed_seed_bit_identical(self):
         model = discrete_chain_model()
@@ -343,6 +409,44 @@ class TestSampling:
         # every factor kind is drawn in both orientations
         text = render_csv(sample(every_kind_model(), 40, seed))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_SAMPLE_SHA256[seed]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=small_forest_models(),
+        count=st.integers(1, 300),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_the_whole_column_reference(self, model, count, rows, seed):
+        with blocks_of(rows, model.schema.n_vars):
+            drawn = sample(model, count, seed)
+        assert_same_bits(drawn, sample_whole(model, count, seed))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 40, 333, 1000])
+    @pytest.mark.parametrize("count", [1, 2, 39, 40, 41, 333])
+    def test_every_kind_blocks_match_the_reference(self, count, rows):
+        model = every_kind_model()
+        with blocks_of(rows, model.schema.n_vars):
+            drawn = sample(model, count, 9)
+        assert_same_bits(drawn, sample_whole(model, count, 9))
+
+    @pytest.mark.parametrize("block_cells", [dataio.BLOCK_CELLS, 90])
+    @pytest.mark.parametrize("seed, count", sorted(PINNED_BLOCKS_SAMPLE_SHA256))
+    def test_csv_bytes_above_one_block_are_pinned(self, seed, count, block_cells):
+        with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
+            text = render_csv(sample(every_kind_model(), count, seed))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == PINNED_BLOCKS_SAMPLE_SHA256[(seed, count)]
+
+    def test_blocks_are_draw_blocks_of_render_blocks(self):
+        model = every_kind_model()
+        rows = model_module.DRAW_BLOCKS * block_rows(model.schema.n_vars)
+        sizes = [len(block[0]) for block in sample_blocks(model, 2 * rows + 5, 1)]
+        assert sizes == [rows, rows, 5]
+
+    def test_count_is_checked_before_the_first_block(self):
+        with pytest.raises(InvalidCount):
+            sample_blocks(every_kind_model(), 0, seed=1)
 
     def test_factor_for_looks_up_either_orientation(self):
         model = discrete_chain_model()
