@@ -18,13 +18,14 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
 from .core import Forest, ScoredEdge
 from .dataio import (
+    block_rows,
     csv_text,
     forest_dot,
     iter_csv_text,
@@ -100,19 +101,19 @@ class RunConfig:
             raise DataFormatError(str(err)) from err
 
 
-def _write_json(out: TextIO, doc, key: Optional[str] = None, items: str = "[]") -> None:
+def _write_json(out: TextIO, doc, key: Optional[str] = None, items: Iterable[str] = ()) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline to ``out``, with
-    ``items``, the indented text of a list rendered elsewhere, in place of
-    the empty list ``doc`` holds under its top-level ``key``. The text
-    around the list and the list are written one after another, so the
-    document's whole text is never held."""
+    the pieces of ``items``, the indented text of a list rendered
+    elsewhere, in place of the empty list ``doc`` holds under its
+    top-level ``key``. Each piece is written as it comes, so neither the
+    document's nor the list's whole text is held."""
     text = json.dumps(doc, indent=2)
     if key is not None:
         # the first match is the key itself: a quote inside a string
         # value is escaped, so no value holds this text
         cut = text.index(f"{json.dumps(key)}: []") + len(json.dumps(key)) + 2
         out.write(text[:cut])
-        out.write(items)
+        out.writelines(items)
         text = text[cut + 2 :]
     out.write(text)
     out.write("\n")
@@ -129,77 +130,136 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return texts
 
 
-def _json_objects(fields: Sequence[str], columns: Sequence[Sequence[str]]) -> str:
+def _blocks(pairs: PairScores, n_fields: int) -> Iterator[tuple[PairScores, slice]]:
+    """Each slice ``part`` of block_rows(n_fields) consecutive pairs, with
+    ``pairs.take(part)``: a report row has n_fields cells, so a block
+    holds about BLOCK_CELLS cells whatever the number of pairs."""
+    step = block_rows(n_fields)
+    for start in range(0, len(pairs.i), step):
+        part = slice(start, start + step)
+        yield pairs.take(part), part
+
+
+def _pair_rows(
+    pairs: PairScores,
+    fields: Sequence[str],
+    template: str,
+    columns: Callable[[PairScores, slice], Sequence[Iterable[str]]],
+    sep: str = "",
+) -> Iterator[str]:
+    """The rows of a report on pairs, a block at a time: for each block of
+    ``_blocks(pairs, len(fields))``, ``template % row`` of each row of the
+    cell texts that ``columns(block, part)`` gives, one column per field,
+    rows joined by ``sep``. A block is made when the text before it has
+    been taken, so one block's cells and text are held at a time."""
+    for block, part in _blocks(pairs, len(fields)):
+        yield sep.join(template % row for row in zip(*columns(block, part)))
+
+
+def _json_list(
+    fields: Sequence[str],
+    pairs: PairScores,
+    columns: Callable[[PairScores, slice], Sequence[Iterable[str]]],
+) -> Iterator[str]:
     """The text ``json.dumps(indent=2)`` gives a list of objects that is
-    the value of a top-level key: one object per row of ``columns``,
-    whose cells are already JSON text."""
-    if not len(columns[0]):
-        return "[]"
+    the value of a top-level key, in pieces: one object per pair, with
+    the given fields, whose cells ``columns`` gives as JSON text."""
     body = ",\n".join(f"      {json.dumps(field)}: %s" for field in fields)
-    template = "    {\n" + body + "\n    }"
-    return "[\n" + ",\n".join(template % row for row in zip(*columns)) + "\n  ]"
+    head = "[\n"
+    for text in _pair_rows(pairs, fields, "    {\n" + body + "\n    }", columns, ",\n"):
+        yield head
+        yield text
+        head = ",\n"
+    yield "[]" if head == "[\n" else "\n  ]"
 
 
-def _pair_columns(names: Sequence[str], pairs: PairScores) -> list[list[str]]:
-    """i, j, name_i, name_j, mi, penalty and score of each pair, as JSON text."""
-    quoted = [json.dumps(name) for name in names]
+def _pair_cells(
+    quoted: Sequence[str], number_text: Callable[[np.ndarray], Iterable[str]], pairs: PairScores
+) -> list[Iterable[str]]:
+    """i, j, name_i, name_j, mi, penalty and score of each pair: names
+    from ``quoted``, numbers by ``number_text``."""
     i, j = pairs.i.tolist(), pairs.j.tolist()
     return [
-        list(map(str, i)),
-        list(map(str, j)),
-        [quoted[v] for v in i],
-        [quoted[v] for v in j],
-        _json_floats(pairs.mi),
-        _json_floats(pairs.penalty),
-        _json_floats(pairs.score),
-    ]
-
-
-_PAIR_FIELDS = ("i", "j", "name_i", "name_j", "mi", "penalty", "score")
-_REASON_JSON = [json.dumps(reason) for reason in REASONS]
-_DECISION_TEXT = ["accepted" if r is None else f"rejected ({r})" for r in REASONS]
-
-
-def _report_json(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) -> str:
-    """The forest JSON's "report" list: one object per greedy step."""
-    codes = outcome.tolist()
-    columns = _pair_columns(names, ranked) + [
-        ["true" if o == ACCEPTED else "false" for o in codes],
-        [_REASON_JSON[o] for o in codes],
-    ]
-    return _json_objects(_PAIR_FIELDS + ("accepted", "reason"), columns)
-
-
-def _report_table(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) -> str:
-    """The edge table learn prints: one line per greedy step, columns
-    left-aligned to their widest cell, two spaces apart."""
-    i, j = ranked.i.tolist(), ranked.j.tolist()
-    columns = [
-        ["i", *map(str, i)],
-        ["j", *map(str, j)],
-        ["pair", *[f"({names[a]}, {names[b]})" for a, b in zip(i, j)]],
-        ["I_n", *map("{:.4f}".format, ranked.mi.tolist())],
-        ["penalty", *map("{:.4f}".format, ranked.penalty.tolist())],
-        ["J_n", *map("{:.4f}".format, ranked.score.tolist())],
-        ["decision", *[_DECISION_TEXT[o] for o in outcome.tolist()]],
-    ]
-    # the last column is not padded, so no line ends in spaces
-    template = "".join(f"%-{max(map(len, column))}s  " for column in columns[:-1]) + "%s\n"
-    return "".join(template % row for row in zip(*columns))
-
-
-def _score_csv(names: Sequence[str], pairs: PairScores) -> str:
-    """The score table as CSV: csv_text of its rows, column by column."""
-    quoted = quoted_cells(names, len(_PAIR_FIELDS))
-    i, j = pairs.i.tolist(), pairs.j.tolist()
-    columns = [
         map(str, i),
         map(str, j),
         [quoted[v] for v in i],
         [quoted[v] for v in j],
-        *(map("{:.17g}".format, c.tolist()) for c in (pairs.mi, pairs.penalty, pairs.score)),
+        *(number_text(c) for c in (pairs.mi, pairs.penalty, pairs.score)),
     ]
-    return csv_text([_PAIR_FIELDS]) + "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
+_PAIR_FIELDS = ("i", "j", "name_i", "name_j", "mi", "penalty", "score")
+_TABLE_FIELDS = ("i", "j", "pair", "I_n", "penalty", "J_n", "decision")
+_ACCEPTED_JSON = ["true" if r is None else "false" for r in REASONS]
+_REASON_JSON = [json.dumps(reason) for reason in REASONS]
+_DECISION_TEXT = ["accepted" if r is None else f"rejected ({r})" for r in REASONS]
+
+
+def _score_json(names: Sequence[str], pairs: PairScores) -> Iterator[str]:
+    """The "pairs" list of ``score --format json``, in pieces."""
+    quoted = [json.dumps(name) for name in names]
+    return _json_list(
+        _PAIR_FIELDS, pairs, lambda block, _: _pair_cells(quoted, _json_floats, block)
+    )
+
+
+def _report_json(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) -> Iterator[str]:
+    """The forest JSON's "report" list, in pieces: one object per greedy step."""
+    quoted = [json.dumps(name) for name in names]
+
+    def columns(block: PairScores, part: slice) -> list[Iterable[str]]:
+        codes = outcome[part].tolist()
+        return _pair_cells(quoted, _json_floats, block) + [
+            [_ACCEPTED_JSON[o] for o in codes],
+            [_REASON_JSON[o] for o in codes],
+        ]
+
+    return _json_list(_PAIR_FIELDS + ("accepted", "reason"), ranked, columns)
+
+
+def _report_table(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) -> Iterator[str]:
+    """The edge table learn prints, in pieces: one line per greedy step,
+    columns left-aligned to their widest cell, two spaces apart. The
+    widths come first, from the arrays and one pass that formats the
+    numbers and keeps only their longest length."""
+    length = np.array([len(name) for name in names], dtype=np.intp)
+    widths = [len(field) for field in _TABLE_FIELDS[:-1]]
+    for block, _ in _blocks(ranked, len(_TABLE_FIELDS)):
+        numbers = (block.mi, block.penalty, block.score)
+        widths = list(map(max, widths, [
+            len(str(block.i.max())),
+            len(str(block.j.max())),
+            int((length[block.i] + length[block.j]).max()) + len("(, )"),
+            *(max(map(len, map("{:.4f}".format, c.tolist()))) for c in numbers),
+        ]))
+
+    def columns(block: PairScores, part: slice) -> list[Iterable[str]]:
+        i, j = block.i.tolist(), block.j.tolist()
+        return [
+            map(str, i),
+            map(str, j),
+            [f"({names[a]}, {names[b]})" for a, b in zip(i, j)],
+            *(map("{:.4f}".format, c.tolist()) for c in (block.mi, block.penalty, block.score)),
+            [_DECISION_TEXT[o] for o in outcome[part].tolist()],
+        ]
+
+    # the last column is not padded, so no line ends in spaces
+    template = "".join(f"%-{w}s  " for w in widths) + "%s\n"
+    yield template % _TABLE_FIELDS
+    yield from _pair_rows(ranked, _TABLE_FIELDS, template, columns)
+
+
+def _score_csv(names: Sequence[str], pairs: PairScores) -> Iterator[str]:
+    """The score table as CSV, in pieces: csv_text of its rows."""
+    quoted = quoted_cells(names, len(_PAIR_FIELDS))
+    decimals = lambda values: map("{:.17g}".format, values.tolist())
+    yield csv_text([_PAIR_FIELDS])
+    yield from _pair_rows(
+        pairs,
+        _PAIR_FIELDS,
+        ",".join(["%s"] * len(_PAIR_FIELDS)) + "\n",
+        lambda block, _: _pair_cells(quoted, decimals, block),
+    )
 
 
 def _artifact_paths(out: str, fmt: str) -> dict[str, Path]:
@@ -259,7 +319,7 @@ def cmd_learn(config: RunConfig) -> int:
 
     out = sys.stdout
     print(f"n={dataset.n} variables={schema.n_vars} criterion={criterion.kind} dn={dn!r}", file=out)
-    out.write(_report_table(schema.names, ranked, outcome))
+    out.writelines(_report_table(schema.names, ranked, outcome))
     total = sum(e.score for e in accepted)
     print(f"edges_selected={len(forest.edges)} total_score={total!r}", file=out)
     print(f"log_likelihood={ll!r}", file=out)
@@ -279,9 +339,8 @@ def cmd_learn(config: RunConfig) -> int:
         "description_length": dl,
     }
     if "json" in paths:
-        report = _report_json(schema.names, ranked, outcome)
         with open(paths["json"], "w", encoding="utf-8") as fh:
-            _write_json(fh, doc, "report", report)
+            _write_json(fh, doc, "report", _report_json(schema.names, ranked, outcome))
     if "dot" in paths:
         decisions = [EdgeDecision(e, accepted=True) for e in accepted]
         paths["dot"].write_text(forest_dot(schema, decisions), encoding="utf-8")
@@ -309,10 +368,9 @@ def cmd_score(config: RunConfig) -> int:
                 "variables": list(schema.names),
                 "pairs": [],
             }
-            pairs = _json_objects(_PAIR_FIELDS, _pair_columns(schema.names, scores))
-            _write_json(out, doc, "pairs", pairs)
+            _write_json(out, doc, "pairs", _score_json(schema.names, scores))
         else:
-            out.write(_score_csv(schema.names, scores))
+            out.writelines(_score_csv(schema.names, scores))
     return 0
 
 

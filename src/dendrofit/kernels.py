@@ -3,7 +3,7 @@ Gaussian columns, every variance and covariance, class statistics, and
 the Gauss-Hermite mixture integral, whose Gaussian kernel separates into
 one per-class factor and one per-node factor contracted by numpy's own
 ``einsum`` loops. A statistic of a row or pair of rows has the same bits
-whatever other rows are stacked with it.
+whatever other rows are stacked with it, and no kernel calls BLAS.
 """
 
 from __future__ import annotations
@@ -62,13 +62,16 @@ def scaled_rows(columns: Sequence[np.ndarray], n: int):
 
 
 def covariances(centred: np.ndarray, r, s) -> np.ndarray:
-    """Biased covariances centred[r[k]] @ centred[s[k]] / n of the rows
-    of centred (rows x n), for index sequences r and s; r[k] = s[k]
-    gives a variance. Each entry is one dot product of two rows, never a
-    matrix product, so its bits do not depend on the other rows stacked
-    with them."""
+    """Biased covariances sum(centred[r[k]] * centred[s[k]]) / n of the
+    rows of centred (rows x n), for index sequences r and s; r[k] = s[k]
+    gives a variance. Each entry is numpy's pairwise sum of the product
+    of two rows, never a BLAS dot or matrix product, so its bits depend
+    neither on the other rows stacked with them nor on the BLAS kernel
+    or thread count of the machine."""
     n = centred.shape[1]
-    return np.array([centred[a] @ centred[b] / n for a, b in zip(r, s)], dtype=np.float64)
+    return np.array(
+        [np.add.reduce(centred[a] * centred[b]) / n for a, b in zip(r, s)], dtype=np.float64
+    )
 
 
 def class_stats_rows(scaled: np.ndarray, y: np.ndarray, n_classes: int):
@@ -81,8 +84,9 @@ def class_stats_rows(scaled: np.ndarray, y: np.ndarray, n_classes: int):
     which loses every digit as R^2 -> 1, and it is exactly 0 when every
     class holds one repeated value: the exact test for a zero residual,
     which a variance around rounded class means is not. Each row is its
-    own bincount and dot product, so its bits do not depend on the other
-    rows stacked with it.
+    own bincount and pairwise sum of squares, never a BLAS dot, so its
+    bits depend neither on the other rows stacked with it nor on the
+    machine's BLAS.
     """
     n = y.size
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
@@ -101,7 +105,7 @@ def class_stats_rows(scaled: np.ndarray, y: np.ndarray, n_classes: int):
         sums = np.bincount(y, weights=row, minlength=n_classes)
         np.divide(sums, counts, out=means[r], where=occupied)
         resid = row - means[r][y]
-        var[r] = resid @ resid / n
+        var[r] = np.add.reduce(resid * resid) / n
         if var[r] <= tiny and (row == row[member]).all():
             var[r] = 0.0
     return counts, means, var

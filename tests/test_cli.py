@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dendrofit
-from dendrofit import dataio
+from dendrofit import cli, dataio
 from dendrofit import (
     Criterion,
     DendroidModel,
@@ -43,11 +44,11 @@ from dendrofit.dataio import (
     write_schema,
 )
 from dendrofit.dataio import forest_dot
-from dendrofit.forest import accepted_forest
+from dendrofit.forest import REASONS, accepted_forest
 from dendrofit.model import description_length, log_likelihood, sample
 from dendrofit import oracle
 from dendrofit.oracle import render_csv_rows
-from dendrofit.scoring import score_all_pairs
+from dendrofit.scoring import PairScores, score_all_pairs
 
 from conftest import dataset_from_columns, discrete_schema, every_kind_model, mixed_schema
 
@@ -198,6 +199,47 @@ class TestLearn:
                 Path(f"{out}{ext}").read_bytes() for ext in (".json", ".dot", ".model.json")
             ])
         assert outputs[0] == outputs[1]
+
+    def test_byte_identical_artifacts_across_blas_threads_and_kernels(self, tmp_path):
+        # 12,500 rows of random reals, whose sums are not exact: OpenBLAS
+        # splits a dot product this long between threads, and each core
+        # type's kernel adds in its own order, so a statistic that went
+        # to BLAS would change its last bits with the machine
+        rng = np.random.default_rng(12)
+        n = 12_500
+        k = rng.integers(0, 3, n)
+        x = rng.standard_normal(n) + k
+        y = x + rng.standard_normal(n)
+        ds = dataset_from_columns(mixed_schema("Dggdg"), k, x, y, k % 2, y - x)
+        data, schema = str(tmp_path / "d.csv"), str(tmp_path / "d.schema.json")
+        write_csv_dataset(data, ds)
+        write_schema(schema, ds.schema)
+        package = str(Path(dendrofit.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+        base = {key: value for key, value in os.environ.items() if not key.startswith("OPENBLAS")}
+        blas_settings = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+        if platform.machine().lower() in ("x86_64", "amd64"):
+            blas_settings += [
+                {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": core}
+                for core in ("Haswell", "Sandybridge", "Nehalem")
+            ]
+        outputs = []
+        for run_index, blas in enumerate(blas_settings):
+            out = tmp_path / f"blas{run_index}"
+            run = subprocess.run(
+                [sys.executable, "-m", "dendrofit", "learn", "--data", data, "--schema", schema,
+                 "--criterion", "mdl", "--format", "both", "--out", str(out),
+                 "--model-out", f"{out}.model.json"],
+                env={**base, "PYTHONPATH": path, **blas},
+                capture_output=True,
+                timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append([run.stdout] + [
+                Path(f"{out}{ext}").read_bytes() for ext in (".json", ".dot", ".model.json")
+            ])
+        for blas, output in zip(blas_settings[1:], outputs[1:]):
+            assert output == outputs[0], blas
 
     def test_mdl_on_independent_columns_gives_empty_forest(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -1138,15 +1180,19 @@ def injected_cases(draw):
 
 class TestColumnWiseReports:
     """learn's table and forest JSON, and score's CSV and JSON, rendered
-    from arrays, against the one-object-per-edge references in oracle.py."""
+    from arrays in blocks of pairs, against the one-object-per-edge
+    references in oracle.py."""
 
     @settings(max_examples=60, deadline=None)
-    @given(case=injected_cases())
-    def test_learn_and_score_match_the_references_byte_for_byte(self, case):
+    @given(case=injected_cases(), rows=st.integers(1, 7))
+    def test_learn_and_score_match_the_references_byte_for_byte(self, case, rows):
         ds, table, flags = case
         schema = ds.schema
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr("dendrofit.scoring.estimate_all_mi", lambda dataset, quad: table)
+            # blocks of 1-7 pairs, so that the widest cell, an inf I_n or a
+            # tie can fall in any block of up to 15 pairs
+            mp.setattr("dendrofit.cli.block_rows", lambda n_fields: rows)
             data, schema_path, out = (str(Path(tmp) / f) for f in ("d.csv", "s.json", "f"))
             write_csv_dataset(data, ds)
             write_schema(schema_path, schema)
@@ -1195,6 +1241,39 @@ class TestColumnWiseReports:
         doc["report"] = oracle.edge_report(schema, decisions)
         assert forest_json == json.dumps(doc, indent=2) + "\n"
         assert dot == forest_dot(schema, decisions)
+
+    def test_peak_does_not_grow_with_the_number_of_pairs(self):
+        """Each report is made and written a block of pairs at a time, and
+        no block is held beside the next: from 20,000 pairs to 200,000 the
+        peak of rendering learn's table and JSON report and score's CSV
+        and JSON grows by at most 256 KiB, where the added pairs' JSON
+        report alone is about 45 MB of text."""
+        names = [f"v{k}" for k in range(50)]
+        rng = np.random.default_rng(8)
+
+        def peak(count):
+            i = rng.integers(0, 49, count)
+            mi = rng.exponential(2.0, count)
+            mi[rng.random(count) < 0.01] = math.inf
+            penalty = rng.choice([0.0, 1.5, 4.5], count)
+            pairs = PairScores(i, rng.integers(i + 1, 50), mi, penalty, mi - penalty)
+            outcome = rng.integers(0, len(REASONS), count)
+            doc = {"variables": names, "pairs": []}
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                tracemalloc.start()
+                try:
+                    sink.writelines(cli._report_table(names, pairs, outcome))
+                    cli._write_json(sink, doc, "pairs", cli._report_json(names, pairs, outcome))
+                    sink.writelines(cli._score_csv(names, pairs))
+                    cli._write_json(sink, doc, "pairs", cli._score_json(names, pairs))
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        # blocks of at most 1,024 cells, so that both counts span many blocks
+        with mock.patch.object(dataio, "BLOCK_CELLS", 1024):
+            peak(2_000)  # first-call allocations are not counted
+            assert peak(200_000) - peak(20_000) <= 256 * 1024
 
 
 def criterion_of(flags):

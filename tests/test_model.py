@@ -113,14 +113,16 @@ def assert_one_moment_per_vertex(ds, forest) -> None:
 
 class TestFit:
     def test_one_mean_and_variance_per_gaussian_vertex(self):
-        # a Gaussian chain on which np.var and the moment kernel round
-        # differently for some columns, so a marginal taken from np.var
-        # would not be the variance its factors hold
+        # a Gaussian chain on which the exactly rounded variance and the
+        # moment kernel's pairwise sum differ for some columns, so a
+        # marginal computed another way would not be the variance its
+        # factors hold (np.var adds in the kernel's order, to the same bits)
         rng = np.random.default_rng(7)
         columns = [rng.standard_normal(2000) * 10.0 ** rng.uniform(-2, 2) for _ in range(10)]
         ds = dataset_from_columns(mixed_schema("g" * 10), *columns)
         model = fit(ds, Forest.from_edges(10, [(v, v + 1) for v in range(9)]))
-        assert any(float(np.var(x)) != f.var_i for x, f in zip(columns, model.factors))
+        exact = [math.fsum((x - math.fsum(x) / x.size) ** 2) / x.size for x in columns]
+        assert any(var != f.var_i for var, f in zip(exact, model.factors))
         assert_one_moment_per_vertex(ds, model.forest)
         for _ in range(40):
             assert_one_moment_per_vertex(*random_mixed_case(rng))
