@@ -83,6 +83,12 @@ class RunConfig:
     scores: Optional[str] = None
     spanning: bool = False
 
+    def __post_init__(self) -> None:
+        # an empty output path would otherwise read as no path given
+        for name in ("out", "model_out"):
+            if getattr(self, name) == "":
+                raise DataFormatError(f"--{name.replace('_', '-')}: empty path")
+
     def make_criterion(self) -> Criterion:
         if self.criterion == "custom":
             if self.dn is None:
@@ -95,10 +101,7 @@ class RunConfig:
         return Criterion(self.criterion)
 
     def make_quadrature(self) -> QuadratureSpec:
-        try:
-            return QuadratureSpec(order=self.quad_order, tolerance=self.quad_tol)
-        except ValueError as err:
-            raise DataFormatError(str(err)) from err
+        return QuadratureSpec(order=self.quad_order, tolerance=self.quad_tol)
 
 
 def _write_json(out: TextIO, doc, key: Optional[str] = None, items: Iterable[str] = ()) -> None:
@@ -518,9 +521,8 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return _HANDLERS[args.command](config)
+        return _HANDLERS[args.command](_config_from_args(args))
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -2,14 +2,17 @@
 plus one pairwise factor per edge, enough to evaluate likelihood and
 description length and to draw synthetic data.
 
-The joint factorizes in the undirected pairwise-ratio form
+The model is one directed factorisation: ``orient_forest`` roots each
+component, and
 
-    q(x) = prod_i p_i(x_i) * prod_{(i,j) in E} pair_ij(x_i, x_j) /
-           (p_i(x_i) p_j(x_j))
+    q(x) = prod_v q_v(x_v | x_parent(v))
 
-which never needs a conditional family for a discrete child of a
-Gaussian parent; sampling orients the forest and inverts the mixed
-factor by Bayes' rule where that orientation comes up.
+where a root takes its marginal and a child the conditional of the edge
+factor it shares with its parent; a discrete child of a Gaussian parent
+inverts the mixed factor by Bayes' rule. Each conditional is built once
+(``_conditional``) for both ``sample``'s draw and ``log_likelihood``'s
+log-density, so the density scored is the one drawn from, and it is
+normalised for every forest.
 
 Sampling uses numpy's PCG64 generator (``numpy.random.default_rng``);
 for a fixed seed the output is bit-identical across runs.
@@ -229,6 +232,8 @@ class DendroidModel:
         count."""
         if forest.n_vertices != schema.n_vars:
             raise ValueError("forest and schema disagree on the number of vertices")
+        if n < 1:
+            raise ValueError(f"n must be a positive sample count, got {n}")
         if len(marginals) != schema.n_vars:
             raise ValueError("need one marginal per vertex")
         edges = forest.sorted_edges
@@ -419,61 +424,27 @@ def fit(dataset: Dataset, forest: Forest) -> DendroidModel:
     )
 
 
-def _gaussian_logpdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:
+def _gaussian_logpdf(x: np.ndarray, mean: Union[float, np.ndarray], var: float) -> np.ndarray:
     return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+
+
+def _log(probs: np.ndarray) -> np.ndarray:
+    """Elementwise log, -inf where a probability is zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(probs)
 
 
 def log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
     """Total log probability (masses and densities mixed) of the rows
-    under the model; rows hitting a zero-probability discrete cell
-    contribute -inf."""
+    under the model: the sum over vertices of each conditional's
+    log-density given its parent in ``orient_forest``'s orientation.
+    Rows hitting a zero-probability discrete value contribute -inf."""
     if dataset.schema != model.schema:
         raise SchemaMismatch("dataset schema differs from the model's schema")
-    n = dataset.n
-    total = np.zeros(n, dtype=np.float64)
-    zero_mask = np.zeros(n, dtype=bool)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for v in range(model.schema.n_vars):
-            col = dataset.column(v)
-            marg = model.marginals[v]
-            if isinstance(marg, DiscreteMarginal):
-                p = marg.probs[col]
-                zero_mask |= p == 0.0
-                total += np.log(p)
-            else:
-                total += _gaussian_logpdf(col, marg.mean, marg.var)
-
-        for factor in model.factors:
-            if isinstance(factor, DiscreteEdgeFactor):
-                xi = dataset.column(factor.i)
-                xj = dataset.column(factor.j)
-                pij = factor.table[xi, xj]
-                zero_mask |= pij == 0.0
-                total += (
-                    np.log(pij)
-                    - np.log(model.marginals[factor.i].probs[xi])
-                    - np.log(model.marginals[factor.j].probs[xj])
-                )
-            elif isinstance(factor, GaussianEdgeFactor):
-                xi = dataset.column(factor.i)
-                xj = dataset.column(factor.j)
-                rho = factor.rho
-                zi = (xi - factor.mean_i) / math.sqrt(factor.var_i)
-                zj = (xj - factor.mean_j) / math.sqrt(factor.var_j)
-                total += -0.5 * math.log1p(-rho * rho) + (
-                    2.0 * rho * zi * zj - rho * rho * (zi * zi + zj * zj)
-                ) / (2.0 * (1.0 - rho * rho))
-            else:
-                x = dataset.column(factor.gauss)
-                y = dataset.column(factor.disc)
-                zero_mask |= factor.class_probs[y] == 0.0
-                marg = model.marginals[factor.gauss]
-                total += _gaussian_logpdf(
-                    x, factor.class_means[y], factor.resid_var
-                ) - _gaussian_logpdf(x, marg.mean, marg.var)
-
-    total = np.where(zero_mask, -np.inf, total)
+    total = np.zeros(dataset.n, dtype=np.float64)
+    for v, parent in enumerate(orient_forest(model.forest, model.schema).parents):
+        log_density = _conditional(model, v, parent)[1]
+        total += log_density(dataset.column(v), None if parent is None else dataset.column(parent))
     return float(total.sum())
 
 
@@ -502,56 +473,80 @@ def _draw_categorical(rng: np.random.Generator, cdf_rows: np.ndarray, count: int
 DRAW_BLOCKS = 8
 
 
-def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[Callable, bool]:
-    """Vertex v's draw given its parent, with every table and constant
-    built once, and whether it draws normals (else uniforms). The draw
-    maps (v's generator, the parent's block column or None, the block's
-    rows) to v's block column, computed row by row as a whole-column draw
-    computes it, so blocks give the same bits."""
-    marg = model.marginals[v]
-    if parent is None:
-        if isinstance(marg, DiscreteMarginal):
-            cdf = np.cumsum(marg.probs)[None, :]
-            return (lambda rng, _, rows: _draw_categorical(rng, cdf, rows)), False
-        mean, sd = marg.mean, math.sqrt(marg.var)
-        return (lambda rng, _, rows: mean + sd * rng.standard_normal(rows)), True
+def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[Callable, Callable]:
+    """Vertex v's conditional given its parent, with every table and
+    constant built once: its draw and its log-density. A Gaussian vertex
+    draws normals, a discrete one uniforms.
 
-    factor = model.factor_for(v, parent)
+    The draw maps (v's generator, the parent's block column or None, the
+    block's rows) to v's block column, computed row by row as a
+    whole-column draw computes it, so blocks give the same bits. The
+    log-density maps (v's column, the parent's column or None) to each
+    row's log probability or log density, -inf where a discrete value
+    has probability zero."""
+    marg = model.marginals[v]
+    factor = None if parent is None else model.factor_for(v, parent)
+    if isinstance(marg, GaussianMarginal):  # a normal around a mean the parent sets
+        if factor is None:
+            mean, var = (lambda _: marg.mean), marg.var
+        elif isinstance(factor, GaussianEdgeFactor):
+            if v == factor.i:
+                mean_c, var_c = factor.mean_i, factor.var_i
+                mean_p, var_p = factor.mean_j, factor.var_j
+            else:
+                mean_c, var_c = factor.mean_j, factor.var_j
+                mean_p, var_p = factor.mean_i, factor.var_i
+            rho = factor.rho
+            slope = rho * math.sqrt(var_c / var_p)
+            mean, var = (lambda par: mean_c + slope * (par - mean_p)), var_c * (1.0 - rho * rho)
+        else:  # a discrete parent
+            means = factor.class_means
+            mean, var = (lambda par: means[par]), factor.resid_var
+        sd = math.sqrt(var)
+        return (
+            (lambda rng, par, rows: mean(par) + sd * rng.standard_normal(rows)),
+            (lambda col, par: _gaussian_logpdf(col, mean(par), var)),
+        )
+
+    if factor is None:
+        cdf, log_probs = np.cumsum(marg.probs)[None, :], _log(marg.probs)
+        return (
+            (lambda rng, _, rows: _draw_categorical(rng, cdf, rows)),
+            (lambda col, _: log_probs[col]),
+        )
     if isinstance(factor, DiscreteEdgeFactor):
         joint = factor.table.T if v == factor.i else factor.table  # rows: parent
         rows_sum = joint.sum(axis=1, keepdims=True)
-        table = np.cumsum(joint / np.where(rows_sum > 0, rows_sum, 1.0), axis=1)
-        return (lambda rng, col, rows: _draw_categorical(rng, table[col], rows)), False
-    if isinstance(factor, GaussianEdgeFactor):
-        if v == factor.i:
-            mean_c, var_c = factor.mean_i, factor.var_i
-            mean_p, var_p = factor.mean_j, factor.var_j
-        else:
-            mean_c, var_c = factor.mean_j, factor.var_j
-            mean_p, var_p = factor.mean_i, factor.var_i
-        rho = factor.rho
-        slope = rho * math.sqrt(var_c / var_p)
-        sd = math.sqrt(var_c * (1.0 - rho * rho))
+        cond = joint / np.where(rows_sum > 0, rows_sum, 1.0)
+        table, log_cond = np.cumsum(cond, axis=1), _log(cond)
         return (
-            lambda rng, col, rows: mean_c + slope * (col - mean_p) + sd * rng.standard_normal(rows)
-        ), True
-    if v == factor.gauss:  # Gaussian child of a discrete parent
-        means, sd = factor.class_means, math.sqrt(factor.resid_var)
-        return (lambda rng, col, rows: means[col] + sd * rng.standard_normal(rows)), True
+            (lambda rng, par, rows: _draw_categorical(rng, table[par], rows)),
+            (lambda col, par: log_cond[par, col]),
+        )
 
-    # discrete child of a Gaussian parent: Bayes inversion
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(factor.class_probs)[None, :]
+    # a Gaussian parent: Bayes inversion of the mixed factor. The class
+    # term log p_k - (x - m_k)^2 / (2 r) leaves out the log of the normal
+    # constant, which the classes share
+    log_probs = _log(factor.class_probs)[None, :]
     means, twice_var = factor.class_means[None, :], 2.0 * factor.resid_var
 
-    def invert(rng: np.random.Generator, col: np.ndarray, rows: int) -> np.ndarray:
-        logits = log_probs - (col[:, None] - means) ** 2 / twice_var
+    def invert(rng: np.random.Generator, par: np.ndarray, rows: int) -> np.ndarray:
+        logits = log_probs - (par[:, None] - means) ** 2 / twice_var
         logits -= logits.max(axis=1, keepdims=True)
         weights = np.exp(logits)
         weights /= weights.sum(axis=1, keepdims=True)
         return _draw_categorical(rng, np.cumsum(weights, axis=1), rows)
 
-    return invert, False
+    def log_posterior(col: np.ndarray, par: np.ndarray) -> np.ndarray:
+        # class-major (K, rows), so each reduction runs over K rows of
+        # contiguous values
+        logits = log_probs.T - (par - means.T) ** 2 / twice_var
+        shift = logits.max(axis=0)
+        own = logits[col, np.arange(len(col))]
+        logits -= shift
+        return own - shift - np.log(np.exp(logits, out=logits).sum(axis=0))
+
+    return invert, log_posterior
 
 
 def sample_blocks(model: DendroidModel, count: int, seed: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -582,7 +577,8 @@ def _draw_blocks(
     draws = []
     for v in rooted.topological_order():
         parent = rooted.parents[v]
-        draw, normal = _conditional(model, v, parent)
+        draw, _ = _conditional(model, v, parent)
+        normal = not model.schema.is_discrete(v)
         rng = np.random.Generator(np.random.PCG64(seed))
         rng.bit_generator.state = shared.bit_generator.state  # where v's draws start
         draws.append((v, parent, rng, draw, normal))

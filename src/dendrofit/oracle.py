@@ -2,8 +2,9 @@
 exhaustive forest search, exact KL divergence of small discrete joints
 against their forest factorization, Monte Carlo mutual information
 for mixed factors, Golub-Welsch Gauss-Hermite rules, a row-at-a-time
-CSV renderer, a whole-file CSV reader, a whole-column sampler, and the
-one-object-per-edge greedy loop and report renderers of the CLI.
+CSV renderer, a whole-file CSV reader, a whole-column sampler, a
+row-at-a-time log-likelihood, and the one-object-per-edge greedy loop
+and report renderers of the CLI.
 
 Everything here is deliberately slow and independent of the production
 code paths it checks.
@@ -283,6 +284,65 @@ def sample_whole(model: DendroidModel, count: int, seed: int) -> Dataset:
             columns[v] = _draw_categorical(rng, cdf_rows, count)
 
     return Dataset(schema=model.schema, columns=tuple(columns))
+
+
+def _log_or_minus_inf(p: float) -> float:
+    return math.log(p) if p > 0.0 else -math.inf
+
+
+def _log_normal(x: float, mean: float, var: float) -> float:
+    return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+
+
+def directed_log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
+    """Reference for ``model.log_likelihood``: the log-density of the rows
+    under the forest as ``orient_forest`` orients it, one row and one
+    vertex at a time in Python floats. A discrete child of a Gaussian
+    parent takes the posterior of its class, log p_y N(x; m_y, r) - log
+    sum_k p_k N(x; m_k, r), with the sum shifted by its largest term."""
+    if dataset.schema != model.schema:
+        raise SchemaMismatch("dataset schema differs from the model's schema")
+    parents = orient_forest(model.forest, model.schema).parents
+    columns = [dataset.column(v).tolist() for v in range(model.schema.n_vars)]
+    total = 0.0
+    for row in zip(*columns):
+        for v, parent in enumerate(parents):
+            x, marg = row[v], model.marginals[v]
+            if parent is None:
+                if isinstance(marg, DiscreteMarginal):
+                    total += _log_or_minus_inf(float(marg.probs[x]))
+                else:
+                    total += _log_normal(x, marg.mean, marg.var)
+                continue
+            factor, x_parent = model.factor_for(v, parent), row[parent]
+            if isinstance(factor, DiscreteEdgeFactor):
+                cells = factor.table.tolist()
+                if v == factor.i:  # the parent's value picks a column
+                    given = [cells_of_row[x_parent] for cells_of_row in cells]
+                else:
+                    given = cells[x_parent]
+                mass = sum(given)
+                total += _log_or_minus_inf(given[x] / mass) if mass > 0.0 else -math.inf
+            elif isinstance(factor, GaussianEdgeFactor):
+                if v == factor.i:
+                    mean_c, var_c = factor.mean_i, factor.var_i
+                    mean_p, var_p = factor.mean_j, factor.var_j
+                else:
+                    mean_c, var_c = factor.mean_j, factor.var_j
+                    mean_p, var_p = factor.mean_i, factor.var_i
+                rho = factor.rho
+                mean = mean_c + rho * math.sqrt(var_c / var_p) * (x_parent - mean_p)
+                total += _log_normal(x, mean, var_c * (1.0 - rho * rho))
+            elif v == factor.gauss:
+                total += _log_normal(x, float(factor.class_means[x_parent]), factor.resid_var)
+            else:
+                terms = [
+                    _log_or_minus_inf(p) + _log_normal(x_parent, m, factor.resid_var)
+                    for p, m in zip(factor.class_probs.tolist(), factor.class_means.tolist())
+                ]
+                top = max(terms)
+                total += terms[x] - top - math.log(sum(math.exp(t - top) for t in terms))
+    return total
 
 
 def read_csv_whole(path, schema: VariableSchema) -> Dataset:

@@ -458,6 +458,29 @@ class TestOutputOntoInput:
         assert after == before
 
 
+class TestEmptyOutputPath:
+    """An empty output path exits 2 naming its flag, before any input is
+    read (the inputs here do not exist) and without writing anything."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["learn", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--out", ""], "--out"),
+            (["learn", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--model-out", ""],
+             "--model-out"),
+            (["score", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--out", ""], "--out"),
+            (["sample", "--model", "{d}/no.json", "--count", "5", "--out", ""], "--out"),
+        ],
+        ids=["learn-out", "learn-model-out", "score-out", "sample-out"],
+    )
+    def test_empty_output_path_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}: empty path\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestScore:
     def test_two_variable_table(self, tmp_path, capsys):
         schema = discrete_schema(2, 2)
@@ -930,6 +953,8 @@ BAD_MODELS = {
     "rho of one": lambda doc: doc["edge_factors"][1].update(rho=1.0),
     "2-D probs": lambda doc: doc["marginals"][0].update(probs=[[0.5], [0.5]]),
     "fractional n": lambda doc: doc.update(n=3.7),
+    "zero n": lambda doc: doc.update(n=0),
+    "negative n": lambda doc: doc.update(n=-7),
     "bad schema entry": lambda doc: doc["schema"][0].update(kind="ordinal"),
     # a bool among numbers, read as 1 or 0, would make a valid array
     "bool among class means": lambda doc: doc["edge_factors"][0].update(

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 from unittest import mock
@@ -34,7 +35,7 @@ from dendrofit.errors import DegenerateGaussian, InvalidCount, SchemaMismatch
 from dendrofit.forest import build_forest_suzuki
 from dendrofit.dataio import block_rows, render_csv
 from dendrofit.model import count_parameters, sample_blocks
-from dendrofit.oracle import sample_whole
+from dendrofit.oracle import directed_log_likelihood, sample_whole
 
 from conftest import (
     all_forests,
@@ -579,6 +580,197 @@ class TestSampling:
         assert abs(picked.mean() - mean_x_given_y2) <= 4 * picked.std() / math.sqrt(
             picked.size
         )
+
+
+def mixed_factor(gauss, disc, probs, means, resid_var) -> MixedEdgeFactor:
+    return MixedEdgeFactor(
+        gauss=gauss,
+        disc=disc,
+        class_probs=np.array(probs, dtype=np.float64),
+        class_means=np.array(means, dtype=np.float64),
+        resid_var=resid_var,
+    )
+
+
+def class_mixture(factor: MixedEdgeFactor) -> GaussianMarginal:
+    """The Gaussian marginal that a mixed factor's class mixture gives."""
+    mean = float((factor.class_probs * factor.class_means).sum())
+    spread = float((factor.class_probs * (factor.class_means - mean) ** 2).sum())
+    return GaussianMarginal(mean=mean, var=factor.resid_var + spread)
+
+
+def split_in_two(gauss, disc, marg: GaussianMarginal, sep: float) -> MixedEdgeFactor:
+    """A mixed factor of two equally likely classes sep residual sds
+    apart whose mixture reproduces marg."""
+    resid_var = marg.var / (1.0 + sep * sep / 4.0)
+    half = 0.5 * sep * math.sqrt(resid_var)
+    return mixed_factor(gauss, disc, [0.5, 0.5], [marg.mean - half, marg.mean + half], resid_var)
+
+
+def bayes_chain(sep: float) -> DendroidModel:
+    """y - x - z, x Gaussian: oriented from y, z is a discrete child of a
+    Gaussian parent. Each mixed factor's classes are sep residual sds
+    apart."""
+    xy = mixed_factor(1, 0, [0.4, 0.6], [0.0, sep], 1.0)
+    x = class_mixture(xy)
+    return DendroidModel.build(
+        schema=mixed_schema("dgd"),
+        forest=Forest.from_edges(3, [(0, 1), (1, 2)]),
+        marginals=(
+            DiscreteMarginal(np.array([0.4, 0.6])), x, DiscreteMarginal(np.array([0.5, 0.5]))
+        ),
+        factors=(xy, split_in_two(1, 2, x, sep)),
+        n=1,
+    )
+
+
+def bayes_under_gaussian_edge() -> DendroidModel:
+    """y - x1 - x2 - z: z's Gaussian parent x2 is the child of another
+    Gaussian."""
+    a = mixed_factor(1, 0, [0.3, 0.7], [-1.0, 1.0], 0.5)
+    x1, x2 = class_mixture(a), GaussianMarginal(mean=2.0, var=3.0)
+    return DendroidModel.build(
+        schema=mixed_schema("dggd"),
+        forest=Forest.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+        marginals=(
+            DiscreteMarginal(np.array([0.3, 0.7])), x1, x2, DiscreteMarginal(np.array([0.5, 0.5]))
+        ),
+        factors=(
+            a,
+            GaussianEdgeFactor(1, 2, rho=0.8, mean_i=x1.mean, var_i=x1.var, mean_j=2.0, var_j=3.0),
+            split_in_two(2, 3, x2, 2.0),
+        ),
+        n=1,
+    )
+
+
+def discrete_under_bayes() -> DendroidModel:
+    """y - x - z - w: z is drawn by Bayes inversion, w from a table given z."""
+    xy = mixed_factor(1, 0, [0.25, 0.75], [-2.0, 1.0], 1.5)
+    x = class_mixture(xy)
+    return DendroidModel.build(
+        schema=mixed_schema("dgDd"),
+        forest=Forest.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+        marginals=(
+            DiscreteMarginal(np.array([0.25, 0.75])),
+            x,
+            DiscreteMarginal(np.array([0.25, 0.25, 0.5])),
+            DiscreteMarginal(np.array([0.625, 0.375])),
+        ),
+        factors=(
+            xy,
+            mixed_factor(1, 2, [0.25, 0.25, 0.5], x.mean + np.array([-2.0, 0.0, 1.0]), x.var - 1.5),
+            DiscreteEdgeFactor(2, 3, np.array([[0.25, 0.0], [0.125, 0.125], [0.25, 0.25]])),
+        ),
+        n=1,
+    )
+
+
+def no_bayes_vertex() -> DendroidModel:
+    """y - w - x: a table and a Gaussian child of a discrete parent."""
+    yw = np.array([[0.125, 0.375], [0.25, 0.25]])
+    xw = mixed_factor(2, 1, [0.375, 0.625], [2.0, -1.0], 1.0)
+    return DendroidModel.build(
+        schema=mixed_schema("ddg"),
+        forest=Forest.from_edges(3, [(0, 1), (1, 2)]),
+        marginals=(
+            DiscreteMarginal(yw.sum(axis=1)), DiscreteMarginal(yw.sum(axis=0)), class_mixture(xw)
+        ),
+        factors=(DiscreteEdgeFactor(0, 1, yw), xw),
+        n=1,
+    )
+
+
+def gaussian_pair_beside_a_discrete() -> DendroidModel:
+    """x0 - x1 and a lone discrete vertex: a Gaussian root and child."""
+    return DendroidModel.build(
+        schema=mixed_schema("ggD"),
+        forest=Forest.from_edges(3, [(0, 1)]),
+        marginals=(
+            GaussianMarginal(mean=1.0, var=2.0),
+            GaussianMarginal(mean=-1.0, var=0.5),
+            DiscreteMarginal(np.array([0.5, 0.25, 0.25])),
+        ),
+        factors=(
+            GaussianEdgeFactor(0, 1, rho=-0.7, mean_i=1.0, var_i=2.0, mean_j=-1.0, var_j=0.5),
+        ),
+        n=1,
+    )
+
+
+def total_mass(model: DendroidModel) -> float:
+    """exp(log_likelihood) summed over every discrete value and integrated
+    over each Gaussian coordinate by 40-node Gauss-Legendre on its
+    marginal's mean +- 8 sd, one row at a time."""
+    schema = model.schema
+    t, w = np.polynomial.legendre.leggauss(40)
+    axes = []
+    for v, marg in enumerate(model.marginals):
+        if schema.is_discrete(v):
+            axes.append([(k, 1.0) for k in range(schema.cardinality(v))])
+        else:
+            half = 8.0 * math.sqrt(marg.var)
+            axes.append(list(zip((marg.mean + half * t).tolist(), (half * w).tolist())))
+    total = 0.0
+    for point in itertools.product(*axes):
+        row = dataset_from_columns(schema, *([value] for value, _ in point))
+        total += math.exp(log_likelihood(model, row)) * math.prod(weight for _, weight in point)
+    return total
+
+
+# the models of TestDirectedDensity, and whether a discrete vertex has a
+# Gaussian parent once oriented
+DENSITY_MODELS = {
+    "chain, classes 1 sd apart": (lambda: bayes_chain(1.0), True),
+    "chain, classes 3 sd apart": (lambda: bayes_chain(3.0), True),
+    "Bayes vertex under a Gaussian edge": (bayes_under_gaussian_edge, True),
+    "table under a Bayes vertex": (discrete_under_bayes, True),
+    "table and Gaussian child": (no_bayes_vertex, False),
+    "Gaussian pair beside a discrete": (gaussian_pair_beside_a_discrete, False),
+}
+
+
+class TestDirectedDensity:
+    @pytest.mark.parametrize("name", sorted(DENSITY_MODELS))
+    def test_density_integrates_to_one(self, name):
+        build, has_bayes_vertex = DENSITY_MODELS[name]
+        model = build()
+        parents = orient_forest(model.forest, model.schema).parents
+        bayes = [
+            v
+            for v, parent in enumerate(parents)
+            if parent is not None and model.schema.is_discrete(v)
+            and not model.schema.is_discrete(parent)
+        ]
+        assert bool(bayes) == has_bayes_vertex
+        assert total_mass(model) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_kind_matches_the_row_reference(self, seed):
+        model = every_kind_model()
+        ds = sample(model, 300, seed)
+        assert log_likelihood(model, ds) == pytest.approx(
+            directed_log_likelihood(model, ds), rel=1e-12
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        model=small_forest_models(),
+        count=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_row_reference(self, model, count, seed):
+        ds = sample(model, count, seed)
+        assert log_likelihood(model, ds) == pytest.approx(
+            directed_log_likelihood(model, ds), rel=1e-12
+        )
+
+    def test_bayes_chain_value_is_pinned(self):
+        model = bayes_chain(3.0)
+        ds = dataset_from_columns(
+            model.schema, [0, 1, 1, 0, 1], [-0.5, 3.25, 1.5, 2.0, -1.0], [0, 1, 0, 1, 1]
+        )
+        assert repr(log_likelihood(model, ds)) == "-28.544940258703967"
 
 
 class TestSerialization:
