@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -151,9 +152,8 @@ def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
     byte that is not UTF-8 is found when its chunk of about 8 KB is
     decoded, so it is reported before a bad cell earlier in that chunk."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        records = csv.reader(fh)
         try:
-            header = next(records, None)
+            header = next(csv.reader(fh), None)
         except (UnicodeDecodeError, csv.Error) as err:
             raise DataFormatError(f"{path}: {err}") from err
         if header is None:
@@ -163,7 +163,7 @@ def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
                 f"{path}: header {header} does not match schema columns "
                 f"{list(schema.names)}"
             )
-        parts = _read_blocks(path, records, schema)
+        parts = _read_blocks(path, fh, schema)
     if not parts[0]:
         raise EmptyDataset(f"{path}: no data rows")
     columns = []
@@ -174,31 +174,48 @@ def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
 
 
 def _read_blocks(
-    path: PathLike, records: Iterator[list], schema: VariableSchema
+    path: PathLike, lines: Iterator[str], schema: VariableSchema
 ) -> list[list[np.ndarray]]:
-    """Each column's arrays, one per block of data records. A decode or
-    CSV error is raised after the records before it are parsed, and a
-    blank record before a later one is an arity fault at its row."""
+    """Each column's arrays, one per block of the data lines that follow
+    the header. Blocks of plain lines go to numpy's text reader; from the
+    first block that it cannot take exactly, csv.reader parses the rest.
+    A decode or CSV error is raised after the records before it are
+    parsed, and a blank record before a later one is an arity fault at
+    its row."""
     parts: list[list[np.ndarray]] = [[] for _ in schema.variables]
 
+    def store(columns: Sequence[np.ndarray]) -> None:
+        for blocks, column in zip(parts, columns):
+            blocks.append(column)
+
     def parse(block: list, first: int) -> None:
-        """Append the block's columns; block[0] is row first of the file."""
+        """Store the block's columns; block[0] is row first of the file."""
         columns = _parse_columns(schema, block)
         try:
             if columns is None:
                 columns = _scan_rows(schema, block, first)
         except DendrofitError as err:
             raise type(err)(f"{path} line {err.row_index + 2}: {err}") from err
-        for blocks, column in zip(parts, columns):
-            blocks.append(column)
+        store(columns)
 
     step = block_rows(schema.n_vars)
-    block: list = []
     first = 0
+    head: list[str] = []  # the lines of the block that csv.reader starts at
+    rest: Iterator[str] = lines
+    plain = _plain_parser(schema)
+    while plain is not None:
+        head, rest = _next_lines(lines, step)
+        columns = plain(head) if rest is lines else None
+        if columns is None:
+            break
+        store(columns)
+        first += len(head)
+
+    block: list = []
     blank = False  # a blank record was read after the last stored one
     fault = None
     try:
-        for record in records:
+        for record in csv.reader(itertools.chain(head, rest)):
             if not record:
                 blank = True
             elif blank:
@@ -220,6 +237,87 @@ def _read_blocks(
     if fault is not None:
         raise DataFormatError(f"{path}: {fault}") from fault
     return parts
+
+
+def _next_lines(lines: Iterator[str], count: int) -> tuple[list[str], Iterator[str]]:
+    """Up to count lines, and what follows them: lines itself, or, when
+    decoding the next line failed, an iterator that raises that error."""
+    taken: list[str] = []
+    try:
+        for line in lines:
+            taken.append(line)
+            if len(taken) == count:
+                break
+    except UnicodeDecodeError as err:
+        return taken, _raising(err)
+    return taken, lines
+
+
+def _raising(err: Exception) -> Iterator[str]:
+    raise err
+    yield  # a generator, so err is raised where the lines run out
+
+
+def _plain_parser(
+    schema: VariableSchema,
+) -> Optional[Callable[[list[str]], Optional[list[np.ndarray]]]]:
+    """A parser of blocks of plain lines by numpy's text reader, or None
+    when a label holds NUL, which numpy strings drop.
+
+    A plain line holds no quote, carriage return or NUL, is not blank and
+    is no longer than csv.reader's field limit, so it splits on "," into
+    csv.reader's record. It holds none of U+001C to U+001F either, which
+    numpy strips around a number and float() does not; otherwise numpy
+    parses a subset of float()'s syntax, to the same bits. The parser
+    gives the block's columns, or None for a block that is not plain,
+    that numpy rejects, or that holds a cell that is not a label or not a
+    finite real; such a block is left to csv.reader."""
+    formats, labels = [], {}
+    for i, var in enumerate(schema.variables):
+        if isinstance(var.kind, Gaussian):
+            formats.append((f"f{i}", np.float64))
+            continue
+        if any("\0" in label for label in var.kind.labels):
+            return None
+        names = np.array(var.kind.labels)
+        order = np.argsort(names)
+        labels[f"f{i}"] = (names[order], order.astype(np.int64))
+        # a character more than the longest label, so that no longer cell
+        # is cut down to a label
+        formats.append((f"f{i}", f"U{names.dtype.itemsize // 4 + 1}"))
+    dtype = np.dtype(formats)
+
+    def parse(lines: list[str]) -> Optional[list[np.ndarray]]:
+        text = "".join(lines)
+        if (
+            not text
+            or any(c in text for c in '"\r\0\x1c\x1d\x1e\x1f')
+            or text.startswith("\n")
+            or "\n\n" in text
+            or max(map(len, lines)) > csv.field_size_limit()
+        ):
+            return None
+        del text  # so that the joined copy is not held while numpy parses
+        try:
+            table = np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+        except ValueError:
+            return None
+        columns = []
+        for name in dtype.names:
+            cells = table[name]
+            if name in labels:
+                sorted_names, codes = labels[name]
+                at = np.minimum(np.searchsorted(sorted_names, cells), len(codes) - 1)
+                if not (sorted_names[at] == cells).all():
+                    return None
+                columns.append(codes[at])
+            elif np.isfinite(cells).all():
+                columns.append(np.array(cells, dtype=np.float64))
+            else:
+                return None
+        return columns
+
+    return parse
 
 
 def write_csv_dataset(path: PathLike, dataset: Dataset) -> None:

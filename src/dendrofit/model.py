@@ -425,7 +425,9 @@ def fit(dataset: Dataset, forest: Forest) -> DendroidModel:
 
 
 def _gaussian_logpdf(x: np.ndarray, mean: Union[float, np.ndarray], var: float) -> np.ndarray:
-    return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+    """-inf where x is so far from the mean that the square overflows."""
+    with np.errstate(over="ignore"):
+        return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
 
 
 def _log(probs: np.ndarray) -> np.ndarray:
@@ -539,9 +541,17 @@ def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[C
 
     def log_posterior(col: np.ndarray, par: np.ndarray) -> np.ndarray:
         # class-major (K, rows), so each reduction runs over K rows of
-        # contiguous values
-        logits = log_probs.T - (par - means.T) ** 2 / twice_var
+        # contiguous values, and a row's bits do not depend on the others
+        with np.errstate(over="ignore"):
+            logits = log_probs.T - (par - means.T) ** 2 / twice_var
         shift = logits.max(axis=0)
+        far = np.isneginf(shift)
+        if far.any():
+            # a parent so far from every class mean that each square
+            # overflows: every class term is -inf, and the row scores -inf
+            out = np.full(len(col), -np.inf)
+            out[~far] = log_posterior(col[~far], par[~far])
+            return out
         own = logits[col, np.arange(len(col))]
         logits -= shift
         return own - shift - np.log(np.exp(logits, out=logits).sum(axis=0))

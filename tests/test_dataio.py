@@ -246,11 +246,51 @@ def data_path(tmp_path_factory):
     return tmp_path_factory.mktemp("reader") / "data.csv"
 
 
+# no character that csv.writer quotes or that ends a line, so that every
+# line is plain unless a row is damaged on purpose
+PLAIN_TEXT = st.text(alphabet=st.sampled_from("ab \t#é"), max_size=3)
+# real cells at the edges of float syntax: read by only one of float()
+# and numpy, read as a value that is not finite, or read the same by both
+ODD_REALS = ["1_0", "١", " 1.5\xa0", "\x1c1", "inf", "nan", "1e999", "0x1p3", "", "-0", "4.9e-324"]
+
+
+@st.composite
+def plain_files(draw):
+    """A schema and the bytes of a data file for it written without
+    quotes, its real cells as "%.17g" or repr writes them, with up to
+    three damaged rows and a blank line at the end or not."""
+    dataset = draw(datasets(max_rows=12, text=PLAIN_TEXT))
+    schema = dataset.schema
+    rows = []
+    for r in range(dataset.n):
+        row = []
+        for var, col in zip(schema.variables, dataset.columns):
+            if isinstance(var.kind, Discrete):
+                row.append(var.kind.labels[col[r]])
+            else:
+                row.append(draw(st.sampled_from(["%.17g", "%r"])) % col[r])
+        rows.append(row)
+    reals = [i for i in range(schema.n_vars) if not schema.is_discrete(i)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        damage = draw(st.sampled_from(["real", "space", "short", "long"]))
+        in_row = [i for i in reals if i < len(row)]
+        if damage == "real" and in_row:
+            row[draw(st.sampled_from(in_row))] = draw(st.sampled_from(ODD_REALS))
+        elif damage == "space" and row:
+            row[draw(st.integers(0, len(row) - 1))] += " "
+        elif damage == "short" and row:
+            row.pop()
+        elif damage == "long":
+            row.append("a")
+    lines = [",".join(row) + "\n" for row in [schema.names, *rows]]
+    lines += ["\n"] * draw(st.integers(0, 1))
+    return schema, "".join(lines).encode("utf-8")
+
+
 class TestBlockReaderMatchesWholeFile:
-    @settings(max_examples=300, deadline=None)
-    @given(case=data_files(), block_cells=st.integers(1, 40))
-    def test_same_columns_or_same_error(self, data_path, case, block_cells):
-        schema, data = case
+    @staticmethod
+    def assert_same_outcome(data_path, schema, data, block_cells):
         data_path.write_bytes(data)
         with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
             kind, got = outcome(read_csv_dataset, data_path, schema)
@@ -263,6 +303,62 @@ class TestBlockReaderMatchesWholeFile:
             for col, ref_col in zip(got.columns, ref.columns):
                 assert col.dtype == ref_col.dtype
                 assert col.tobytes() == ref_col.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=data_files(), block_cells=st.integers(1, 40))
+    def test_same_columns_or_same_error(self, data_path, case, block_cells):
+        self.assert_same_outcome(data_path, *case, block_cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=plain_files(), block_cells=st.integers(1, 40))
+    def test_plain_files_same_columns_or_same_error(self, data_path, case, block_cells):
+        self.assert_same_outcome(data_path, *case, block_cells)
+
+    @pytest.mark.parametrize(
+        "row",
+        [f"a,{cell}" for cell in ODD_REALS]
+        + [f"{cell},1" for cell in ["a ", " a", "ab", ""]]
+        + [pytest.param("a,1." + OVERSIZED.replace("x", "0"), id="oversized-real")],
+    )
+    def test_plain_cell_read_by_one_parser_only(self, data_path, row):
+        schema = VariableSchema(
+            (Variable("d", Discrete(("a", "b"))), Variable("g", Gaussian()))
+        )
+        data = f"d,g\na,1\n{row}\nb,2\n".encode("utf-8")
+        self.assert_same_outcome(data_path, schema, data, dataio.BLOCK_CELLS)
+
+    def test_label_that_holds_nul_keeps_its_code(self, data_path):
+        # numpy strings drop trailing NULs: "a\0" would read as "a"
+        schema = VariableSchema((Variable("d", Discrete(("a\0", "a"))),))
+        self.assert_same_outcome(data_path, schema, b"d\na\na\n", dataio.BLOCK_CELLS)
+        assert read_csv_dataset(data_path, schema).column(0).tolist() == [1, 1]
+
+    @pytest.mark.parametrize("block_cells", [4, dataio.BLOCK_CELLS])
+    def test_bad_byte_after_plain_blocks_is_reported(self, data_path, block_cells):
+        schema = VariableSchema(
+            (Variable("d", Discrete(("a", "b"))), Variable("g", Gaussian()))
+        )
+        # the byte 0xff in a later chunk of the file, after about 10 KB
+        text = "d,g\n" + "a,1\n" * 2500 + "\udcff,1\n" + "b,2\n" * 2500
+        data = text.encode("utf-8", "surrogateescape")
+        self.assert_same_outcome(data_path, schema, data, block_cells)
+        with pytest.raises(DataFormatError, match="can't decode byte 0xff"):
+            read_csv_dataset(data_path, schema)
+
+    def test_plain_blocks_skip_the_record_parsers(self, data_path):
+        schema = VariableSchema(
+            (Variable("d", Discrete(("a", "b", "c"))), Variable("g", Gaussian()))
+        )
+        rng = np.random.default_rng(3)
+        ds = Dataset(schema, (rng.integers(0, 3, 50), rng.standard_normal(50)))
+        write_csv_dataset(data_path, ds)
+        unused = mock.Mock(side_effect=AssertionError("not a plain block"))
+        with mock.patch.object(dataio, "BLOCK_CELLS", 16), mock.patch.multiple(
+            dataio, _parse_columns=unused, _scan_rows=unused
+        ):
+            back = read_csv_dataset(data_path, schema)
+        for col, ref_col in zip(back.columns, ds.columns):
+            assert col.tobytes() == ref_col.tobytes()
 
     @pytest.mark.parametrize("block_cells", [1, 4, dataio.BLOCK_CELLS])
     @pytest.mark.parametrize(

@@ -3,6 +3,9 @@ import hashlib
 import itertools
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -110,6 +113,48 @@ def assert_one_moment_per_vertex(ds, forest) -> None:
             )
             assert (factor.class_probs == stats.class_counts / ds.n).all()
             assert (factor.class_means[occupied] == stats.class_means[occupied]).all()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def assert_mi_within_fitted_gain(ds, forest) -> int:
+    """On each mixed edge of the forest whose discrete endpoint is the
+    parent, I_n <= (n/2) ln(var / resid_var), the fitted model's gain in
+    log-likelihood over the child's marginal: a Gaussian has the largest
+    entropy for its variance. The slack covers the quadrature tolerance.
+    Edges oriented the other way have no such bound. Returns the number
+    of edges checked."""
+    model = fit(ds, forest)
+    mi = {(e.i, e.j): e.mi for e in score_all_pairs(ds, Criterion.maximum_likelihood())}
+    checked = 0
+    for child, parent in enumerate(orient_forest(forest, ds.schema).parents):
+        if parent is None or not ds.schema.is_discrete(parent) or ds.schema.is_discrete(child):
+            continue
+        factor = model.factor_for(child, parent)
+        gain = 0.5 * ds.n * math.log(model.marginals[child].var / factor.resid_var)
+        assert mi[min(child, parent), max(child, parent)] <= gain * (1 + 1e-7) + 1e-9 * ds.n
+        checked += 1
+    return checked
+
+
+class TestMixedEdgeGain:
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("workload", ["wide", "mixed-hard"])
+    def test_benchmark_forests(self, tmp_path, workload, seed):
+        subprocess.run(
+            [sys.executable, "generate.py", workload, str(seed), "full", str(tmp_path)],
+            cwd=PERFBENCH, check=True, capture_output=True,
+        )
+        schema = dataio.read_schema(tmp_path / "schema.json")
+        ds = dataio.read_csv_dataset(tmp_path / "data.csv", schema)
+        forest = build_forest_suzuki(score_all_pairs(ds, Criterion.mdl()))
+        assert assert_mi_within_fitted_gain(ds, forest) > 0
+
+    def test_random_small_datasets(self):
+        rng = np.random.default_rng(23)
+        checked = sum(assert_mi_within_fitted_gain(*random_mixed_case(rng)) for _ in range(150))
+        assert checked > 50
 
 
 class TestFit:
@@ -771,6 +816,13 @@ class TestDirectedDensity:
             model.schema, [0, 1, 1, 0, 1], [-0.5, 3.25, 1.5, 2.0, -1.0], [0, 1, 0, 1, 1]
         )
         assert repr(log_likelihood(model, ds)) == "-28.544940258703967"
+
+    @pytest.mark.parametrize("x", [1e200, -1e200])
+    def test_parent_beyond_the_float_range_of_the_square_scores_minus_inf(self, x):
+        # (x - m)^2 overflows for every class mean: no nan and no warning
+        model = bayes_chain(3.0)
+        ds = dataset_from_columns(model.schema, [0, 1], [x, 1.5], [1, 0])
+        assert log_likelihood(model, ds) == -np.inf
 
 
 class TestSerialization:
