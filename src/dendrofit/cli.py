@@ -34,33 +34,14 @@ from .dataio import (
     read_csv_dataset,
     read_schema,
 )
-from .errors import (
-    ArityMismatch,
-    DataFormatError,
-    DendrofitError,
-    EmptyDataset,
-    InvalidCount,
-    NonFiniteValue,
-    SchemaMismatch,
-    UnknownCategory,
-)
+from .errors import DendrofitError, UsageError
 from .estimators import QuadratureSpec
-from .forest import ACCEPTED, REASONS, EdgeDecision, greedy_outcomes
+from .forest import ACCEPTED, REASONS, greedy_outcomes
 from .model import DendroidModel, code_length, fit, log_likelihood, sample_blocks
 from .scoring import Criterion, PairScores, pair_scores
 
 FOREST_FORMAT = "dendrofit-forest"
 FOREST_VERSION = 1
-
-_USAGE_ERRORS = (
-    UnknownCategory,
-    NonFiniteValue,
-    ArityMismatch,
-    EmptyDataset,
-    SchemaMismatch,
-    InvalidCount,
-    DataFormatError,
-)
 
 
 @dataclass(frozen=True)
@@ -87,16 +68,16 @@ class RunConfig:
         # an empty output path would otherwise read as no path given
         for name in ("out", "model_out"):
             if getattr(self, name) == "":
-                raise DataFormatError(f"--{name.replace('_', '-')}: empty path")
+                raise UsageError(f"--{name.replace('_', '-')}: empty path")
 
     def make_criterion(self) -> Criterion:
         if self.criterion == "custom":
             if self.dn is None:
-                raise DataFormatError("--criterion custom requires --dn")
+                raise UsageError("--criterion custom requires --dn")
             return Criterion.custom(self.dn)
         if self.dn is not None:
             if self.criterion == "ml":
-                raise DataFormatError("--dn cannot be combined with --criterion ml")
+                raise UsageError("--dn cannot be combined with --criterion ml")
             return Criterion.custom(self.dn)  # d_n override
         return Criterion(self.criterion)
 
@@ -266,6 +247,10 @@ def _score_csv(names: Sequence[str], pairs: PairScores) -> Iterator[str]:
 
 
 def _artifact_paths(out: str, fmt: str) -> dict[str, Path]:
+    """The file of each artifact: out, less a .json or .dot suffix, with
+    the artifact's suffix. An out that names a directory names no file."""
+    if os.path.basename(out) in ("", ".", ".."):
+        raise UsageError(f"{out}: cannot write: it names a directory")
     base = out
     for suffix in (".json", ".dot"):
         if out.lower().endswith(suffix):
@@ -288,12 +273,12 @@ def _check_writable(paths: Iterable[Path], inputs: dict[str, str]) -> None:
     seen = {os.path.realpath(path): f"it is the {flag} input" for flag, path in inputs.items()}
     for path in paths:
         if path.is_dir():
-            raise DataFormatError(f"{path}: cannot write: it is a directory")
+            raise UsageError(f"{path}: cannot write: it is a directory")
         if not path.parent.is_dir():
-            raise DataFormatError(f"{path}: cannot write: {path.parent} is not a directory")
+            raise UsageError(f"{path}: cannot write: {path.parent} is not a directory")
         real = os.path.realpath(path)
         if real in seen:
-            raise DataFormatError(f"{path}: cannot write: {seen[real]}")
+            raise UsageError(f"{path}: cannot write: {seen[real]}")
         seen[real] = "another output goes to the same file"
 
 
@@ -345,8 +330,7 @@ def cmd_learn(config: RunConfig) -> int:
         with open(paths["json"], "w", encoding="utf-8") as fh:
             _write_json(fh, doc, "report", _report_json(schema.names, ranked, outcome))
     if "dot" in paths:
-        decisions = [EdgeDecision(e, accepted=True) for e in accepted]
-        paths["dot"].write_text(forest_dot(schema, decisions), encoding="utf-8")
+        paths["dot"].write_text(forest_dot(schema, accepted), encoding="utf-8")
     if "model" in paths:
         with open(paths["model"], "w", encoding="utf-8") as fh:
             _write_json(fh, fitted.to_json_dict())
@@ -379,18 +363,16 @@ def cmd_score(config: RunConfig) -> int:
 
 def cmd_sample(config: RunConfig) -> int:
     if config.count < 1:
-        raise DataFormatError(f"--count must be a positive integer, got {config.count}")
+        raise UsageError(f"--count must be a positive integer, got {config.count}")
     if config.seed < 0:
-        raise DataFormatError(f"--seed must be a nonnegative integer, got {config.seed}")
+        raise UsageError(f"--seed must be a nonnegative integer, got {config.seed}")
     if config.out:
         _check_writable([Path(config.out)], {"--model": config.model})
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     text = iter_csv_text(model.schema, sample_blocks(model, config.count, config.seed))
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.writelines(text)
-    else:
-        sys.stdout.writelines(text)
+    stream = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout)
+    with stream as out:
+        out.writelines(text)
     return 0
 
 
@@ -523,7 +505,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](_config_from_args(args))
-    except _USAGE_ERRORS as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:

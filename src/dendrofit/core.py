@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -175,7 +175,7 @@ def validate_dataset(schema: VariableSchema, raw_rows: Sequence[Sequence]) -> Da
         raise EmptyDataset("no data rows")
     columns = _parse_columns(schema, rows)
     if columns is None:
-        columns = _scan_rows(schema, rows)
+        _scan_rows(schema, rows)
     return Dataset(schema=schema, columns=columns)
 
 
@@ -214,11 +214,10 @@ def _parse_columns(
     return tuple(columns)
 
 
-def _scan_rows(
-    schema: VariableSchema, rows: list, first_row: int = 0
-) -> tuple[np.ndarray, ...]:
-    """Parse cell by cell in row-major order, raising at the first bad cell
-    with its row index; rows[0] is row first_row."""
+def _scan_rows(schema: VariableSchema, rows: list, first_row: int = 0) -> NoReturn:
+    """Raise the error of the first bad cell of rows that _parse_columns
+    rejected, in row-major order, with its row index; rows[0] is row
+    first_row."""
     n_vars = schema.n_vars
     label_maps = _label_maps(schema)
 
@@ -227,7 +226,6 @@ def _scan_rows(
         err.row_index = r  # lets file readers report the source line
         return err
 
-    columns: list[list] = [[] for _ in range(n_vars)]
     for r, row in enumerate(rows, first_row):
         cells = list(row)
         if len(cells) != n_vars:
@@ -237,7 +235,7 @@ def _scan_rows(
         for i, cell in enumerate(cells):
             if i in label_maps:
                 try:
-                    columns[i].append(label_maps[i][cell])
+                    label_maps[i][cell]
                 except (KeyError, TypeError):
                     raise row_error(
                         UnknownCategory,
@@ -267,11 +265,8 @@ def _scan_rows(
                         r,
                         f"non-finite value {value!r} for {schema.name(i)!r}",
                     )
-                columns[i].append(value)
-    return tuple(
-        np.asarray(columns[i], dtype=np.int64 if i in label_maps else np.float64)
-        for i in range(n_vars)
-    )
+    # reached only by a row without len(), which _parse_columns rejects
+    raise TypeError("each row must be a sequence of cells")
 
 
 @dataclass(frozen=True)

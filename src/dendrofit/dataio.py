@@ -21,6 +21,7 @@ from .core import (
     Dataset,
     Discrete,
     Gaussian,
+    ScoredEdge,
     Variable,
     VariableSchema,
     _parse_columns,
@@ -191,11 +192,11 @@ def _read_blocks(
     def parse(block: list, first: int) -> None:
         """Store the block's columns; block[0] is row first of the file."""
         columns = _parse_columns(schema, block)
-        try:
-            if columns is None:
-                columns = _scan_rows(schema, block, first)
-        except DendrofitError as err:
-            raise type(err)(f"{path} line {err.row_index + 2}: {err}") from err
+        if columns is None:
+            try:
+                _scan_rows(schema, block, first)
+            except DendrofitError as err:
+                raise type(err)(f"{path} line {err.row_index + 2}: {err}") from err
         store(columns)
 
     step = block_rows(schema.n_vars)
@@ -382,17 +383,14 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def forest_dot(schema: VariableSchema, decisions) -> str:
-    """Graphviz text for the accepted edges, labeled with the mutual
-    information and net score rounded to 4 decimals."""
+def forest_dot(schema: VariableSchema, edges: Iterable[ScoredEdge]) -> str:
+    """Graphviz text for the edges, in (i, j) order, labeled with the
+    mutual information and net score rounded to 4 decimals."""
     lines = ["graph dendroid {"]
     for i in range(schema.n_vars):
         kind = "discrete" if schema.is_discrete(i) else "gaussian"
         lines.append(f'  {_dot_id(schema.name(i))} [comment="{kind}"];')
-    accepted = sorted(
-        (d.edge for d in decisions if d.accepted), key=lambda e: (e.i, e.j)
-    )
-    for edge in accepted:
+    for edge in sorted(edges, key=lambda e: (e.i, e.j)):
         lines.append(
             f"  {_dot_id(schema.name(edge.i))} -- {_dot_id(schema.name(edge.j))} "
             f'[label="I={edge.mi:.4f} J={edge.score:.4f}"];'

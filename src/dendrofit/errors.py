@@ -1,7 +1,7 @@
 """Exception types raised across the package.
 
-The CLI maps these onto exit codes: input/usage problems exit 2,
-estimation/runtime problems exit 1.
+The CLI maps these onto exit codes: a ``UsageError`` exits 2, any
+other ``DendrofitError`` (an estimation or runtime problem) exits 1.
 """
 
 
@@ -9,25 +9,30 @@ class DendrofitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(DendrofitError):
+    """An invocation or an input file is wrong: a flag's value, an output
+    path, or a cell, row or document of an input."""
+
+
 # -- dataset / schema validation -------------------------------------------
 
-class UnknownCategory(DendrofitError):
+class UnknownCategory(UsageError):
     """A discrete cell holds a label that is not in the schema."""
 
 
-class NonFiniteValue(DendrofitError):
+class NonFiniteValue(UsageError):
     """A Gaussian cell is NaN, infinite, or not parseable as a real."""
 
 
-class ArityMismatch(DendrofitError):
+class ArityMismatch(UsageError):
     """A row does not have exactly one cell per schema variable."""
 
 
-class EmptyDataset(DendrofitError):
+class EmptyDataset(UsageError):
     """No data rows were supplied."""
 
 
-class SchemaMismatch(DendrofitError):
+class SchemaMismatch(UsageError):
     """A dataset does not match the schema a model was fitted on."""
 
 
@@ -67,9 +72,9 @@ class QuadratureFailure(DendrofitError):
 
 # -- cli / sampling ------------------------------------------------------------
 
-class InvalidCount(DendrofitError):
+class InvalidCount(UsageError):
     """A sample count that must be a positive integer is not."""
 
 
-class DataFormatError(DendrofitError):
+class DataFormatError(UsageError):
     """An input file (CSV, schema JSON, model JSON) is malformed."""

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dendrofit
-from dendrofit import cli, dataio
+from dendrofit import cli, dataio, errors
 from dendrofit import (
     Criterion,
     DendroidModel,
@@ -479,6 +479,61 @@ class TestEmptyOutputPath:
         assert captured.out == ""
         assert captured.err == f"error: {flag}: empty path\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutNamesADirectory:
+    """A learn --out whose last component is empty, "." or "..", so that
+    it names a directory and no file, exits 2 naming it, with nothing
+    printed or written (no hidden file such as DIR/.json)."""
+
+    @pytest.mark.parametrize("out", ["{d}/sub/", ".", "{d}/sub/..", "{d}/new/"])
+    @pytest.mark.parametrize("fmt", ["json", "both"])
+    def test_exits_2_naming_it(self, tmp_path, star_files, monkeypatch, capsys, out, fmt):
+        data, schema, _ = star_files
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        out = out.format(d=tmp_path)
+        argv = ["learn", "--data", data, "--schema", schema, "--format", fmt, "--out", out]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: cannot write: it names a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestExitCodes:
+    """The exit code of each error class: 2 for the input and usage errors,
+    the subclasses of UsageError, and 1 for every other DendrofitError."""
+
+    USAGE = {
+        "UnknownCategory", "NonFiniteValue", "ArityMismatch", "EmptyDataset",
+        "SchemaMismatch", "InvalidCount", "DataFormatError",
+    }
+    CLASSES = sorted(
+        (cls for cls in vars(errors).values()
+         if isinstance(cls, type) and issubclass(cls, errors.DendrofitError)),
+        key=lambda cls: cls.__name__,
+    )
+
+    def test_the_usage_errors_are_the_subclasses_of_usage_error(self):
+        usage = {
+            cls.__name__ for cls in self.CLASSES
+            if issubclass(cls, errors.UsageError) and cls is not errors.UsageError
+        }
+        assert usage == self.USAGE
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_error_class_exits_with_its_code(self, monkeypatch, capsys, cls):
+        def fail(config):
+            raise cls("what went wrong")
+
+        monkeypatch.setitem(cli._HANDLERS, "eval", fail)
+        expected = 2 if issubclass(cls, errors.UsageError) else 1
+        assert main(["eval", "--model", "m.json", "--data", "d.csv"]) == expected
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: what went wrong\n"
 
 
 class TestScore:
@@ -1265,7 +1320,7 @@ class TestColumnWiseReports:
         assert doc["edges"] == [list(e) for e in fitted.forest.sorted_edges]
         doc["report"] = oracle.edge_report(schema, decisions)
         assert forest_json == json.dumps(doc, indent=2) + "\n"
-        assert dot == forest_dot(schema, decisions)
+        assert dot == forest_dot(schema, [d.edge for d in decisions if d.accepted])
 
     def test_peak_does_not_grow_with_the_number_of_pairs(self):
         """Each report is made and written a block of pairs at a time, and
