@@ -3,8 +3,6 @@
 Subcommands: ``learn`` (structure + optional model), ``score`` (the full
 pairwise I/J table), ``sample`` (synthetic rows from a model JSON), and
 ``eval`` (likelihood and description length of data under a model).
-A hidden ``oracle-forest`` subcommand runs the exhaustive search on a
-score table for debugging.
 
 Exit codes: 0 success, 1 runtime/estimation error, 2 usage/IO error.
 """
@@ -23,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .core import Forest, ScoredEdge
+from .core import Forest
 from .dataio import (
     block_rows,
     csv_text,
@@ -61,14 +59,6 @@ class RunConfig:
     model_out: Optional[str] = None
     seed: int = 0
     count: int = 0
-    scores: Optional[str] = None
-    spanning: bool = False
-
-    def __post_init__(self) -> None:
-        # an empty output path would otherwise read as no path given
-        for name in ("out", "model_out"):
-            if getattr(self, name) == "":
-                raise UsageError(f"--{name.replace('_', '-')}: empty path")
 
     def make_criterion(self) -> Criterion:
         if self.criterion == "custom":
@@ -248,9 +238,7 @@ def _score_csv(names: Sequence[str], pairs: PairScores) -> Iterator[str]:
 
 def _artifact_paths(out: str, fmt: str) -> dict[str, Path]:
     """The file of each artifact: out, less a .json or .dot suffix, with
-    the artifact's suffix. An out that names a directory names no file."""
-    if os.path.basename(out) in ("", ".", ".."):
-        raise UsageError(f"{out}: cannot write: it names a directory")
+    the artifact's suffix."""
     base = out
     for suffix in (".json", ".dot"):
         if out.lower().endswith(suffix):
@@ -264,14 +252,33 @@ def _artifact_paths(out: str, fmt: str) -> dict[str, Path]:
     return paths
 
 
-def _check_writable(paths: Iterable[Path], inputs: dict[str, str]) -> None:
-    """Fail naming the first path that cannot be written because it is a
-    directory, its parent is not one, or it is the same file as one of
-    the run's ``inputs`` (flag -> path) or as an earlier path, which the
-    run would overwrite; so that a run fails before it reads data,
-    prints or writes anything."""
-    seen = {os.path.realpath(path): f"it is the {flag} input" for flag, path in inputs.items()}
-    for path in paths:
+def _output_files(config: RunConfig) -> dict[str, Path]:
+    """The file of each output the run writes: "json", "dot" and "model"
+    for learn, "out" for score and sample. Fails naming the first output
+    flag whose path is empty or whose last component is empty, "." or
+    "..", which names a directory and no file; then the first file that
+    is a directory, whose parent is not one, or that is the same file as
+    one of the run's inputs or as an earlier output, which the run would
+    overwrite. So a run fails before it reads data, prints or writes
+    anything."""
+    for flag, text in (("--out", config.out), ("--model-out", config.model_out)):
+        if text == "":
+            raise UsageError(f"{flag}: empty path")
+        if text is not None and os.path.basename(text) in ("", ".", ".."):
+            raise UsageError(f"{text}: cannot write: it names a directory")
+    files = {}
+    if config.out and config.command == "learn":
+        files = _artifact_paths(config.out, config.fmt or "json")
+    elif config.out:
+        files["out"] = Path(config.out)
+    if config.model_out:
+        files["model"] = Path(config.model_out)
+    inputs = {name: getattr(config, name) for name in ("data", "schema", "model")}
+    seen = {
+        os.path.realpath(path): f"it is the --{name} input"
+        for name, path in inputs.items() if path is not None
+    }
+    for path in files.values():
         if path.is_dir():
             raise UsageError(f"{path}: cannot write: it is a directory")
         if not path.parent.is_dir():
@@ -280,15 +287,13 @@ def _check_writable(paths: Iterable[Path], inputs: dict[str, str]) -> None:
         if real in seen:
             raise UsageError(f"{path}: cannot write: {seen[real]}")
         seen[real] = "another output goes to the same file"
+    return files
 
 
 def cmd_learn(config: RunConfig) -> int:
+    paths = _output_files(config)
     criterion = config.make_criterion()
     quad = config.make_quadrature()
-    paths = _artifact_paths(config.out, config.fmt or "json") if config.out else {}
-    if config.model_out:
-        paths["model"] = Path(config.model_out)
-    _check_writable(paths.values(), {"--data": config.data, "--schema": config.schema})
     schema = read_schema(config.schema)
     dataset = read_csv_dataset(config.data, schema)
     dn = criterion.dn(dataset.n)
@@ -338,10 +343,9 @@ def cmd_learn(config: RunConfig) -> int:
 
 
 def cmd_score(config: RunConfig) -> int:
+    _output_files(config)
     criterion = config.make_criterion()
     quad = config.make_quadrature()
-    if config.out:
-        _check_writable([Path(config.out)], {"--data": config.data, "--schema": config.schema})
     schema = read_schema(config.schema)
     dataset = read_csv_dataset(config.data, schema)
     scores = pair_scores(dataset, criterion, quad)
@@ -362,12 +366,11 @@ def cmd_score(config: RunConfig) -> int:
 
 
 def cmd_sample(config: RunConfig) -> int:
+    _output_files(config)
     if config.count < 1:
         raise UsageError(f"--count must be a positive integer, got {config.count}")
     if config.seed < 0:
         raise UsageError(f"--seed must be a nonnegative integer, got {config.seed}")
-    if config.out:
-        _check_writable([Path(config.out)], {"--model": config.model})
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     text = iter_csv_text(model.schema, sample_blocks(model, config.count, config.seed))
     stream = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout)
@@ -390,26 +393,6 @@ def cmd_eval(config: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle_forest(config: RunConfig) -> int:
-    """Debug helper: exhaustive best forest from a score JSON (the output
-    of ``score --format json``)."""
-    # imported here: the references in oracle are needed by no other
-    # subcommand, and every run would otherwise compile or load them
-    from .oracle import brute_force_best_forest
-
-    def parse(doc):
-        edges = [
-            ScoredEdge(p["i"], p["j"], p["mi"], p["penalty"], p["score"])
-            for p in doc["pairs"]
-        ]
-        return edges, len(doc["variables"])
-
-    edges, n = load_json_document(config.scores, parse, "score document")
-    forest = brute_force_best_forest(edges, require_spanning_tree=config.spanning, n_vertices=n)
-    print(json.dumps({"edges": [list(e) for e in forest.sorted_edges]}))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dendrofit",
@@ -417,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "of mixed discrete/Gaussian data.",
     )
     parser.add_argument("--version", action="version", version=f"dendrofit {__version__}")
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{learn,score,sample,eval}"
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_data_flags(p):
         p.add_argument("--data", required=True, help="CSV file with a header row")
@@ -477,10 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     add_criterion_flags(ev)
 
-    oracle = sub.add_parser("oracle-forest")  # hidden: not in the metavar list
-    oracle.add_argument("--scores", required=True, help="score JSON from `score --format json`")
-    oracle.add_argument("--spanning", action="store_true")
-
     return parser
 
 
@@ -496,7 +473,6 @@ _HANDLERS = {
     "score": cmd_score,
     "sample": cmd_sample,
     "eval": cmd_eval,
-    "oracle-forest": cmd_oracle_forest,
 }
 
 

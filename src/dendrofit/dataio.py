@@ -106,14 +106,17 @@ def schema_from_jsonable(obj) -> VariableSchema:
 
 def load_json_document(path: PathLike, parse: Callable[[Any], T], what: str) -> T:
     """parse applied to the JSON document in the file at path. A file that
-    is not UTF-8 JSON or nests too deeply to parse, or a document that
-    parse rejects with ValueError, KeyError, TypeError or a
-    DendrofitError, raises one DataFormatError that names the path."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+    is not UTF-8 JSON, nests too deeply to parse or holds an integer too
+    long to convert, or a document that parse rejects with ValueError,
+    KeyError, TypeError or a DendrofitError, raises one DataFormatError
+    that names the path."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
             doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
-        raise DataFormatError(f"{path}: invalid JSON: {err}") from err
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the
+        # integer digit limit
+        except (ValueError, RecursionError) as err:
+            raise DataFormatError(f"{path}: invalid JSON: {err}") from err
     try:
         return parse(doc)
     except (ValueError, KeyError, TypeError, DendrofitError) as err:

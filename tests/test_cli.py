@@ -329,7 +329,11 @@ class TestLearn:
          # one field over the csv module's field size limit
          ("data", b"v0,v1,v2,v3\n" + b"c0" * 70_000 + b",c0,c0,c0\n"),
          # nested deeper than the json module's recursion limit
-         ("schema", b"[" * 100_000 + b"]" * 100_000)],
+         ("schema", b"[" * 100_000 + b"]" * 100_000),
+         # an integer past Python's digit limit, where a name must be a
+         # string, so the file is bad whether or not the limit applies
+         pytest.param("schema", b'[{"name": ' + b"9" * 5000 + b', "kind": "gaussian"}]',
+                      id="schema-5000-digit-name")],
     )
     def test_unreadable_file_exits_2_naming_it(self, tmp_path, star_files, capsys, bad, text):
         paths = dict(zip(("data", "schema"), star_files))
@@ -468,10 +472,13 @@ class TestEmptyOutputPath:
             (["learn", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--out", ""], "--out"),
             (["learn", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--model-out", ""],
              "--model-out"),
+            (["learn", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--format", "both",
+              "--out", "{d}/f", "--model-out", ""], "--model-out"),
             (["score", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--out", ""], "--out"),
             (["sample", "--model", "{d}/no.json", "--count", "5", "--out", ""], "--out"),
         ],
-        ids=["learn-out", "learn-model-out", "score-out", "sample-out"],
+        ids=["learn-out", "learn-model-out", "learn-model-out-beside-out", "score-out",
+             "sample-out"],
     )
     def test_empty_output_path_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
         assert main([arg.format(d=tmp_path) for arg in argv]) == 2
@@ -481,25 +488,41 @@ class TestEmptyOutputPath:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestOutNamesADirectory:
-    """A learn --out whose last component is empty, "." or "..", so that
-    it names a directory and no file, exits 2 naming it, with nothing
-    printed or written (no hidden file such as DIR/.json)."""
+# each output flag, last in an argv whose inputs do not exist
+OUTPUT_FLAGS = {
+    "json": ["learn", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--format", "json",
+             "--out"],
+    "both": ["learn", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--format", "both",
+             "--out"],
+    "learn-model-out": ["learn", "--data", "{d}/no.csv", "--schema", "{d}/no.json",
+                        "--model-out"],
+    "score-out": ["score", "--data", "{d}/no.csv", "--schema", "{d}/no.json", "--out"],
+    "sample-out": ["sample", "--model", "{d}/no.json", "--count", "5", "--out"],
+}
 
-    @pytest.mark.parametrize("out", ["{d}/sub/", ".", "{d}/sub/..", "{d}/new/"])
-    @pytest.mark.parametrize("fmt", ["json", "both"])
-    def test_exits_2_naming_it(self, tmp_path, star_files, monkeypatch, capsys, out, fmt):
-        data, schema, _ = star_files
+
+class TestOutNamesADirectory:
+    """An output path whose last component is empty, "." or "..", so that
+    it names a directory and no file, exits 2 naming it, before any input
+    is read (the inputs here do not exist), with nothing printed or
+    written (no hidden file such as DIR/.json, and no file named DIR)."""
+
+    @pytest.mark.parametrize(
+        "out", ["{d}/sub/", ".", "{d}/sub/..", "{d}/new/", "{d}/file/", "{d}/sub/."]
+    )
+    @pytest.mark.parametrize("argv", OUTPUT_FLAGS.values(), ids=OUTPUT_FLAGS.keys())
+    def test_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, out, argv):
         (tmp_path / "sub").mkdir()
+        write_text(tmp_path / "file", "kept\n")
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.rglob("*"))
         out = out.format(d=tmp_path)
-        argv = ["learn", "--data", data, "--schema", schema, "--format", fmt, "--out", out]
-        assert main(argv) == 2
+        assert main([arg.format(d=tmp_path) for arg in argv] + [out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {out}: cannot write: it names a directory\n"
         assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == "kept\n"
 
 
 class TestExitCodes:
@@ -1016,6 +1039,15 @@ BAD_MODELS = {
         class_means=[True, 1.0]
     ),
     "bool in a discrete table": lambda doc: bool_in_table(every_kind_model().to_json_dict()),
+    "no edges": lambda doc: doc.__delitem__("edges"),
+    "mixed factor without class_means": lambda doc: doc["edge_factors"][0].__delitem__(
+        "class_means"
+    ),
+    # text: json.dumps cannot write an integer past Python's digit limit;
+    # the count is wrong, so the file is bad whether or not the limit applies
+    "5000-digit param_count": lambda doc: json.dumps(doc).replace(
+        f'"param_count": {doc["param_count"]}', '"param_count": ' + "9" * 5000
+    ),
     **{name: edit for name, (_, edit) in CONTRADICTIONS.items()},
 }
 
@@ -1039,12 +1071,15 @@ class TestEval:
         write_csv_dataset(data, ds)
         doc = json.loads(Path(model_path).read_text())
         edited = edit(doc)
-        Path(model_path).write_text(json.dumps(doc if edited is None else edited))
+        text = edited if isinstance(edited, str) else json.dumps(doc if edited is None else edited)
+        Path(model_path).write_text(text)
         flags = ["--data", str(data)] if command == "eval" else ["--count", "5"]
         rc = main([command, "--model", model_path, *flags])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
+        if edit is BAD_MODELS["no edges"]:
+            assert err == f"error: {model_path}: not a valid model document: 'edges'\n"
 
     @pytest.mark.parametrize("edge, edit", CONTRADICTIONS.values(), ids=CONTRADICTIONS.keys())
     def test_contradicting_factor_names_its_edge(
@@ -1173,46 +1208,13 @@ class TestRoundTripsAndMisc:
         assert exc.value.code == 0
         assert "dendrofit" in capsys.readouterr().out
 
-    def test_hidden_oracle_subcommand(self, tmp_path, star_files, capsys):
-        data, schema, _ = star_files
-        scores = tmp_path / "scores.json"
-        rc = main(["score", "--data", data, "--schema", schema,
-                   "--format", "json", "--out", str(scores)])
-        assert rc == 0
-        capsys.readouterr()
-        rc = main(["oracle-forest", "--scores", str(scores), "--spanning"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["edges"] == [[0, 1], [0, 2], [0, 3]]
-
-    @pytest.mark.parametrize(
-        "drop, key", [(["variables"], "variables"), (["pairs"], "pairs"),
-                      (["pairs", 0, "mi"], "mi"), (["pairs", 2, "j"], "j")],
-    )
-    def test_malformed_scores_exit_2_naming_the_file(
-        self, tmp_path, star_files, capsys, drop, key
-    ):
-        data, schema, _ = star_files
-        scores = tmp_path / "scores.json"
-        assert main(["score", "--data", data, "--schema", schema,
-                     "--format", "json", "--out", str(scores)]) == 0
-        doc = json.loads(scores.read_text())
-        owner = doc
-        for step in drop[:-1]:
-            owner = owner[step]
-        del owner[drop[-1]]
-        scores.write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = main(["oracle-forest", "--scores", str(scores)])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: {scores}: not a valid score document: '{key}'\n"
-        )
-
-    def test_oracle_subcommand_not_advertised(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        assert "oracle-forest" not in capsys.readouterr().out
+    def test_the_subcommands_are_the_four_steps(self, capsys):
+        [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        assert list(sub.choices) == ["learn", "score", "sample", "eval"] == list(cli._HANDLERS)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-forest", "--scores", "x"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'oracle-forest'" in capsys.readouterr().err
 
 
 # names csv.writer and json.dumps must escape, and the text the forest and
