@@ -232,13 +232,16 @@ def _statistics(dataset: Dataset, vertices: Sequence[int], a, b) -> tuple:
     """The one statistics pass behind ``pair_mi_table`` and
     ``collect_stats``, over some vertices and the pairs (a[k], b[k]),
     a[k] < b[k], in the scaled units of ``kernels.scaled_rows``, which
-    stacks the Gaussian columns among them once. Returns row (each
-    Gaussian vertex's stack row, -1 elsewhere); each row's e, mean, var
-    and constant (all equal: its variance is exactly zero); whether each
-    pair is discrete and whether it is gaussian; each discrete pair's
-    joint table (counts) and each Gaussian pair's covariance (cov), in
-    pair order; and classes: each discrete member of a mixed pair -> its
-    partners' rows, ascending, and their ``kernels.class_stats_rows``.
+    stacks the Gaussian columns among them once. That stack is the pass's
+    only copy of them: the class statistics read its rows by index, and
+    then it is centred in place for every variance and covariance.
+    Returns row (each Gaussian vertex's stack row, -1 elsewhere); each
+    row's e, mean, var and constant (all equal: its variance is exactly
+    zero); whether each pair is discrete and whether it is gaussian; each
+    discrete pair's joint table (counts) and each Gaussian pair's
+    covariance (cov), in pair order; and classes: each discrete member of
+    a mixed pair -> its partners' rows, ascending, and their
+    ``kernels.class_stats_rows``.
     """
     schema, col = dataset.schema, dataset.column
     is_discrete = np.array([schema.is_discrete(v) for v in range(schema.n_vars)])
@@ -247,22 +250,23 @@ def _statistics(dataset: Dataset, vertices: Sequence[int], a, b) -> tuple:
     gauss = np.flatnonzero(asked & ~is_discrete)
     row = np.full(schema.n_vars, -1)
     row[gauss] = np.arange(gauss.size)
-    e, scaled, mean, centred, constant = kernels.scaled_rows([col(g) for g in gauss], dataset.n)
-    var = kernels.covariances(centred, *np.diag_indices(gauss.size))
+    e, scaled, mean, constant = kernels.scaled_rows([col(g) for g in gauss], dataset.n)
     discrete = is_discrete[a] & is_discrete[b]
     gaussian = ~(is_discrete[a] | is_discrete[b])
     counts = [
         kernels.joint_counts(col(i), col(j), schema.cardinality(i), schema.cardinality(j))
         for i, j in zip(a[discrete].tolist(), b[discrete].tolist())
     ]
-    cov = kernels.covariances(centred, row[a[gaussian]], row[b[gaussian]])
     mixed = is_discrete[a] != is_discrete[b]
     d, g = np.where(is_discrete[a], (a, b), (b, a))[:, mixed]
     classes = {}
     # np.unique would import numpy.ma: about 1 MB and 15 ms in a cold process
     for v in np.flatnonzero(np.bincount(d)).tolist():
         rows = np.sort(row[g[d == v]])
-        classes[v] = rows, *kernels.class_stats_rows(scaled[rows], col(v), schema.cardinality(v))
+        classes[v] = rows, *kernels.class_stats_rows(scaled, rows, col(v), schema.cardinality(v))
+    scaled -= mean[:, None]
+    var = kernels.covariances(scaled, *np.diag_indices(gauss.size))
+    cov = kernels.covariances(scaled, row[a[gaussian]], row[b[gaussian]])
     return row, e, mean, var, constant, discrete, gaussian, counts, cov, classes
 
 

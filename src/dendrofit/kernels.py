@@ -1,9 +1,11 @@
 """Hot numeric kernels, in numpy: joint counts, the one scaled stack of
-Gaussian columns, every variance and covariance, class statistics, and
-the Gauss-Hermite mixture integral, whose Gaussian kernel separates into
-one per-class factor and one per-node factor contracted by numpy's own
-``einsum`` loops. A statistic of a row or pair of rows has the same bits
-whatever other rows are stacked with it, and no kernel calls BLAS.
+Gaussian columns, class statistics read from its rows by index, every
+variance and covariance of the stack once its caller has centred it in
+place, and the Gauss-Hermite mixture integral, whose Gaussian kernel
+separates into one per-class factor and one per-node factor contracted
+by numpy's own ``einsum`` loops. A statistic of a row or pair of rows
+has the same bits whatever other rows are stacked with it, and no
+kernel calls BLAS.
 """
 
 from __future__ import annotations
@@ -43,41 +45,44 @@ def joint_counts(xi: np.ndarray, xj: np.ndarray, card_i: int, card_j: int) -> np
 
 
 def scaled_rows(columns: Sequence[np.ndarray], n: int):
-    """(e, scaled, mean, centred, constant): the columns (n values each)
-    stacked as rows, row r scaled by 2^-e[r] with e[r] the np.frexp
-    exponent of its largest |x|; the scaled rows' means (row sums / n);
-    the scaled rows minus their means; and whether each row is all
-    equal, the exact test for a zero variance, which a variance around a
-    rounded mean is not. Scaling brings each row into (-1, 1), where no
-    statistic overflows; it is exact for every cell above 2^-1021 times
-    its row's largest |x|, and a scaled row is all equal exactly when its
-    column is. In original units, mean[r] is ldexp(mean[r], e[r]), and a
-    covariance of rows r and s is scaled by 2^(e[r] + e[s]).
+    """(e, scaled, mean, constant): the columns (n values each) stacked
+    as rows, row r scaled by 2^-e[r] with e[r] the np.frexp exponent of
+    its largest |x|; the scaled rows' means (row sums / n); and whether
+    each row is all equal, the exact test for a zero variance, which a
+    variance around a rounded mean is not. Scaling brings each row into
+    (-1, 1), where no statistic overflows; it is exact for every cell
+    above 2^-1021 times its row's largest |x|, and a scaled row is all
+    equal exactly when its column is. In original units, mean[r] is
+    ldexp(mean[r], e[r]), and a covariance of rows r and s is scaled by
+    2^(e[r] + e[s]). The stack is the only copy of the columns: a caller
+    takes what it needs of the uncentred rows, then centres them in place
+    (``scaled -= mean[:, None]``) for ``covariances``.
     """
     scaled = np.array(columns, dtype=np.float64).reshape(len(columns), n)
     e = np.frexp(np.maximum(scaled.max(axis=1), -scaled.min(axis=1)))[1]
     np.ldexp(scaled, -e[:, None], out=scaled)
-    mean = scaled.sum(axis=1) / n
-    return e, scaled, mean, scaled - mean[:, None], (scaled == scaled[:, :1]).all(axis=1)
+    return e, scaled, scaled.sum(axis=1) / n, (scaled == scaled[:, :1]).all(axis=1)
 
 
 def covariances(centred: np.ndarray, r, s) -> np.ndarray:
     """Biased covariances sum(centred[r[k]] * centred[s[k]]) / n of the
-    rows of centred (rows x n), for index sequences r and s; r[k] = s[k]
-    gives a variance. Each entry is numpy's pairwise sum of the product
-    of two rows, never a BLAS dot or matrix product, so its bits depend
-    neither on the other rows stacked with them nor on the BLAS kernel
-    or thread count of the machine."""
+    rows of centred (rows x n: the ``scaled_rows`` stack minus its
+    means), for index sequences r and s; r[k] = s[k] gives a variance.
+    Each entry is numpy's pairwise sum of the product of two rows, never
+    a BLAS dot or matrix product, so its bits depend neither on the other
+    rows stacked with them nor on the BLAS kernel or thread count of the
+    machine."""
     n = centred.shape[1]
     return np.array(
         [np.add.reduce(centred[a] * centred[b]) / n for a, b in zip(r, s)], dtype=np.float64
     )
 
 
-def class_stats_rows(scaled: np.ndarray, y: np.ndarray, n_classes: int):
+def class_stats_rows(scaled: np.ndarray, rows, y: np.ndarray, n_classes: int):
     """(counts, means, var): the class counts of y, and per-class means
-    (rows, n_classes) and pooled (divide-by-n) residual variances around
-    them of each row of scaled (rows x n, as ``scaled_rows`` gives it).
+    (len(rows), n_classes) and pooled (divide-by-n) residual variances
+    around them of the rows of scaled (the uncentred ``scaled_rows``
+    stack) at the indices rows, each read in place rather than gathered.
 
     Classes that never occur get count 0 and mean NaN. The variance is
     a second pass around the class means, never sum(x^2) - sum(S^2)/c,
@@ -99,15 +104,16 @@ def class_stats_rows(scaled: np.ndarray, y: np.ndarray, n_classes: int):
     # roundings), so only a variance below (n 2^-51)^2 can be one and
     # takes the test
     tiny = (n * 2.0**-51) ** 2
-    means = np.full((len(scaled), n_classes), np.nan)
-    var = np.empty(len(scaled))
-    for r, row in enumerate(scaled):
+    means = np.full((len(rows), n_classes), np.nan)
+    var = np.empty(len(rows))
+    for k, r in enumerate(rows):
+        row = scaled[r]
         sums = np.bincount(y, weights=row, minlength=n_classes)
-        np.divide(sums, counts, out=means[r], where=occupied)
-        resid = row - means[r][y]
-        var[r] = np.add.reduce(resid * resid) / n
-        if var[r] <= tiny and (row == row[member]).all():
-            var[r] = 0.0
+        np.divide(sums, counts, out=means[k], where=occupied)
+        resid = row - means[k][y]
+        var[k] = np.add.reduce(resid * resid) / n
+        if var[k] <= tiny and (row == row[member]).all():
+            var[k] = 0.0
     return counts, means, var
 
 

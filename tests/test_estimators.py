@@ -1,14 +1,20 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from dendrofit import (
+    Dataset,
+    Discrete,
     DiscretePair,
+    Gaussian,
     GaussianPair,
     MixedPair,
     QuadratureSpec,
+    Variable,
+    VariableSchema,
     collect_pair_stats,
     mi_discrete,
     mi_gaussian,
@@ -16,7 +22,7 @@ from dendrofit import (
     oracle,
 )
 from dendrofit.errors import DegenerateGaussian, QuadratureFailure, SameVertex
-from dendrofit.estimators import _MAX_QUAD_ORDER, _hermite_rule
+from dendrofit.estimators import _MAX_QUAD_ORDER, _hermite_rule, collect_stats, pair_mi_table
 
 from conftest import dataset_from_columns, mixed_schema
 
@@ -340,3 +346,44 @@ class TestHermiteRule:
         for k in range(min(order, 12)):
             moment = (weights * nodes ** (2 * k)).sum()
             assert moment == pytest.approx(math.gamma(k + 0.5), rel=1e-13)
+
+
+class TestStatisticsPassMemory:
+    """The statistics pass holds one copy of the Gaussian columns: above
+    its inputs, ``pair_mi_table`` and ``collect_stats`` each peak at most
+    one (Gaussian columns x n) stack plus 8 columns."""
+
+    N, GAUSS, DISC = 50_000, 10, 3
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        rng = np.random.default_rng(15)
+        labels = rng.integers(0, 4, (self.DISC, self.N))
+        # Gaussian column k shifts with the label of discrete column k % 3
+        shift = rng.standard_normal((self.GAUSS, 4))
+        k = np.arange(self.GAUSS)
+        gauss = shift[k[:, None], labels[k % self.DISC]] + rng.standard_normal((self.GAUSS, self.N))
+        variables = [Variable(f"d{m}", Discrete(("a", "b", "c", "d"))) for m in range(self.DISC)]
+        variables += [Variable(f"g{m}", Gaussian()) for m in range(self.GAUSS)]
+        return Dataset(VariableSchema(tuple(variables)), (*labels, *gauss))
+
+    def peak(self, run) -> int:
+        run()  # first-call allocations (the Hermite rules) are not counted
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def bound(self) -> int:
+        return (self.GAUSS + 8) * self.N * 8
+
+    def test_pair_table(self, dataset):
+        assert self.peak(lambda: pair_mi_table(dataset)) <= self.bound()
+
+    def test_collect_stats(self, dataset):
+        d, g = self.DISC, self.DISC + self.GAUSS
+        pairs = [(0, d), (2, g - 1), (1, d + 4), (d, d + 1), (d + 2, g - 1), (0, 1)]
+        run = lambda: collect_stats(dataset, range(g), pairs)  # noqa: E731
+        assert self.peak(run) <= self.bound()

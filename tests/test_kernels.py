@@ -16,17 +16,18 @@ rng = np.random.default_rng(5)
 def gaussian_moments(xt):
     """(e, mean, cov): the exponents and means ``scaled_rows`` gives for
     the rows of xt, and ``covariances`` of every ordered pair of rows as
-    a matrix, in scaled units."""
-    e, _, mean, centred, _ = kernels.scaled_rows(xt, xt.shape[1])
+    a matrix, in scaled units, of the stack centred in place."""
+    e, scaled, mean, _ = kernels.scaled_rows(xt, xt.shape[1])
+    scaled -= mean[:, None]
     r, s = np.indices((len(xt), len(xt))).reshape(2, -1)
-    return e, mean, kernels.covariances(centred, r, s).reshape(len(xt), len(xt))
+    return e, mean, kernels.covariances(scaled, r, s).reshape(len(xt), len(xt))
 
 
 def class_stats(xt, y, n_classes):
     """(e, counts, means, var): ``class_stats_rows`` of the rows of xt as
     ``scaled_rows`` scales them, with their exponents."""
-    e, scaled, _, _, _ = kernels.scaled_rows(xt, xt.shape[1])
-    return (e, *kernels.class_stats_rows(scaled, y, n_classes))
+    e, scaled, _, _ = kernels.scaled_rows(xt, xt.shape[1])
+    return (e, *kernels.class_stats_rows(scaled, np.arange(len(xt)), y, n_classes))
 
 
 class TestNumpyPath:
@@ -120,11 +121,22 @@ class TestRowInvariance:
 
     @settings(max_examples=300, deadline=None)
     @given(case=stacked_rows())
+    def test_class_stats_rows_by_index(self, case):
+        # rows read from the whole stack by index have the bits of a stack
+        # of only those rows
+        xt, y, card, subset = case
+        _, scaled, _, _ = kernels.scaled_rows(list(xt), xt.shape[1])
+        by_index = kernels.class_stats_rows(scaled, subset, y, card)
+        alone = kernels.class_stats_rows(scaled[subset], np.arange(subset.size), y, card)
+        assert all(same_bits(got, want) for got, want in zip(by_index, alone))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=stacked_rows())
     def test_scaling_is_exact(self, case):
         # scaled rows lie within (-1, 1), scale back to their columns bit
         # for bit, and are all equal exactly when their columns are
         xt, _, _, _ = case
-        e, scaled, _, _, constant = kernels.scaled_rows(list(xt), xt.shape[1])
+        e, scaled, _, constant = kernels.scaled_rows(list(xt), xt.shape[1])
         assert (np.abs(scaled) < 1.0).all()
         assert same_bits(np.ldexp(scaled, e[:, None]), xt)
         assert (constant == (xt == xt[:, :1]).all(axis=1)).all()
