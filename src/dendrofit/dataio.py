@@ -9,6 +9,7 @@ significant digits so a write/read round trip is lossless.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -353,28 +354,162 @@ def iter_csv_text(schema: VariableSchema, parts: Iterable[Sequence[np.ndarray]])
     """The CSV text of the rows of parts, each a sequence of one array per
     column of schema, all of one length: the header line, then each part's
     rows in blocks of block_rows(schema.n_vars), formatted column by
-    column. The text depends on the rows, not on how parts split them."""
+    column by _records. The text depends on the rows, not on how parts
+    split them."""
     yield csv_text([schema.names])
-    cell_text = [
-        quoted_cells(var.kind.labels, schema.n_vars).__getitem__
-        if isinstance(var.kind, Discrete)
-        else "{:.17g}".format
+    labels = [
+        quoted_cells(var.kind.labels, schema.n_vars) if isinstance(var.kind, Discrete) else None
         for var in schema.variables
     ]
     step = block_rows(schema.n_vars)
     for columns in parts:
         for start in range(0, len(columns[0]), step):
-            yield _records(cell_text, [col[start : start + step] for col in columns])
+            yield _records(labels, [col[start : start + step] for col in columns])
         del columns  # so that the next part is not made beside this one
 
 
-def _records(cell_text: Sequence[Callable[[Any], str]], columns: Sequence[np.ndarray]) -> str:
-    """The CSV records of the rows of columns, formatted column by column
-    with each column's cell_text. zip stops at the first map to run out,
-    so the others still hold their lists of cells until they are dropped,
-    on return."""
-    cells = [map(text, col.tolist()) for text, col in zip(cell_text, columns)]
+def _records(labels: Sequence[Optional[list[str]]], columns: Sequence[np.ndarray]) -> str:
+    """The CSV records of the rows of columns. A discrete column's cells
+    are its labels as quoted_cells writes them, labels[j]. The cells of
+    the Gaussian columns, whose labels[j] is None, come from one iterator
+    over their texts in row-major order, which each of those columns
+    reads in turn as zip draws a row, left to right: the texts of one
+    chunk of REAL_CHUNK cells are held at a time. zip stops at the first
+    column to run out, so the others still hold their lists of cells
+    until they are dropped, on return."""
+    reals = [col for names, col in zip(labels, columns) if names is None]
+    texts = _real_texts(np.stack(reals, axis=1).ravel()) if reals else None
+    cells = [texts if names is None else map(names.__getitem__, col.tolist())
+             for names, col in zip(labels, columns)]
     return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+# Gaussian cells that _real_texts formats in one pass: its buffers take
+# about 350 bytes a cell, so the chunk, not the block, bounds them
+REAL_CHUNK = 2048
+
+# the byte slot of one cell: the prefix "-0.000" at 1-6, the 17 digits
+# at 7-23, a point at 27, digits 2-17 again at 28-43 and a comma at 44;
+# the digit words start at multiples of 4
+_SLOT = 48
+_PREFIX, _FIRST, _POINT, _AGAIN, _COMMA = 1, 7, 27, 28, 44
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo exactly, each with at most 26
+    significant bits, so a product of two halves is exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.lru_cache(maxsize=None)
+def _real_tables() -> tuple[np.ndarray, ...]:
+    """The tables of _real_texts, built on its first call: 10**k and its
+    halves for k in 0..20, the ASCII of each 4-digit word as a
+    little-endian uint32, each word's trailing zeros (4 for 0000), the
+    byte slot's template, and one mask of the bytes to keep per
+    (decimal exponent, trailing zeros, sign), with a last row that keeps
+    the comma alone; each mask is a row of 12 words, which a gather
+    copies faster than 48 bools."""
+    powers = np.array([float(10**k) for k in range(21)])  # exact up to 10**22
+    w = np.arange(10_000)
+    # the first digit in the lowest byte, so first in memory
+    words = sum((ord("0") + w // 10**i % 10) << 8 * (3 - i) for i in range(4)).astype("<u4")
+    zeros = sum((w % 10**i == 0).astype(np.intp) for i in range(1, 5))
+    template = np.zeros(_SLOT, dtype=np.uint8)
+    template[_PREFIX : _PREFIX + 6] = np.frombuffer(b"-0.000", dtype=np.uint8)
+    template[_POINT], template[_COMMA] = ord("."), ord(",")
+    masks = np.zeros((21 * 17 * 2 + 1, _SLOT), dtype=bool)
+    masks[:, _COMMA] = True
+    for exp in range(-4, 17):
+        for tz in range(17):
+            for neg in (0, 1):
+                keep = masks[((exp + 4) * 17 + tz) * 2 + neg]
+                keep[_PREFIX] = neg
+                if exp >= 0:  # exp + 1 digits, then the fraction if it is not 0
+                    keep[_FIRST : _FIRST + exp + 1] = True
+                    fraction = max(0, 16 - exp - tz)
+                    keep[_POINT] = fraction > 0
+                    keep[_AGAIN + exp : _AGAIN + exp + fraction] = True
+                else:  # "0." and -exp - 1 zeros, then the digits
+                    keep[_PREFIX + 1 : _PREFIX + 2 - exp] = True
+                    keep[_FIRST : _FIRST + 17 - tz] = True
+    return (powers, *_split(powers), words, zeros, template, masks.view(np.uint8).view("<u4"))
+
+
+def _real_texts(x: np.ndarray) -> Iterator[str]:
+    """The texts "{:.17g}".format(v) of the cells of a float64 array,
+    formatted REAL_CHUNK cells at a time as they are drawn."""
+    for start in range(0, len(x), REAL_CHUNK):
+        yield from _real_chunk(x[start : start + REAL_CHUNK])
+
+
+def _real_chunk(x: np.ndarray) -> list[str]:
+    """["{:.17g}".format(v) for v in x.tolist()], with the digits of each
+    cell with 1e-4 <= |v| < 1e17 computed exactly by basic IEEE
+    operations, which round alike on every CPU; there "%.17g" writes the
+    fixed notation. Every other cell is formatted by "{:.17g}".format.
+
+    With X = floor(log10|v|) and k = 16 - X in 0..20, 10**k is exact, and
+    Dekker's product (no fused multiply-add) gives |v| * 10**k = p + e
+    exactly. log10 only guesses X: it is moved until 10**16 <= p + e <
+    10**17. The 17 digits are then floor(p + e), rounded half to even on
+    the exact fraction. They never round up to 10**17: no float64 in the
+    range lies within half a unit of the 17th digit below a power of ten.
+    The digits go into fixed byte slots, and each cell's mask row keeps
+    the bytes that "%.17g" writes."""
+    powers, power_hi, power_lo, words, zeros, template, masks = _real_tables()
+    a = np.abs(x)
+    exact = (a >= 1e-4) & (a < 1e17)
+    a = np.where(exact, a, 1.0)
+    a_hi, a_lo = _split(a)
+    k = 16 - np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+
+    def product(at: Any) -> tuple[np.ndarray, np.ndarray]:
+        """p and e with a * 10**k = p + e exactly, for the cells at."""
+        b, b_hi, b_lo = powers[k[at]], power_hi[k[at]], power_lo[k[at]]
+        p = a[at] * b
+        e = a_lo[at] * b_lo - (((p - a_hi[at] * b_hi) - a_lo[at] * b_hi) - a_hi[at] * b_lo)
+        return p, e
+
+    p, e = product(slice(None))
+    while True:  # k moves to the one exponent that gives 17 digits
+        low = (p < 1e16) | ((p == 1e16) & (e < 0))
+        high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+        moved = np.flatnonzero(low | high)
+        if not moved.size:
+            break
+        k[moved] += np.where(low[moved], 1, -1)
+        p[moved], e[moved] = product(moved)
+    whole = np.floor(e)
+    fraction = e - whole  # exact, as is every step below
+    d = p.astype(np.int64) + whole.astype(np.int64)
+    d += (fraction > 0.5) | ((fraction == 0.5) & (d % 2 == 1))
+
+    head, tail = np.divmod(d, 10**8)
+    lead, head = np.divmod(head, 10**8)
+    w1, w2 = np.divmod(head, 10**4)
+    w3, w4 = np.divmod(tail, 10**4)
+    tz = zeros[w4]
+    run = w4 == 0
+    for w in (w3, w2, w1):
+        tz += run * zeros[w]
+        run &= w == 0
+    buf = np.empty((len(x), _SLOT), dtype=np.uint8)
+    buf[:] = template
+    buf[:, _FIRST] = lead + ord("0")
+    slots = buf.view("<u4")
+    for at, w in enumerate((w1, w2, w3, w4)):
+        slots[:, (_FIRST + 1) // 4 + at] = slots[:, _AGAIN // 4 + at] = words[w]
+    row = ((20 - k) * 17 + tz) * 2 + np.signbit(x)  # X + 4 = 20 - k
+    row[~exact] = len(masks) - 1
+    keep = masks.take(row, axis=0).view(bool)
+    texts = np.compress(keep.ravel(), buf).tobytes().decode("ascii").split(",")
+    texts.pop()  # after the last comma
+    for at in np.flatnonzero(~exact).tolist():
+        texts[at] = "{:.17g}".format(float(x[at]))
+    return texts
 
 
 # -- DOT export -------------------------------------------------------------------

@@ -461,11 +461,21 @@ def code_length(log_lik: float, param_count: int, dn: float) -> float:
     return -log_lik + 0.5 * param_count * dn
 
 
-def _draw_categorical(rng: np.random.Generator, cdf_rows: np.ndarray, count: int) -> np.ndarray:
-    """One uniform per row, inverted through each row's cdf."""
+def _draw_categorical(
+    rng: np.random.Generator, cdf_rows: np.ndarray, count: int, last: Union[int, np.ndarray]
+) -> np.ndarray:
+    """One uniform per row, inverted through each row's cdf. A cdf can
+    end below the largest uniform, 1 - 2**-53: such a uniform takes the
+    row's last category of positive mass, last (_last_positive)."""
     u = rng.random(count)
     idx = (cdf_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1).astype(np.int64, copy=False)
+    return np.minimum(idx, last).astype(np.int64, copy=False)
+
+
+def _last_positive(probs: np.ndarray) -> Union[int, np.ndarray]:
+    """The index of the last positive entry along the last axis (the
+    last index where all are 0)."""
+    return probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
 
 
 # render blocks (dataio.block_rows) per block that sample_blocks draws: the
@@ -512,17 +522,18 @@ def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[C
 
     if factor is None:
         cdf, log_probs = np.cumsum(marg.probs)[None, :], _log(marg.probs)
+        last = _last_positive(marg.probs)
         return (
-            (lambda rng, _, rows: _draw_categorical(rng, cdf, rows)),
+            (lambda rng, _, rows: _draw_categorical(rng, cdf, rows, last)),
             (lambda col, _: log_probs[col]),
         )
     if isinstance(factor, DiscreteEdgeFactor):
         joint = factor.table.T if v == factor.i else factor.table  # rows: parent
         rows_sum = joint.sum(axis=1, keepdims=True)
         cond = joint / np.where(rows_sum > 0, rows_sum, 1.0)
-        table, log_cond = np.cumsum(cond, axis=1), _log(cond)
+        table, log_cond, last = np.cumsum(cond, axis=1), _log(cond), _last_positive(cond)
         return (
-            (lambda rng, par, rows: _draw_categorical(rng, table[par], rows)),
+            (lambda rng, par, rows: _draw_categorical(rng, table[par], rows, last[par])),
             (lambda col, par: log_cond[par, col]),
         )
 
@@ -537,7 +548,7 @@ def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[C
         logits -= logits.max(axis=1, keepdims=True)
         weights = np.exp(logits)
         weights /= weights.sum(axis=1, keepdims=True)
-        return _draw_categorical(rng, np.cumsum(weights, axis=1), rows)
+        return _draw_categorical(rng, np.cumsum(weights, axis=1), rows, _last_positive(weights))
 
     def log_posterior(col: np.ndarray, par: np.ndarray) -> np.ndarray:
         # class-major (K, rows), so each reduction runs over K rows of

@@ -917,6 +917,42 @@ class TestSample:
         assert main(["sample", "--model", str(model_path), "--count", "5"]) == 2
         assert capsys.readouterr().err == "error: column 'v1' contains non-finite values\n"
 
+    def test_same_bytes_with_numpy_dispatch_targets_off(self, tmp_path):
+        """np.log10 guesses each Gaussian cell's decimal exponent, and its
+        bits change when numpy's SIMD loops are switched off; the digits
+        come from basic operations, so the CSV bytes do not. On a host
+        with none of numpy's dispatch targets (AVX2 and AVX-512 on x86)
+        both runs take the same loops, and the test shows nothing."""
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1
+            from numpy.core import _multiarray_umath as umath
+        targets = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(every_kind_model().to_json_dict()) + "\n")
+        package = str(Path(dendrofit.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+        base = {**os.environ, "PYTHONPATH": path}
+        base.pop("NPY_DISABLE_CPU_FEATURES", None)
+        off = {**base, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+        code = f"import {umath.__name__} as m; print([m.__cpu_features__[t] for t in {targets!r}])"
+        run = subprocess.run([sys.executable, "-c", code], env=off, capture_output=True,
+                             text=True, timeout=120)
+        assert run.stdout == f"{[False] * len(targets)}\n", run.stderr  # switched off
+        outputs = []
+        for run_index, env in enumerate([base, off]):
+            out = tmp_path / f"rows{run_index}.csv"
+            run = subprocess.run(
+                [sys.executable, "-m", "dendrofit", "sample", "--model", str(model_path),
+                 "--count", "20000", "--seed", "4", "--out", str(out)],
+                env=env,
+                capture_output=True,
+                timeout=300,
+            )
+            assert (run.returncode, run.stderr) == (0, b"")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_importing_the_cli_loads_no_more_of_numpy(self):
         # numpy 2 loads numpy.random on first use, and that adds about 5.5 MB
         # to the peak of every subcommand that does not sample

@@ -7,11 +7,12 @@ import io
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dendrofit import Dataset, Discrete, Gaussian, ScoredEdge, Variable, VariableSchema
@@ -141,6 +142,107 @@ class TestCsvText:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         assert csv_text(rows) == buf.getvalue()
+
+
+def real_texts(cells, chunk):
+    """dataio's texts of the float64 cells, chunk cells at a time."""
+    with mock.patch.object(dataio, "REAL_CHUNK", chunk):
+        return list(dataio._real_texts(np.asarray(cells, dtype=np.float64)))
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def below_power(n):
+    """The largest float64 below 10**n."""
+    power = Fraction(10) ** n
+    v = float(power)
+    return v if Fraction(v) < power else float(np.nextafter(v, 0.0))
+
+
+def carries(v):
+    """Whether v's 17-digit rounding is the next power of ten."""
+    return "{:.16e}".format(v).startswith("1.0000000000000000e")
+
+
+# bounds of the fixed notation that "%.17g" writes and the exact route takes
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e-4, 1e17]
+POWERS = [float(Fraction(10) ** n) for n in range(-5, 19)]
+CARRIES = [v for v in map(below_power, range(-323, 309)) if carries(v)]
+
+FINITE_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),  # any pattern
+    # sign, an exponent of about 1e-4 to 1e17 (2**-13 to 2**57) and any fraction
+    st.tuples(st.integers(0, 1), st.integers(1010, 1080), st.integers(0, 2**52 - 1)).map(
+        lambda f: f[0] << 63 | f[1] << 52 | f[2]
+    ),
+).map(lambda bits: float(np.uint64(bits).view(np.float64))).filter(math.isfinite)
+
+
+@st.composite
+def ties(draw):
+    """A value whose 17 significant digits are followed by exactly 5: an
+    odd q / 2**(k + 1) with |v| * 10**k in [1e16, 1e17), so that
+    q * 5**k / 2 has a fraction of one half (odd q / 4 in [1e15, 2.25e15)
+    for k = 1)."""
+    k = draw(st.integers(1, 20))
+    low, high = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+    q = draw(st.integers(low // 2, (high - 1) // 2)) * 2 + 1
+    assume(low <= q < high)
+    return draw(st.sampled_from([1, -1])) * q / 2 ** (k + 1)
+
+
+class TestRealTextsMatchFormat:
+    """The Gaussian cell formatter against "{:.17g}".format, with chunk
+    edges anywhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(FINITE_BITS, max_size=60), chunk=st.integers(1, 40))
+    def test_finite_values(self, cells, chunk):
+        assert real_texts(cells, chunk) == ["{:.17g}".format(v) for v in cells]
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(ties(), min_size=1, max_size=40), chunk=st.integers(1, 40))
+    def test_ties_round_half_to_even(self, cells, chunk):
+        assert real_texts(cells, chunk) == ["{:.17g}".format(v) for v in cells]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 40, dataio.REAL_CHUNK])
+    def test_zeros_subnormals_range_ends_powers_and_carries(self, chunk):
+        cells = with_neighbours(EDGES + POWERS + CARRIES)
+        cells = np.concatenate([cells, -cells])
+        assert real_texts(cells, chunk) == ["{:.17g}".format(v) for v in cells.tolist()]
+
+    def test_carries_lie_outside_the_exact_range(self):
+        # a 17-digit rounding that carries to the next power of ten takes
+        # a float64 within 5e-18 of it, relatively: some lie below 1e-4 or
+        # at 1e17 and above, none in between, where the float64 below a
+        # power of ten is the only one that could
+        assert below_power(-14) in CARRIES and below_power(98) in CARRIES
+        assert not any(1e-4 <= v < 1e17 for v in CARRIES)
+        assert not any(carries(below_power(n)) for n in range(-3, 18))
+
+    def test_peak_is_set_by_the_chunk_not_the_block(self):
+        """A block's Gaussian cells are formatted REAL_CHUNK at a time:
+        from a block of the default BLOCK_CELLS to one of 65,536 cells, the
+        formatter's peak above the texts it returns does not grow. A
+        formatter of whole blocks would hold about 350 bytes more a cell."""
+        rng = np.random.default_rng(9)
+
+        def above_texts(cells):
+            x = rng.standard_normal(cells)
+            list(dataio._real_texts(x[:10]))  # first-call allocations are not counted
+            tracemalloc.start()
+            try:
+                texts = list(dataio._real_texts(x))
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(texts) == cells
+            return peak - held
+
+        assert above_texts(65_536) <= above_texts(dataio.BLOCK_CELLS) + 64 * 1024
 
 
 BAD_CELLS = ["zz?", "", "nan", "-inf", "1e999", "x1", None, ["a"]]

@@ -34,6 +34,7 @@ from dendrofit import (
 )
 from dendrofit import dataio
 from dendrofit import model as model_module
+from dendrofit.core import Discrete, Gaussian, Variable, VariableSchema
 from dendrofit.errors import DegenerateGaussian, InvalidCount, SchemaMismatch
 from dendrofit.forest import build_forest_suzuki
 from dendrofit.dataio import block_rows, render_csv
@@ -625,6 +626,79 @@ class TestSampling:
         assert abs(picked.mean() - mean_x_given_y2) <= 4 * picked.std() / math.sqrt(
             picked.size
         )
+
+
+class LargestUniform:
+    """A generator whose every uniform is the largest that
+    Generator.random() returns, 1 - 2**-53."""
+
+    def random(self, count: int) -> np.ndarray:
+        return np.full(count, 1.0 - 2.0**-53)
+
+
+def cdf_short_of_one_model() -> DendroidModel:
+    """z | y and w | x, each with a category of probability 0 whose cdf
+    ends at 1 - 2**-53 before it: the marginal (49, 12, 28, 7, 0) / 96
+    of a lone vertex, the table row z | y = p, and the Bayes inversion
+    w | x over ten classes of 0.1 at one mean and an empty eleventh."""
+    schema = VariableSchema((
+        Variable("y", Discrete(("p", "q"))),
+        Variable("z", Discrete(tuple("abcde"))),
+        Variable("x", Gaussian()),
+        Variable("w", Discrete(tuple(f"c{k}" for k in range(11)))),
+        Variable("u", Discrete(tuple("abcde"))),
+    ))
+    counts = np.array([[49, 12, 28, 7, 0], [1, 1, 1, 1, 1]], dtype=np.float64)
+    joint = counts / counts.sum()
+    classes = np.array([0.1] * 10 + [0.0])
+    return DendroidModel.build(
+        schema=schema,
+        forest=Forest.from_edges(5, [(0, 1), (2, 3)]),
+        marginals=(
+            DiscreteMarginal(joint.sum(axis=1)),
+            DiscreteMarginal(joint.sum(axis=0)),
+            GaussianMarginal(0.0, 1.0),
+            DiscreteMarginal(classes),
+            DiscreteMarginal(np.array([49, 12, 28, 7, 0]) / 96),
+        ),
+        factors=(
+            DiscreteEdgeFactor(0, 1, joint),
+            MixedEdgeFactor(gauss=2, disc=3, class_probs=classes,
+                            class_means=np.zeros(11), resid_var=1.0),
+        ),
+        n=1,
+    )
+
+
+class TestLargestUniform:
+    """The largest uniform draws a category of positive probability when
+    the cdf before an empty last category rounds to below 1, so eval
+    never scores a sampled row -inf."""
+
+    CASES = {
+        "marginal": (4, None, None),
+        "table": (1, 0, np.zeros(3, dtype=np.int64)),
+        "bayes inversion": (3, 2, np.array([0.0, 1.5, -40.0])),
+    }
+
+    def draw(self, case):
+        v, parent, par = self.CASES[case]
+        draw, log_density = model_module._conditional(cdf_short_of_one_model(), v, parent)
+        col = draw(LargestUniform(), par, 3)
+        return log_density(col, par)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_draws_a_category_of_positive_probability(self, case):
+        assert np.isfinite(self.draw(case)).all()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_last_category_would_be_empty(self, case):
+        # the case is one the old clamp to the last category gets wrong
+        def last(probs):
+            return np.full(probs.shape[:-1], probs.shape[-1] - 1)
+
+        with mock.patch.object(model_module, "_last_positive", last):
+            assert np.isneginf(self.draw(case)).all()
 
 
 def mixed_factor(gauss, disc, probs, means, resid_var) -> MixedEdgeFactor:
