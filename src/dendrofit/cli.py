@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .core import Forest
 from .dataio import (
+    _real_texts,
     block_rows,
     csv_text,
     forest_dot,
@@ -226,13 +227,12 @@ def _report_table(names: Sequence[str], ranked: PairScores, outcome: np.ndarray)
 def _score_csv(names: Sequence[str], pairs: PairScores) -> Iterator[str]:
     """The score table as CSV, in pieces: csv_text of its rows."""
     quoted = quoted_cells(names, len(_PAIR_FIELDS))
-    decimals = lambda values: map("{:.17g}".format, values.tolist())
     yield csv_text([_PAIR_FIELDS])
     yield from _pair_rows(
         pairs,
         _PAIR_FIELDS,
         ",".join(["%s"] * len(_PAIR_FIELDS)) + "\n",
-        lambda block, _: _pair_cells(quoted, decimals, block),
+        lambda block, _: _pair_cells(quoted, _real_texts, block),
     )
 
 
@@ -299,9 +299,7 @@ def cmd_learn(config: RunConfig) -> int:
     dn = criterion.dn(dataset.n)
 
     scores = pair_scores(dataset, criterion, quad)
-    penalized = criterion.kind != "ml"
-    weight = scores.score if penalized else scores.mi
-    order, outcome = greedy_outcomes(scores.i, scores.j, weight, penalized, schema.n_vars)
+    order, outcome = greedy_outcomes(scores.i, scores.j, scores.score, schema.n_vars)
     ranked = scores.take(order)
     accepted = ranked.take(outcome == ACCEPTED).edges()
     forest = Forest.from_edges(schema.n_vars, [(e.i, e.j) for e in accepted])

@@ -126,6 +126,9 @@ class Dataset:
             raise ValueError(
                 f"expected {self.schema.n_vars} columns, got {len(self.columns)}"
             )
+        for i, col in enumerate(self.columns):
+            if col.ndim != 1:
+                raise ValueError(f"column {self.schema.name(i)!r} is not 1-D")
         lengths = {col.shape[0] for col in self.columns}
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
@@ -133,8 +136,6 @@ class Dataset:
             raise EmptyDataset("a dataset needs at least one row")
         for i, col in enumerate(self.columns):
             name = self.schema.name(i)
-            if col.ndim != 1:
-                raise ValueError(f"column {name!r} is not 1-D")
             if self.schema.is_discrete(i):
                 if col.dtype != np.int64:
                     raise ValueError(f"discrete column {name!r} must be int64")

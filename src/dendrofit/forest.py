@@ -1,11 +1,11 @@
 """Maximum-weight forest construction: Kruskal's greedy with union-find.
 
-Two admission rules: plain maximum weight spanning (every loop-free edge
-is taken, heaviest first) and the penalized variant that additionally
-requires a nonnegative net score and so may leave the forest
-disconnected. Every builder runs the one greedy loop, ``greedy_outcomes``,
-which works on arrays; ``kruskal_decisions`` is its form for a list of
-``ScoredEdge``.
+One admission rule: heaviest first, an edge is taken iff its weight is
+nonnegative and it joins two components. With I_n, never negative, as
+the weight this is Chow-Liu's tree; with J_n it is Suzuki's MDL forest,
+which may be disconnected. Every builder runs the one greedy loop,
+``greedy_outcomes``, which works on arrays; ``kruskal_decisions`` is its
+form for a list of ``ScoredEdge``.
 """
 
 from __future__ import annotations
@@ -34,20 +34,20 @@ class EdgeDecision:
 
 
 def greedy_outcomes(
-    i: np.ndarray, j: np.ndarray, weight: np.ndarray, penalized: bool, n_vertices: int
+    i: np.ndarray, j: np.ndarray, weight: np.ndarray, n_vertices: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the greedy admission loop over edges (i[k], j[k]) of weight[k].
 
     Returns the greedy order (positions k: descending weight, +inf first,
     ties broken by (i, j) ascending, then by position) and, for each step
-    of it, ACCEPTED, LOOP or NEGATIVE. With ``penalized`` an edge of
-    negative weight is rejected as NEGATIVE; any other edge is accepted
-    iff it joins two components. Weights must not be NaN.
+    of it, ACCEPTED, LOOP or NEGATIVE. An edge of negative weight is
+    rejected as NEGATIVE; any other edge is accepted iff it joins two
+    components. Weights must not be NaN.
     """
     order = np.lexsort((j, i, -weight))
     outcome = np.full(len(order), LOOP, dtype=np.int8)
     # the nonnegative weights sort before the negative ones
-    stop = int(np.count_nonzero(weight >= 0.0)) if penalized else len(order)
+    stop = int(np.count_nonzero(weight >= 0.0))
     outcome[stop:] = NEGATIVE
     union = UnionFind(n_vertices).union
     head = order[:stop]
@@ -81,7 +81,7 @@ def kruskal_decisions(
     i = np.array([e.i for e in edges], dtype=np.intp)
     j = np.array([e.j for e in edges], dtype=np.intp)
     weight = np.array([e.score if penalized else e.mi for e in edges], dtype=np.float64)
-    order, outcome = greedy_outcomes(i, j, weight, penalized, n)
+    order, outcome = greedy_outcomes(i, j, weight, n)
     return [
         EdgeDecision(edges[k], accepted=o == ACCEPTED, reason=REASONS[o])
         for k, o in zip(order.tolist(), outcome.tolist())

@@ -12,7 +12,12 @@ factor it shares with its parent; a discrete child of a Gaussian parent
 inverts the mixed factor by Bayes' rule. Each conditional is built once
 (``_conditional``) for both ``sample``'s draw and ``log_likelihood``'s
 log-density, so the density scored is the one drawn from, and it is
-normalised for every forest.
+normalised for every forest. The Bayes class terms of both come from
+``_class_terms``; where a parent is so far from every class mean that
+each term overflows, the nearest occupied classes take the mass in
+proportion to their probabilities. A Gaussian child's slope on its
+parent is scaled (``_slope``) so that it does not overflow where the
+ratio of the variances would.
 
 Sampling uses numpy's PCG64 generator (``numpy.random.default_rng``);
 for a fixed seed the output is bit-identical across runs.
@@ -508,8 +513,7 @@ def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[C
             else:
                 mean_c, var_c = factor.mean_j, factor.var_j
                 mean_p, var_p = factor.mean_i, factor.var_i
-            rho = factor.rho
-            slope = rho * math.sqrt(var_c / var_p)
+            rho, slope = factor.rho, _slope(factor.rho, var_c, var_p)
             mean, var = (lambda par: mean_c + slope * (par - mean_p)), var_c * (1.0 - rho * rho)
         else:  # a discrete parent
             means = factor.class_means
@@ -537,37 +541,58 @@ def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[C
             (lambda col, par: log_cond[par, col]),
         )
 
-    # a Gaussian parent: Bayes inversion of the mixed factor. The class
-    # term log p_k - (x - m_k)^2 / (2 r) leaves out the log of the normal
-    # constant, which the classes share
-    log_probs = _log(factor.class_probs)[None, :]
-    means, twice_var = factor.class_means[None, :], 2.0 * factor.resid_var
-
+    # a Gaussian parent: Bayes inversion of the mixed factor
     def invert(rng: np.random.Generator, par: np.ndarray, rows: int) -> np.ndarray:
-        logits = log_probs - (par[:, None] - means) ** 2 / twice_var
-        logits -= logits.max(axis=1, keepdims=True)
-        weights = np.exp(logits)
+        # normalised row by row, (rows, K), as the whole-column draw does
+        weights = _class_terms(factor, par).T.copy()
+        np.exp(weights, out=weights)
         weights /= weights.sum(axis=1, keepdims=True)
         return _draw_categorical(rng, np.cumsum(weights, axis=1), rows, _last_positive(weights))
 
     def log_posterior(col: np.ndarray, par: np.ndarray) -> np.ndarray:
         # class-major (K, rows), so each reduction runs over K rows of
         # contiguous values, and a row's bits do not depend on the others
-        with np.errstate(over="ignore"):
-            logits = log_probs.T - (par - means.T) ** 2 / twice_var
-        shift = logits.max(axis=0)
-        far = np.isneginf(shift)
-        if far.any():
-            # a parent so far from every class mean that each square
-            # overflows: every class term is -inf, and the row scores -inf
-            out = np.full(len(col), -np.inf)
-            out[~far] = log_posterior(col[~far], par[~far])
-            return out
-        own = logits[col, np.arange(len(col))]
-        logits -= shift
-        return own - shift - np.log(np.exp(logits, out=logits).sum(axis=0))
+        terms = _class_terms(factor, par)
+        own = terms[col, np.arange(len(col))]
+        return own - np.log(np.exp(terms, out=terms).sum(axis=0))
 
     return invert, log_posterior
+
+
+def _slope(rho: float, var_c: float, var_p: float) -> float:
+    """rho sqrt(var_c / var_p), the slope of a Gaussian child on its
+    Gaussian parent, with each variance first brought into [1/2, 2) by an
+    exact power of four (as ``estimators._rho`` does), so that the ratio
+    cannot overflow or underflow. The bits are the plain formula's
+    wherever it does neither; +-inf where the slope is beyond the float
+    range."""
+    k_c, k_p = math.frexp(var_c)[1] // 2, math.frexp(var_p)[1] // 2
+    scaled = rho * math.sqrt(math.ldexp(var_c, -2 * k_c) / math.ldexp(var_p, -2 * k_p))
+    try:
+        return math.ldexp(scaled, k_c - k_p)
+    except OverflowError:
+        return math.copysign(math.inf, rho)
+
+
+def _class_terms(factor: MixedEdgeFactor, par: np.ndarray) -> np.ndarray:
+    """The Bayes class terms log p_k - (x - m_k)^2 / (2 r) of the parent
+    values x = par, without the log of the normal constant that the
+    classes share, class-major (K, rows), less each row's largest term.
+    Where every square overflows, the occupied classes whose means lie
+    nearest x take the mass in proportion to p_k, which is the posterior
+    to within rounding (README, Numerics)."""
+    log_probs, means = _log(factor.class_probs)[:, None], factor.class_means[:, None]
+    with np.errstate(over="ignore"):
+        terms = log_probs - (par - means) ** 2 / (2.0 * factor.resid_var)
+        shift = terms.max(axis=0)
+        far = np.flatnonzero(np.isneginf(shift))
+        if far.size:
+            distance = np.abs(par[far] - means)
+            nearest = np.where(np.isneginf(log_probs), np.inf, distance).min(axis=0)
+            terms[:, far] = np.where(distance == nearest, log_probs, -np.inf)
+            shift[far] = terms[:, far].max(axis=0)
+    terms -= shift
+    return terms
 
 
 def sample_blocks(model: DendroidModel, count: int, seed: int) -> Iterator[tuple[np.ndarray, ...]]:

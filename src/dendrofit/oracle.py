@@ -232,6 +232,18 @@ def _draw_categorical(rng: np.random.Generator, cdf_rows: np.ndarray, count: int
     return np.minimum(idx, cdf_rows.shape[1] - 1).astype(np.int64)
 
 
+def _scaled_slope(rho: float, var_c: float, var_p: float) -> float:
+    """rho sqrt(var_c / var_p) as rho sqrt(a / b) 2^(i - j), where var_c =
+    a 4^i and var_p = b 4^j with a and b in [1/2, 2); +-inf past the
+    float range."""
+    (a, i), (b, j) = math.frexp(var_c), math.frexp(var_p)
+    a, b = math.ldexp(a, i % 2), math.ldexp(b, j % 2)
+    try:
+        return math.ldexp(rho * math.sqrt(a / b), i // 2 - j // 2)
+    except OverflowError:
+        return math.copysign(math.inf, rho)
+
+
 def sample_whole(model: DendroidModel, count: int, seed: int) -> Dataset:
     """Reference for ``model.sample``: one generator, and one draw of a
     whole column per vertex in topological order, each conditional built
@@ -265,7 +277,7 @@ def sample_whole(model: DendroidModel, count: int, seed: int) -> Dataset:
                 mean_c, var_c = factor.mean_j, factor.var_j
                 mean_p, var_p = factor.mean_i, factor.var_i
             rho = factor.rho
-            cond_mean = mean_c + rho * math.sqrt(var_c / var_p) * (parent_col - mean_p)
+            cond_mean = mean_c + _scaled_slope(rho, var_c, var_p) * (parent_col - mean_p)
             cond_sd = math.sqrt(var_c * (1.0 - rho * rho))
             columns[v] = cond_mean + cond_sd * rng.standard_normal(count)
         elif v == factor.gauss:  # Gaussian child of a discrete parent
@@ -331,7 +343,7 @@ def directed_log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
                     mean_c, var_c = factor.mean_j, factor.var_j
                     mean_p, var_p = factor.mean_i, factor.var_i
                 rho = factor.rho
-                mean = mean_c + rho * math.sqrt(var_c / var_p) * (x_parent - mean_p)
+                mean = mean_c + _scaled_slope(rho, var_c, var_p) * (x_parent - mean_p)
                 total += _log_normal(x, mean, var_c * (1.0 - rho * rho))
             elif v == factor.gauss:
                 total += _log_normal(x, float(factor.class_means[x_parent]), factor.resid_var)

@@ -90,13 +90,6 @@ def penalty_weight(kind_i: VariableKind, kind_j: VariableKind, dn: float) -> flo
     return 0.5 * (a_i - 1) * (a_j - 1) * dn
 
 
-def estimate_all_mi(dataset: Dataset, quad: QuadratureSpec) -> np.ndarray:
-    """I_n of every pair, as ``pair_mi_table`` computes it. Module-level so
-    tests can monkeypatch known mutual informations into the scoring
-    pipeline."""
-    return pair_mi_table(dataset, quad)
-
-
 @dataclass(frozen=True, eq=False)
 class PairScores:
     """Pairs (i, j) with their I_n, penalty and net score J_n = I_n -
@@ -176,7 +169,7 @@ def pair_scores(
     if schema.n_vars < 2:
         raise ValueError("need at least two variables to score pairs")
     i, j = np.triu_indices(schema.n_vars, 1)
-    mi = estimate_all_mi(dataset, quad)[i, j]
+    mi = pair_mi_table(dataset, quad)[i, j]
     kinds = [schema.kind(v) for v in range(schema.n_vars)]
     return scores_from_mi(i, j, mi, kinds, criterion.dn(dataset.n))
 

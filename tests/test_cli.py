@@ -725,7 +725,7 @@ class TestScore:
         for (i, j), mi in table_i.items():
             injected[i, j] = mi
         monkeypatch.setattr(
-            "dendrofit.scoring.estimate_all_mi", lambda dataset, quad: injected
+            "dendrofit.scoring.pair_mi_table", lambda dataset, quad: injected
         )
         schema = discrete_schema(5, 2, 3, 4)
         ds = dataset_from_columns(schema, [0, 1], [0, 1], [0, 1], [0, 1])
@@ -903,13 +903,14 @@ class TestSample:
             assert peak(200_000) - peak(20_000) <= 256 * 1024
 
     def test_draws_that_overflow_exit_2_naming_the_column(self, tmp_path, capsys):
-        # the conditional slope sqrt(var_1 / var_0) of vertex 1 overflows
+        # the conditional slope 0.5 sqrt(var_1 / var_0) of vertex 1 is
+        # about 2.2e311, beyond the float range
         schema = mixed_schema("gg")
         model = DendroidModel.build(
             schema=schema,
             forest=Forest.from_edges(2, [(0, 1)]),
-            marginals=(GaussianMarginal(0.0, 1e-300), GaussianMarginal(0.0, 1e300)),
-            factors=(GaussianEdgeFactor(0, 1, 0.5, 0.0, 1e-300, 0.0, 1e300),),
+            marginals=(GaussianMarginal(0.0, 5e-324), GaussianMarginal(0.0, 1e300)),
+            factors=(GaussianEdgeFactor(0, 1, 0.5, 0.0, 5e-324, 0.0, 1e300),),
             n=2,
         )
         model_path = tmp_path / "model.json"
@@ -1084,8 +1085,31 @@ BAD_MODELS = {
     "5000-digit param_count": lambda doc: json.dumps(doc).replace(
         f'"param_count": {doc["param_count"]}', '"param_count": ' + "9" * 5000
     ),
+    "marginal summing to 1.1": lambda doc: doc["marginals"][0].update(probs=[0.5, 0.6]),
+    "table summing to 2": lambda doc: doubled_table(every_kind_model().to_json_dict()),
+    "class probabilities summing to 1.1": lambda doc: doc["edge_factors"][0].update(
+        class_probs=[0.5, 0.6]
+    ),
+    "gaussian factor of zero variance": lambda doc: doc["edge_factors"][1].update(var_j=0.0),
+    "more class means than classes": lambda doc: doc["edge_factors"][0].update(
+        class_means=[0.0, 1.0, 2.0]
+    ),
+    "zero residual variance": lambda doc: doc["edge_factors"][0].update(resid_var=0.0),
+    "one marginal short": lambda doc: doc["marginals"].__delitem__(-1),
+    "factors out of edge order": lambda doc: doc["edge_factors"].reverse(),
+    "gaussian marginal of a discrete vertex": lambda doc: doc["marginals"].__setitem__(
+        0, {"kind": "gaussian", "mean": 0.0, "var": 1.0}
+    ),
+    "version 2": lambda doc: doc.update(version=2),
     **{name: edit for name, (_, edit) in CONTRADICTIONS.items()},
 }
+
+
+def doubled_table(doc):
+    """doc with every cell of its (2, 3) table doubled."""
+    factor = doc["edge_factors"][3]
+    factor["table"] = [[2.0 * cell for cell in row] for row in factor["table"]]
+    return doc
 
 
 def bool_in_table(doc):
@@ -1307,7 +1331,7 @@ class TestColumnWiseReports:
         ds, table, flags = case
         schema = ds.schema
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr("dendrofit.scoring.estimate_all_mi", lambda dataset, quad: table)
+            mp.setattr("dendrofit.scoring.pair_mi_table", lambda dataset, quad: table)
             # blocks of 1-7 pairs, so that the widest cell, an inf I_n or a
             # tie can fall in any block of up to 15 pairs
             mp.setattr("dendrofit.cli.block_rows", lambda n_fields: rows)

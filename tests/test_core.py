@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrofit import (
+    Dataset,
     Discrete,
     Forest,
     Gaussian,
@@ -106,6 +107,72 @@ class TestValidateDataset:
         ds = dataset_from_columns(schema, [0, 1], [0.5, -0.5])
         with pytest.raises(ValueError):
             ds.column(0)[0] = 1
+
+
+def dataset_of(kinds: str, *columns) -> Dataset:
+    """A Dataset built from the arrays as given, without conversion."""
+    return Dataset(mixed_schema(kinds), tuple(columns))
+
+
+INT, REAL = np.array([0, 1]), np.array([0.5, -0.5])
+
+# each constructor call that must fail, with its error and message
+BAD_CONSTRUCTIONS = {
+    "column count": (lambda: dataset_of("dg", INT), ValueError, "expected 2 columns, got 1"),
+    "ragged columns": (
+        lambda: dataset_of("dg", INT, np.array([0.5])),
+        ValueError,
+        r"ragged columns: lengths \[1, 2\]",
+    ),
+    "zero rows": (
+        lambda: dataset_of("dg", INT[:0], REAL[:0]), EmptyDataset, "at least one row"
+    ),
+    "0-d column": (lambda: dataset_of("dg", INT, np.float64(0.5)), ValueError, "'v1' is not 1-D"),
+    "2-D column": (lambda: dataset_of("dg", INT[:, None], REAL), ValueError, "'v0' is not 1-D"),
+    "discrete dtype": (
+        lambda: dataset_of("dg", INT.astype(np.int32), REAL), ValueError, "'v0' must be int64"
+    ),
+    "gaussian dtype": (
+        lambda: dataset_of("dg", INT, REAL.astype(np.float32)), ValueError, "'v1' must be float64"
+    ),
+    "code range": (
+        lambda: dataset_of("dg", np.array([0, 2]), REAL), ValueError, r"outside \[0, 1\]"
+    ),
+    "negative code": (
+        lambda: dataset_of("dg", np.array([-1, 0]), REAL), ValueError, r"outside \[0, 1\]"
+    ),
+    "non-finite value": (
+        lambda: dataset_of("dg", INT, np.array([0.5, np.inf])), NonFiniteValue, "'v1'"
+    ),
+    "cardinality of a Gaussian": (
+        lambda: mixed_schema("dg").cardinality(1), ValueError, "'v1' is not discrete"
+    ),
+    "forest with no vertex": (
+        lambda: Forest(0, frozenset()), ValueError, "at least one vertex"
+    ),
+    "parent out of range": (
+        lambda: RootedForest((None, 2)), ValueError, "parent 2 of vertex 1 out of range"
+    ),
+    "orient_forest size mismatch": (
+        lambda: orient_forest(Forest.from_edges(3, []), mixed_schema("dg")),
+        ValueError,
+        "forest has 3 vertices but schema has 2",
+    ),
+    "negative penalty": (
+        lambda: ScoredEdge(0, 1, mi=1.0, penalty=-1.0, score=2.0),
+        ValueError,
+        "penalty must be >= 0",
+    ),
+}
+
+
+class TestConstructorErrors:
+    @pytest.mark.parametrize(
+        "build, error, message", BAD_CONSTRUCTIONS.values(), ids=BAD_CONSTRUCTIONS.keys()
+    )
+    def test_rejects_with_its_documented_error(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
 
 
 class TestScoredEdge:

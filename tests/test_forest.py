@@ -185,7 +185,7 @@ class TestArrayGreedy:
         i = np.array([e.i for e in edges])
         j = np.array([e.j for e in edges])
         weight = np.array([e.score if penalized else e.mi for e in edges])
-        order, outcome = greedy_outcomes(i, j, weight, penalized, n)
+        order, outcome = greedy_outcomes(i, j, weight, n)
         assert [edges[k] for k in order.tolist()] == [d.edge for d in want]
         assert [REASONS[o] for o in outcome.tolist()] == [d.reason for d in want]
 
@@ -194,6 +194,6 @@ class TestArrayGreedy:
         i = np.array([1, 0, 0, 2, 0])
         j = np.array([2, 3, 1, 3, 2])
         weight = np.array([1.0, inf, 1.0, -1.0, inf])
-        order, outcome = greedy_outcomes(i, j, weight, penalized=True, n_vertices=4)
+        order, outcome = greedy_outcomes(i, j, weight, n_vertices=4)
         assert order.tolist() == [4, 1, 2, 0, 3]
         assert [REASONS[o] for o in outcome.tolist()] == [None, None, None, "loop", "negative"]

@@ -34,6 +34,7 @@ from dendrofit import (
 )
 from dendrofit import dataio
 from dendrofit import model as model_module
+from dendrofit import oracle
 from dendrofit.core import Discrete, Gaussian, Variable, VariableSchema
 from dendrofit.errors import DegenerateGaussian, InvalidCount, SchemaMismatch
 from dendrofit.forest import build_forest_suzuki
@@ -228,6 +229,11 @@ class TestFit:
         ds = dataset_from_columns(mixed_schema("gd"), column, [0, 1] * 3 + [0])
         with pytest.raises(DegenerateGaussian, match=message):
             fit(ds, Forest.from_edges(2, edges))
+
+    def test_forest_of_another_size_rejected(self):
+        ds = dataset_from_columns(mixed_schema("gd"), [0.5, -0.5], [0, 1])
+        with pytest.raises(ValueError, match="disagree on the number of vertices"):
+            fit(ds, Forest.from_edges(3, []))
 
 
 class TestParameterCount:
@@ -478,6 +484,34 @@ class TestSampling:
         with blocks_of(rows, model.schema.n_vars):
             drawn = sample(model, count, 9)
         assert_same_bits(drawn, sample_whole(model, count, 9))
+
+    @pytest.mark.parametrize("rows", [1, 7, 333])
+    @pytest.mark.parametrize("classes", [8, 12])
+    def test_many_class_bayes_vertex_blocks_match_the_reference(self, classes, rows):
+        # small_forest_models' Bayes vertices have at most 3 classes. From 8
+        # classes numpy sums a row of weights in another order than a column
+        # of them, and a draw seldom shows a cdf's last bit, so the cdfs of
+        # z are compared too
+        model = many_class_bayes_chain(classes)
+        cdfs: dict[str, list] = {"blocks": [], "whole": []}
+
+        def recorded(module, key):
+            draw = module._draw_categorical
+
+            def recording(rng, cdf_rows, count, *last):
+                if cdf_rows.shape == (count, classes):
+                    cdfs[key].append(cdf_rows.copy())
+                return draw(rng, cdf_rows, count, *last)
+
+            return mock.patch.object(module, "_draw_categorical", recording)
+
+        with recorded(model_module, "blocks"), recorded(oracle, "whole"):
+            with blocks_of(rows, model.schema.n_vars):
+                drawn = sample(model, 1000, 5)
+            assert_same_bits(drawn, sample_whole(model, 1000, 5))
+        assert set(drawn.column(2).tolist()) == set(range(classes - 1))
+        blocks, whole = (np.concatenate(cdfs[key]) for key in ("blocks", "whole"))
+        assert whole.shape == (1000, classes) and blocks.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("block_cells", [dataio.BLOCK_CELLS, 90])
     @pytest.mark.parametrize("seed, count", sorted(PINNED_BLOCKS_SAMPLE_SHA256))
@@ -897,6 +931,95 @@ class TestDirectedDensity:
         model = bayes_chain(3.0)
         ds = dataset_from_columns(model.schema, [0, 1], [x, 1.5], [1, 0])
         assert log_likelihood(model, ds) == -np.inf
+
+
+def many_class_bayes_chain(classes: int) -> DendroidModel:
+    """y - x - z with z a discrete child of Gaussian x over the given
+    number of classes, 1 residual sd apart, the last one empty."""
+    probs = np.append(np.arange(1.0, classes), 0.0)
+    zx = mixed_factor(1, 2, probs / probs.sum(), np.arange(float(classes)), 1.0)
+    x = class_mixture(zx)
+    return DendroidModel.build(
+        schema=VariableSchema(
+            (
+                Variable("y", Discrete(("a", "b"))),
+                Variable("x", Gaussian()),
+                Variable("z", Discrete(tuple(f"c{k}" for k in range(classes)))),
+            )
+        ),
+        forest=Forest.from_edges(3, [(0, 1), (1, 2)]),
+        marginals=(DiscreteMarginal(np.array([0.5, 0.5])), x, DiscreteMarginal(zx.class_probs)),
+        factors=(split_in_two(1, 0, x, 2.0), zx),
+        n=1,
+    )
+
+
+# z's classes and their probabilities in far_chain
+FAR_MEANS, FAR_PROBS = np.array([-2e6, 0.0, 2e6]), np.array([0.125, 0.75, 0.125])
+
+
+def far_chain() -> DendroidModel:
+    """y - x - z with x | y at means -1e6 and 1e6 and z | x at FAR_MEANS,
+    both residual variances 1e-300: x is drawn at a class mean of y, 1e6
+    from two of z's class means, so every class term of z overflows."""
+    xy = mixed_factor(1, 0, [0.5, 0.5], [-1e6, 1e6], 1e-300)
+    zx = mixed_factor(1, 2, FAR_PROBS, FAR_MEANS, 1e-300)
+    return DendroidModel.build(
+        schema=mixed_schema("dgD"),
+        forest=Forest.from_edges(3, [(0, 1), (1, 2)]),
+        marginals=(
+            DiscreteMarginal(np.array([0.5, 0.5])), class_mixture(xy), DiscreteMarginal(FAR_PROBS)
+        ),
+        factors=(xy, zx),
+        n=1,
+    )
+
+
+class TestFarParent:
+    """A Gaussian parent so far from every class mean of its discrete
+    child that each (x - m_k)^2 / (2 r) overflows: the occupied classes
+    nearest the parent take the mass, in proportion to p_k, in the draw
+    and in the density alike. A RuntimeWarning fails these tests."""
+
+    def test_draw_takes_only_the_nearest_classes(self):
+        ds = sample(far_chain(), 4000, 1)
+        y, x, z = ds.columns
+        assert (x == np.where(y == 1, 1e6, -1e6)).all()
+        # given y = a, x = -1e6 is as near to z's classes 0 and 1; given b,
+        # x = 1e6 to 1 and 2. Class 1 takes 0.75 / 0.875 of the mass
+        for given, nearest in ((0, {0, 1}), (1, {1, 2})):
+            drawn = z[y == given]
+            assert set(drawn.tolist()) == nearest
+            share, sd = (drawn == 1).mean(), math.sqrt(6 / 49 / len(drawn))
+            assert abs(share - 6 / 7) <= 4 * sd
+
+    def test_each_row_scores_the_share_of_the_nearest_classes(self):
+        model = far_chain()
+        ds = sample(model, 4000, 1)
+        y, x, z = ds.columns
+        assert math.isfinite(log_likelihood(model, ds))
+        z_term = model_module._conditional(model, 2, 1)[1](z, x)
+        nearest = np.abs(x[:, None] - FAR_MEANS) == 1e6
+        want = np.log(FAR_PROBS[z] / (nearest * FAR_PROBS).sum(axis=1))
+        np.testing.assert_allclose(z_term, want, rtol=1e-15)
+
+
+class TestSlope:
+    def test_same_likelihood_in_either_column_order(self):
+        # sd(x) / sd(y) is about 1e155: var(x) / var(y) overflows, so the
+        # slope of x on y is only finite with the variances scaled
+        rng = np.random.default_rng(1)
+        z, w = rng.standard_normal(500), rng.standard_normal(500)
+        x, y = 1e150 * z, 1e-5 * (z + 0.5 * w)
+        values = []
+        for columns in ((x, y), (y, x)):
+            ds = dataset_from_columns(mixed_schema("gg"), *columns)
+            model = fit(ds, Forest.from_edges(2, [(0, 1)]))
+            values.append(log_likelihood(model, ds))
+            assert values[-1] == pytest.approx(directed_log_likelihood(model, ds), rel=1e-12)
+            drawn = sample(model, 300, 2)
+            assert_same_bits(drawn, sample_whole(model, 300, 2))
+        assert values[0] == values[1] and math.isfinite(values[0])
 
 
 class TestSerialization:

@@ -291,9 +291,9 @@ def per_pair_outcome(ds, quad):
 
 
 def table_outcome(ds, quad):
-    """estimate_all_mi's table, or the type and message of its error."""
+    """pair_mi_table's table, or the type and message of its error."""
     try:
-        return scoring.estimate_all_mi(ds, quad)
+        return scoring.pair_mi_table(ds, quad)
     except DendrofitError as err:
         return type(err), str(err)
 
@@ -349,10 +349,10 @@ class TestBatchedPairTable:
             (Variable("d", D(8)),) + tuple(Variable(f"g{k}", Gaussian()) for k in range(4))
         )
         ds = dataset_from_columns(schema, *columns)
-        base = scoring.estimate_all_mi(ds, QuadratureSpec())
+        base = scoring.pair_mi_table(ds, QuadratureSpec())
         for bound in (1, 2**20):
             monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", bound)
-            assert (scoring.estimate_all_mi(ds, QuadratureSpec()) == base).all()
+            assert (scoring.pair_mi_table(ds, QuadratureSpec()) == base).all()
 
     def test_ladder_failure_is_named_as_the_per_pair_path_names_it(self, monkeypatch):
         # v0 has equal class means, so v1 and v2 (classes about 6 sd apart,
@@ -365,7 +365,7 @@ class TestBatchedPairTable:
         quad = QuadratureSpec(order=8)
         assert_same_outcome(table_outcome(ds, quad), per_pair_outcome(ds, quad))
         with pytest.raises(QuadratureFailure, match=r"^pair \('v1', 'v2'\): doubling"):
-            scoring.estimate_all_mi(ds, QuadratureSpec(order=8))
+            scoring.pair_mi_table(ds, QuadratureSpec(order=8))
 
     def test_entropy_failure_is_named_as_the_per_pair_path_names_it(self, monkeypatch):
         monkeypatch.setattr(
@@ -375,4 +375,4 @@ class TestBatchedPairTable:
         quad = QuadratureSpec()
         assert_same_outcome(table_outcome(ds, quad), per_pair_outcome(ds, quad))
         with pytest.raises(QuadratureFailure, match="exceeds the class entropy bound"):
-            scoring.estimate_all_mi(ds, QuadratureSpec())
+            scoring.pair_mi_table(ds, QuadratureSpec())
