@@ -10,10 +10,11 @@ Exit codes: 0 success, 1 runtime/estimation error, 2 usage/IO error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -26,17 +27,28 @@ from .dataio import (
     _real_texts,
     block_rows,
     csv_text,
+    fill_columns,
     forest_dot,
     iter_csv_text,
     load_json_document,
     quoted_cells,
+    read_csv_blocks,
     read_csv_dataset,
     read_schema,
+    row_capacity,
 )
 from .errors import DendrofitError, UsageError
 from .estimators import QuadratureSpec
 from .forest import ACCEPTED, REASONS, greedy_outcomes
-from .model import DendroidModel, code_length, fit, log_likelihood, sample_blocks
+from .model import (
+    DRAW_BLOCKS,
+    DendroidModel,
+    code_length,
+    fit,
+    log_likelihood,
+    row_log_likelihoods,
+    sample_blocks,
+)
 from .scoring import Criterion, PairScores, pair_scores
 
 FOREST_FORMAT = "dendrofit-forest"
@@ -290,6 +302,32 @@ def _output_files(config: RunConfig) -> dict[str, Path]:
     return files
 
 
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """The text stream of a --out flag: stdout when path is None or empty;
+    otherwise a new file beside path, created as a plain open creates a
+    file (the umask applies), moved onto path when the block ends and
+    removed when it raises, so a failed run leaves path as it was."""
+    if not path:
+        yield sys.stdout
+        return
+    head, tail = os.path.split(path)
+    for attempt in itertools.count():
+        temp = os.path.join(head, f".{tail}.{os.getpid()}.{attempt}.tmp")
+        try:
+            fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def cmd_learn(config: RunConfig) -> int:
     paths = _output_files(config)
     criterion = config.make_criterion()
@@ -348,8 +386,7 @@ def cmd_score(config: RunConfig) -> int:
     dataset = read_csv_dataset(config.data, schema)
     scores = pair_scores(dataset, criterion, quad)
 
-    stream = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout)
-    with stream as out:
+    with _output(config.out) as out:
         if config.fmt == "json":
             doc = {
                 "criterion": {"kind": criterion.kind, "dn": criterion.dn(dataset.n)},
@@ -371,18 +408,27 @@ def cmd_sample(config: RunConfig) -> int:
         raise UsageError(f"--seed must be a nonnegative integer, got {config.seed}")
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     text = iter_csv_text(model.schema, sample_blocks(model, config.count, config.seed))
-    stream = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout)
-    with stream as out:
+    with _output(config.out) as out:
         out.writelines(text)
     return 0
 
 
 def cmd_eval(config: RunConfig) -> int:
+    """The log-likelihood and description length of --data under --model.
+    The reader's blocks go to ``row_log_likelihoods`` as they come, so no
+    dataset is held: 8 bytes a row and one block. The per-row totals and
+    their sum are ``log_likelihood``'s, so eval reproduces learn's
+    description length bit for bit."""
     criterion = config.make_criterion()
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
-    dataset = read_csv_dataset(config.data, model.schema)
-    ll = log_likelihood(model, dataset)
-    dn = criterion.dn(dataset.n)
+    reader = read_csv_blocks(config.data, model.schema)
+    # DRAW_BLOCKS of the reader's blocks joined, the rows of a block of
+    # log_likelihood, so that eval makes as few calls per vertex as learn
+    rows = DRAW_BLOCKS * block_rows(model.schema.n_vars)
+    blocks = iter(lambda: fill_columns(itertools.islice(reader, DRAW_BLOCKS), rows), [])
+    totals = row_log_likelihoods(model, blocks, row_capacity(config.data))
+    ll = float(totals.sum())
+    dn = criterion.dn(len(totals))
     dl = code_length(ll, model.param_count, dn)
     print(f"log_likelihood={ll!r}")
     print(f"param_count={model.param_count}")

@@ -13,6 +13,8 @@ import functools
 import io
 import itertools
 import json
+import os
+import stat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -149,13 +151,28 @@ def block_rows(n_vars: int) -> int:
 
 def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
     """Read a header-bearing CSV against a schema; errors carry file line
-    numbers. A leading UTF-8 byte order mark and blank lines at the end of
-    the file are ignored; a blank line before the last record is an error.
+    numbers, as read_csv_blocks reports them. Each block is written
+    straight into full-length columns (fill_columns): their length comes
+    from a count of the newlines in a regular file (row_capacity), so the
+    rows are held once, and no list of per-block arrays is joined."""
+    columns = fill_columns(read_csv_blocks(path, schema), row_capacity(path))
+    return Dataset(schema=schema, columns=tuple(columns))
 
-    Records are parsed in blocks of about BLOCK_CELLS cells, so no table of
-    cell strings is held, and the first fault in file order is reported; a
-    byte that is not UTF-8 is found when its chunk of about 8 KB is
-    decoded, so it is reported before a bad cell earlier in that chunk."""
+
+def read_csv_blocks(path: PathLike, schema: VariableSchema) -> Iterator[tuple[np.ndarray, ...]]:
+    """The data rows of a header-bearing CSV, in file order, in blocks of
+    at most block_rows(schema.n_vars) rows, each one array per column:
+    int64 codes for a discrete column, float64 values for a Gaussian one.
+    A leading UTF-8 byte order mark and blank lines at the end of the file
+    are ignored; a blank line before the last record is an error, as is a
+    file with no data rows, raised after the last block.
+
+    Blocks of plain lines go to numpy's text reader; from the first block
+    that it cannot take exactly, csv.reader parses the rest. No table of
+    cell strings is held, and the first fault in file order is reported,
+    after the blocks before it are given; a byte that is not UTF-8 is
+    found when its chunk of about 8 KB is decoded, so it is reported
+    before a bad cell earlier in that chunk."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             header = next(csv.reader(fh), None)
@@ -168,40 +185,86 @@ def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
                 f"{path}: header {header} does not match schema columns "
                 f"{list(schema.names)}"
             )
-        parts = _read_blocks(path, fh, schema)
-    if not parts[0]:
+        rows = 0
+        for columns in _blocks(path, fh, schema):
+            rows += len(columns[0])
+            yield columns
+    if not rows:
         raise EmptyDataset(f"{path}: no data rows")
-    columns = []
-    for blocks in parts:
-        columns.append(np.concatenate(blocks))
-        blocks.clear()  # so a finished column is not held twice
-    return Dataset(schema=schema, columns=tuple(columns))
 
 
-def _read_blocks(
+# bytes per read of row_capacity's newline count
+_COUNT_CHUNK = 1 << 16
+
+
+def row_capacity(path: PathLike) -> Optional[int]:
+    """The number of newline bytes in the CSV at path when it is a
+    regular file, read in small chunks: the data rows, but for the last
+    one, which the header's newline makes up for, end in one. A newline
+    inside a quoted cell or in a blank line only over-counts, and records
+    that end in a lone carriage return are not counted (fill_columns then
+    doubles). None for a pipe or any other file that cannot be read
+    twice, or that cannot be opened; the reader reports that."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb") as fh:
+            chunks = iter(lambda: fh.read(_COUNT_CHUNK), b"")
+            # numpy's comparison counts about three times as fast as bytes.count
+            return sum(int(np.count_nonzero(np.frombuffer(c, np.uint8) == 10)) for c in chunks)
+    except OSError:
+        return None
+
+
+def fill_columns(
+    blocks: Iterable[Sequence[np.ndarray]], capacity: Optional[int]
+) -> list[np.ndarray]:
+    """The columns of the blocks, each a sequence of one 1-D array per
+    column, joined in order. Each block is written into preallocated
+    columns of capacity rows (or of the first block's rows when capacity
+    is None or smaller), which double when a block does not fit, one
+    column at a time; they are cut to the rows written at the end, in
+    place. So the rows are held once, plus one block and, while a column
+    doubles, its old copy. Empty when there is no block."""
+    columns: list[np.ndarray] = []
+    rows = 0
+    for block in blocks:
+        stop = rows + len(block[0])
+        if not columns:
+            size = max(capacity or 0, stop)
+            columns = [np.empty(size, dtype=part.dtype) for part in block]
+        elif stop > len(columns[0]):
+            size = max(stop, 2 * len(columns[0]))
+            for k, column in enumerate(columns):
+                columns[k] = np.empty(size, dtype=column.dtype)
+                columns[k][:rows] = column[:rows]
+        for column, part in zip(columns, block):
+            column[rows:stop] = part
+        rows = stop
+    for column in columns:
+        # no view of the column exists, so realloc may shrink it in place
+        column.resize(rows, refcheck=False)
+    return columns
+
+
+def _blocks(
     path: PathLike, lines: Iterator[str], schema: VariableSchema
-) -> list[list[np.ndarray]]:
-    """Each column's arrays, one per block of the data lines that follow
-    the header. Blocks of plain lines go to numpy's text reader; from the
-    first block that it cannot take exactly, csv.reader parses the rest.
-    A decode or CSV error is raised after the records before it are
-    parsed, and a blank record before a later one is an arity fault at
-    its row."""
-    parts: list[list[np.ndarray]] = [[] for _ in schema.variables]
+) -> Iterator[Sequence[np.ndarray]]:
+    """Each block's columns, of the data lines that follow the header.
+    Blocks of plain lines go to numpy's text reader; from the first block
+    that it cannot take exactly, csv.reader parses the rest. A decode or
+    CSV error is raised after the records before it are given, and a
+    blank record before a later one is an arity fault at its row."""
 
-    def store(columns: Sequence[np.ndarray]) -> None:
-        for blocks, column in zip(parts, columns):
-            blocks.append(column)
-
-    def parse(block: list, first: int) -> None:
-        """Store the block's columns; block[0] is row first of the file."""
+    def parse(block: list, first: int) -> Sequence[np.ndarray]:
+        """The block's columns; block[0] is row first of the file."""
         columns = _parse_columns(schema, block)
         if columns is None:
             try:
                 _scan_rows(schema, block, first)
             except DendrofitError as err:
                 raise type(err)(f"{path} line {err.row_index + 2}: {err}") from err
-        store(columns)
+        return columns
 
     step = block_rows(schema.n_vars)
     first = 0
@@ -213,11 +276,11 @@ def _read_blocks(
         columns = plain(head) if rest is lines else None
         if columns is None:
             break
-        store(columns)
+        yield columns
         first += len(head)
 
     block: list = []
-    blank = False  # a blank record was read after the last stored one
+    blank = False  # a blank record was read after the last given one
     fault = None
     try:
         for record in csv.reader(itertools.chain(head, rest)):
@@ -228,7 +291,7 @@ def _read_blocks(
             else:
                 block.append(record)
                 if len(block) == step:
-                    parse(block, first)
+                    yield parse(block, first)
                     first += step
                     block = []
         else:
@@ -238,10 +301,9 @@ def _read_blocks(
     if blank:
         block.append([])  # its arity fault is raised unless an earlier one is
     if block:
-        parse(block, first)
+        yield parse(block, first)
     if fault is not None:
         raise DataFormatError(f"{path}: {fault}") from fault
-    return parts
 
 
 def _next_lines(lines: Iterator[str], count: int) -> tuple[list[str], Iterator[str]]:

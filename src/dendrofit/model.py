@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .core import (
     VariableSchema,
     orient_forest,
 )
-from .dataio import block_rows, schema_from_jsonable, schema_to_jsonable
+from .dataio import block_rows, fill_columns, schema_from_jsonable, schema_to_jsonable
 from .errors import DegenerateGaussian, InvalidCount, NonFiniteValue, SchemaMismatch
 from .estimators import DiscretePair, GaussianPair, collect_stats
 from .scoring import effective_cardinality
@@ -445,14 +445,45 @@ def log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
     """Total log probability (masses and densities mixed) of the rows
     under the model: the sum over vertices of each conditional's
     log-density given its parent in ``orient_forest``'s orientation.
-    Rows hitting a zero-probability discrete value contribute -inf."""
+    Rows hitting a zero-probability discrete value contribute -inf.
+
+    The per-row totals (``row_log_likelihoods``) are made one block of
+    DRAW_BLOCKS * dataio.block_rows(n_vars) rows at a time, so no vertex
+    holds more than a block's terms; each row's total depends on that row
+    alone, and the one sum runs over all n of them, so the bits do not
+    depend on the block size."""
     if dataset.schema != model.schema:
         raise SchemaMismatch("dataset schema differs from the model's schema")
-    total = np.zeros(dataset.n, dtype=np.float64)
-    for v, parent in enumerate(orient_forest(model.forest, model.schema).parents):
-        log_density = _conditional(model, v, parent)[1]
-        total += log_density(dataset.column(v), None if parent is None else dataset.column(parent))
-    return float(total.sum())
+    rows = DRAW_BLOCKS * block_rows(model.schema.n_vars)
+    blocks = (
+        [column[start : start + rows] for column in dataset.columns]
+        for start in range(0, dataset.n, rows)
+    )
+    return float(row_log_likelihoods(model, blocks, dataset.n).sum())
+
+
+def row_log_likelihoods(
+    model: DendroidModel, blocks: Iterable[Sequence[np.ndarray]], capacity: Optional[int]
+) -> np.ndarray:
+    """Each row's log probability under the model, for the rows of blocks
+    (one array per column of model.schema each, as
+    dataio.read_csv_blocks gives them): per block, every vertex's
+    log-density is added into the block's totals in vertex order, and the
+    totals are written into one n-array (dataio.fill_columns, capacity as
+    there). So only one block of rows is held besides 8 bytes a row, and
+    ``log_likelihood``'s sum of the array has the same bits for any
+    blocks."""
+    parents = orient_forest(model.forest, model.schema).parents
+    densities = [(v, parent, _conditional(model, v, parent)[1]) for v, parent in enumerate(parents)]
+
+    def totals() -> Iterator[tuple[np.ndarray]]:
+        for block in blocks:
+            total = np.zeros(len(block[0]), dtype=np.float64)
+            for v, parent, log_density in densities:
+                total += log_density(block[v], None if parent is None else block[parent])
+            yield (total,)
+
+    return fill_columns(totals(), capacity)[0]
 
 
 def description_length(model: DendroidModel, dataset: Dataset, criterion) -> float:
@@ -550,11 +581,16 @@ def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[C
         return _draw_categorical(rng, np.cumsum(weights, axis=1), rows, _last_positive(weights))
 
     def log_posterior(col: np.ndarray, par: np.ndarray) -> np.ndarray:
-        # class-major (K, rows), so each reduction runs over K rows of
-        # contiguous values, and a row's bits do not depend on the others
+        # class-major (K, rows), summed class by class: numpy would sum a
+        # block of one row pairwise, so a row's bits would depend on the
+        # number of rows beside it
         terms = _class_terms(factor, par)
         own = terms[col, np.arange(len(col))]
-        return own - np.log(np.exp(terms, out=terms).sum(axis=0))
+        np.exp(terms, out=terms)
+        mass = terms[0].copy()
+        for term in terms[1:]:
+            mass += term
+        return own - np.log(mass)
 
     return invert, log_posterior
 

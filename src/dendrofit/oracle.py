@@ -3,7 +3,8 @@ exhaustive forest search, exact KL divergence of small discrete joints
 against their forest factorization, Monte Carlo mutual information
 for mixed factors, Golub-Welsch Gauss-Hermite rules, a row-at-a-time
 CSV renderer, a whole-file CSV reader, a whole-column sampler, a
-row-at-a-time log-likelihood, and the one-object-per-edge greedy loop
+row-at-a-time log-likelihood (exact in fractions where every Bayes class
+term overflows), and the one-object-per-edge greedy loop
 and report renderers of the CLI.
 
 Everything here is deliberately slow and independent of the production
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
@@ -247,7 +249,8 @@ def _scaled_slope(rho: float, var_c: float, var_p: float) -> float:
 def sample_whole(model: DendroidModel, count: int, seed: int) -> Dataset:
     """Reference for ``model.sample``: one generator, and one draw of a
     whole column per vertex in topological order, each conditional built
-    for all count rows at once."""
+    for all count rows at once. A Bayes inversion takes the weights of
+    ``_far_weights`` in the rows where every class term overflows."""
     rng = np.random.default_rng(seed)
     rooted = orient_forest(model.forest, model.schema)
     columns: list[Optional[np.ndarray]] = [None] * model.schema.n_vars
@@ -285,12 +288,17 @@ def sample_whole(model: DendroidModel, count: int, seed: int) -> Dataset:
                 factor.resid_var
             ) * rng.standard_normal(count)
         else:  # discrete child of a Gaussian parent: Bayes inversion
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 logits = np.log(factor.class_probs)[None, :] - (
                     parent_col[:, None] - factor.class_means[None, :]
                 ) ** 2 / (2.0 * factor.resid_var)
-            logits -= logits.max(axis=1, keepdims=True)
+            top = logits.max(axis=1, keepdims=True)
+            far = np.flatnonzero(np.isneginf(top[:, 0])).tolist()
+            top[far] = 0.0
+            logits -= top
             weights = np.exp(logits)
+            for r in far:  # every class term overflowed
+                weights[r] = _far_weights(float(parent_col[r]), factor)
             weights /= weights.sum(axis=1, keepdims=True)
             cdf_rows = np.cumsum(weights, axis=1)
             columns[v] = _draw_categorical(rng, cdf_rows, count)
@@ -303,28 +311,63 @@ def _log_or_minus_inf(p: float) -> float:
 
 
 def _log_normal(x: float, mean: float, var: float) -> float:
-    return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+    """-inf where the square overflows."""
+    try:
+        return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+    except OverflowError:
+        return -math.inf
+
+
+def _far_weights(x: float, factor: MixedEdgeFactor) -> list[float]:
+    """The Bayes class weights at a parent value x where every class term
+    overflows: p_k exp(-q_k), with q_k = ((x - m_k)^2 - min_j (x - m_j)^2)
+    / (2 r), the minimum over the occupied classes j, computed exactly in
+    fractions of the floats and rounded to a float once (inf where it
+    overflows)."""
+    probs, means = factor.class_probs.tolist(), factor.class_means.tolist()
+    squares = [(Fraction(x) - Fraction(m)) ** 2 for m in means]
+    least = min(sq for sq, p in zip(squares, probs) if p > 0.0)
+    weights = []
+    for sq, p in zip(squares, probs):
+        try:
+            q = float((sq - least) / (2 * Fraction(factor.resid_var)))
+        except OverflowError:
+            q = math.inf
+        weights.append(p * math.exp(-q))
+    return weights
 
 
 def directed_log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
-    """Reference for ``model.log_likelihood``: the log-density of the rows
-    under the forest as ``orient_forest`` orients it, one row and one
-    vertex at a time in Python floats. A discrete child of a Gaussian
-    parent takes the posterior of its class, log p_y N(x; m_y, r) - log
-    sum_k p_k N(x; m_k, r), with the sum shifted by its largest term."""
+    """Reference for ``model.log_likelihood``: the terms of
+    ``directed_log_densities``, added row by row in vertex order."""
+    total = 0.0
+    for terms in directed_log_densities(model, dataset):
+        for term in terms:
+            total += term
+    return total
+
+
+def directed_log_densities(model: DendroidModel, dataset: Dataset) -> list[list[float]]:
+    """Each row's log-density of each vertex under the forest as
+    ``orient_forest`` orients it, one row and one vertex at a time in
+    Python floats. A discrete child of a Gaussian parent takes the
+    posterior of its class, log p_y N(x; m_y, r) - log sum_k p_k N(x; m_k,
+    r), with the sum shifted by its largest term; where every term is
+    -inf, from the weights of ``_far_weights``."""
     if dataset.schema != model.schema:
         raise SchemaMismatch("dataset schema differs from the model's schema")
     parents = orient_forest(model.forest, model.schema).parents
     columns = [dataset.column(v).tolist() for v in range(model.schema.n_vars)]
-    total = 0.0
+    rows = []
     for row in zip(*columns):
+        rows.append([])
         for v, parent in enumerate(parents):
             x, marg = row[v], model.marginals[v]
             if parent is None:
                 if isinstance(marg, DiscreteMarginal):
-                    total += _log_or_minus_inf(float(marg.probs[x]))
+                    rows[-1].append(_log_or_minus_inf(float(marg.probs[x])))
                 else:
-                    total += _log_normal(x, marg.mean, marg.var)
+                    rows[-1].append(_log_normal(x, marg.mean, marg.var))
                 continue
             factor, x_parent = model.factor_for(v, parent), row[parent]
             if isinstance(factor, DiscreteEdgeFactor):
@@ -334,7 +377,7 @@ def directed_log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
                 else:
                     given = cells[x_parent]
                 mass = sum(given)
-                total += _log_or_minus_inf(given[x] / mass) if mass > 0.0 else -math.inf
+                rows[-1].append(_log_or_minus_inf(given[x] / mass) if mass > 0.0 else -math.inf)
             elif isinstance(factor, GaussianEdgeFactor):
                 if v == factor.i:
                     mean_c, var_c = factor.mean_i, factor.var_i
@@ -344,17 +387,25 @@ def directed_log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
                     mean_p, var_p = factor.mean_i, factor.var_i
                 rho = factor.rho
                 mean = mean_c + _scaled_slope(rho, var_c, var_p) * (x_parent - mean_p)
-                total += _log_normal(x, mean, var_c * (1.0 - rho * rho))
+                rows[-1].append(_log_normal(x, mean, var_c * (1.0 - rho * rho)))
             elif v == factor.gauss:
-                total += _log_normal(x, float(factor.class_means[x_parent]), factor.resid_var)
+                rows[-1].append(
+                    _log_normal(x, float(factor.class_means[x_parent]), factor.resid_var)
+                )
             else:
                 terms = [
                     _log_or_minus_inf(p) + _log_normal(x_parent, m, factor.resid_var)
                     for p, m in zip(factor.class_probs.tolist(), factor.class_means.tolist())
                 ]
                 top = max(terms)
-                total += terms[x] - top - math.log(sum(math.exp(t - top) for t in terms))
-    return total
+                if top == -math.inf:
+                    weights = _far_weights(x_parent, factor)
+                    rows[-1].append(_log_or_minus_inf(weights[x]) - math.log(sum(weights)))
+                else:
+                    rows[-1].append(
+                        terms[x] - top - math.log(sum(math.exp(t - top) for t in terms))
+                    )
+    return rows
 
 
 def read_csv_whole(path, schema: VariableSchema) -> Dataset:

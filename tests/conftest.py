@@ -148,3 +148,22 @@ def all_forests(n: int) -> list[Forest]:
             except Exception:
                 continue
     return out
+
+
+def random_mixed_case(rng: np.random.Generator):
+    """A random mixed dataset, its Gaussian columns at random offsets and
+    scales, some shifted by the column before them, and a random forest."""
+    kinds = "".join(rng.choice(list("dDg"), size=int(rng.integers(2, 8))))
+    n = int(rng.integers(5, 300))
+    columns = []
+    for kind in kinds:
+        if kind != "g":
+            columns.append(rng.integers(0, 2 if kind == "d" else 3, n))
+            continue
+        x = rng.standard_normal(n)
+        if columns and rng.random() < 0.5:
+            x += 2.0 * (columns[-1] - columns[-1].mean()) / (columns[-1].std() or 1.0)
+        columns.append(rng.choice([0.0, -7.0, 5e4]) + 10.0 ** rng.uniform(-3, 3) * x)
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, len(kinds)) if rng.random() < 0.8]
+    forest = Forest.from_edges(len(kinds), edges)
+    return dataset_from_columns(mixed_schema(kinds), *columns), forest

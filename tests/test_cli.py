@@ -9,13 +9,14 @@ import platform
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dendrofit
@@ -50,7 +51,13 @@ from dendrofit import oracle
 from dendrofit.oracle import render_csv_rows
 from dendrofit.scoring import PairScores, score_all_pairs
 
-from conftest import dataset_from_columns, discrete_schema, every_kind_model, mixed_schema
+from conftest import (
+    dataset_from_columns,
+    discrete_schema,
+    every_kind_model,
+    mixed_schema,
+    random_mixed_case,
+)
 
 
 def write_text(path, text):
@@ -918,6 +925,35 @@ class TestSample:
         assert main(["sample", "--model", str(model_path), "--count", "5"]) == 2
         assert capsys.readouterr().err == "error: column 'v1' contains non-finite values\n"
 
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["new", "existing"])
+    def test_failed_draw_leaves_no_partial_out_file(self, tmp_path, capsys, existing):
+        # the model above: the first block's draw overflows, after --out
+        # would have been opened and its header written
+        model = DendroidModel.build(
+            schema=mixed_schema("gg"),
+            forest=Forest.from_edges(2, [(0, 1)]),
+            marginals=(GaussianMarginal(0.0, 5e-324), GaussianMarginal(0.0, 1e300)),
+            factors=(GaussianEdgeFactor(0, 1, 0.5, 0.0, 5e-324, 0.0, 1e300),),
+            n=2,
+        )
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model.to_json_dict()) + "\n")
+        out = tmp_path / "f.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        args = ["sample", "--model", str(model_path), "--count", "5", "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: column 'v1' contains non-finite values\n"
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["model.json"] + ([] if existing is None else ["f.csv"])
+        )
+
     def test_same_bytes_with_numpy_dispatch_targets_off(self, tmp_path):
         """np.log10 guesses each Gaussian cell's decimal exponent, and its
         bits change when numpy's SIMD loops are switched off; the digits
@@ -1120,6 +1156,11 @@ def bool_in_table(doc):
     return doc
 
 
+@pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("eval")
+
+
 class TestEval:
     @pytest.mark.parametrize("command", ["eval", "sample"])
     @pytest.mark.parametrize("edit", BAD_MODELS.values(), ids=BAD_MODELS.keys())
@@ -1175,6 +1216,31 @@ class TestEval:
         assert float(lines["description_length"]) == reported["description_length"]
         assert float(lines["log_likelihood"]) == reported["log_likelihood"]
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), block_cells=st.sampled_from([7, 40, BLOCK_CELLS]))
+    def test_streamed_eval_prints_learn_description_length(self, eval_dir, seed, block_cells):
+        """eval's reader blocks are not learn's likelihood blocks; the
+        per-row totals and their one sum are the same."""
+        ds, _ = random_mixed_case(np.random.default_rng(seed))
+        data, schema, model = (str(eval_dir / name) for name in ("d.csv", "s.json", "m.json"))
+        write_csv_dataset(data, ds)
+        write_schema(schema, ds.schema)
+        outputs = []
+        with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
+            for argv in (
+                ["learn", "--data", data, "--schema", schema, "--criterion", "mdl",
+                 "--model-out", model],
+                ["eval", "--model", model, "--data", data, "--criterion", "mdl"],
+            ):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                assume(code == 0)  # a degenerate column stops learn
+                outputs.append(out.getvalue().splitlines())
+        learned, evaluated = ([line for line in lines if line.startswith(("description_length=",
+                               "log_likelihood="))] for lines in outputs)
+        assert learned == evaluated and len(learned) == 2
+
     def test_ranking_matches_library_description_length(self, tmp_path, star_files, capsys):
         data, schema_path, ds = star_files
         structures = [
@@ -1222,6 +1288,74 @@ class TestEval:
         assert rc == 0
         assert "log_likelihood=-inf" in out
         assert "description_length=inf" in out
+
+
+class TestDataFromAPipe:
+    """--data may be a pipe, which can be read only once and has no
+    length to count: learn, score and eval give the bytes they give for
+    a regular file."""
+
+    @staticmethod
+    def commands(tmp_path, data, schema, model, tag):
+        """The argv of learn, score and eval on data; learn's files are
+        named after tag."""
+        return {
+            "learn": ["learn", "--data", data, "--schema", schema, "--criterion", "mdl",
+                      "--format", "both", "--out", str(tmp_path / f"{tag}-forest"),
+                      "--model-out", str(tmp_path / f"{tag}-model.json")],
+            "score": ["score", "--data", data, "--schema", schema, "--format", "json"],
+            "eval": ["eval", "--model", model, "--data", data, "--criterion", "mdl"],
+        }
+
+    @pytest.mark.parametrize("block_cells", [64, BLOCK_CELLS])
+    def test_same_bytes_as_a_regular_file(self, tmp_path, block_cells):
+        rng = np.random.default_rng(12)
+        n = 3000
+        d = rng.integers(0, 3, n)
+        ds = dataset_from_columns(
+            mixed_schema("Dggd"), d, d + rng.standard_normal(n), rng.standard_normal(n),
+            rng.integers(0, 2, n),
+        )
+        data, schema = tmp_path / "d.csv", str(tmp_path / "s.json")
+        write_csv_dataset(data, ds)
+        write_schema(schema, ds.schema)
+        text = data.read_bytes()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        model = str(tmp_path / "file-model.json")
+
+        def run(argv, source):
+            """main's exit code and stdout, with the CSV written into the
+            pipe by a thread when source is the pipe."""
+            feeder = None
+            if source == fifo:
+                def feed():
+                    with open(fifo, "wb") as pipe:
+                        pipe.write(text)
+
+                feeder = threading.Thread(target=feed, daemon=True)
+                feeder.start()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            if feeder is not None:
+                feeder.join(timeout=60)
+                assert not feeder.is_alive()
+            return code, out.getvalue()
+
+        results = {}
+        with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
+            for tag, source in (("file", data), ("pipe", fifo)):
+                for command, argv in self.commands(tmp_path, str(source), schema, model,
+                                                   tag).items():
+                    results[tag, command] = run(argv, source)
+        for command in ("learn", "score", "eval"):
+            assert results["file", command][0] == 0
+            assert results["pipe", command] == results["file", command]
+        for suffix in ("-forest.json", "-forest.dot", "-model.json"):
+            assert (tmp_path / f"file{suffix}").read_bytes() == (
+                tmp_path / f"pipe{suffix}"
+            ).read_bytes()
 
 
 class TestRoundTripsAndMisc:

@@ -2,8 +2,10 @@
 references, the block reader against the whole-file one, and DOT
 quoting of awkward names."""
 
+import contextlib
 import csv
 import io
+import json
 import math
 import re
 import tracemalloc
@@ -15,8 +17,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dendrofit import Dataset, Discrete, Gaussian, ScoredEdge, Variable, VariableSchema
+from dendrofit import (
+    Dataset,
+    DendroidModel,
+    Discrete,
+    DiscreteMarginal,
+    Forest,
+    Gaussian,
+    GaussianMarginal,
+    ScoredEdge,
+    Variable,
+    VariableSchema,
+    log_likelihood,
+)
 from dendrofit import core, dataio
+from dendrofit.cli import main
 from dendrofit.dataio import (
     csv_text,
     forest_dot,
@@ -524,6 +539,106 @@ class TestBlockReaderMatchesWholeFile:
         # the whole-file reader reports the later fault instead
         with pytest.raises(DataFormatError, match=re.escape(error)):
             read_csv_whole(data_path, schema)
+
+
+def lines_of(rows, eol="\n"):
+    """The text of a header "d,g" and rows, each line ended by eol."""
+    return "".join(",".join(row) + eol for row in [["d", "g"], *rows])
+
+
+# 30 rows, every other one with a label that holds a newline
+QUOTED_ROWS = [['"b\nc"' if r % 2 else "a", repr(r / 8)] for r in range(30)]
+
+
+class TestColumnCapacity:
+    """read_csv_dataset writes each block into columns as long as the
+    file's newline count, doubles them when a block does not fit, and
+    cuts them in place to the rows read."""
+
+    SCHEMA = VariableSchema((Variable("d", Discrete(("a", "b\nc"))), Variable("g", Gaussian())))
+    # each case: the file's text and its newline count
+    CASES = {
+        # a quoted newline in every other record: the count is 15 over
+        "quoted-newlines": (lines_of(QUOTED_ROWS), 46),
+        # blank lines at the end are counted and not read
+        "blank-tail": (lines_of(QUOTED_ROWS[::2]) + "\n" * 40, 56),
+        "no-last-newline": (lines_of(QUOTED_ROWS[::2])[:-1], 15),
+        # records that end in a lone carriage return hold no newline, so
+        # the columns start from the first block and double
+        "carriage-returns": (lines_of(QUOTED_ROWS[::2], "\r"), 0),
+        "crlf": (lines_of(QUOTED_ROWS, "\r\n"), 46),
+    }
+
+    @pytest.mark.parametrize("block_cells", [2, 14, dataio.BLOCK_CELLS])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_same_columns_as_the_whole_file(self, data_path, case, block_cells):
+        text, newlines = case
+        data_path.write_bytes(text.encode("utf-8"))
+        assert dataio.row_capacity(data_path) == newlines
+        with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
+            got = read_csv_dataset(data_path, self.SCHEMA)
+        ref = read_csv_whole(data_path, self.SCHEMA)
+        for col, ref_col in zip(got.columns, ref.columns):
+            assert col.dtype == ref_col.dtype and col.tobytes() == ref_col.tobytes()
+            assert col.flags.owndata  # cut in place, not a view of the longer array
+
+    @pytest.mark.parametrize("capacity", [None, 0, 1, 3, 9, 10, 11, 100])
+    def test_fill_columns_joins_the_blocks(self, capacity):
+        rng = np.random.default_rng(2)
+        blocks = [(rng.integers(0, 9, k), rng.standard_normal(k)) for k in (3, 1, 4, 2)]
+        columns = dataio.fill_columns(iter(blocks), capacity)
+        for column, parts in zip(columns, zip(*blocks)):
+            assert column.dtype == parts[0].dtype and column.flags.owndata
+            assert column.tobytes() == np.concatenate(parts).tobytes()
+        assert dataio.fill_columns(iter([]), capacity) == []
+
+
+def independent_model(schema):
+    """A model of schema with no edge: uniform discrete marginals and
+    standard normal Gaussian ones."""
+    marginals = tuple(
+        DiscreteMarginal(np.full(schema.cardinality(v), 1.0 / schema.cardinality(v)))
+        if schema.is_discrete(v)
+        else GaussianMarginal(0.0, 1.0)
+        for v in range(schema.n_vars)
+    )
+    return DendroidModel.build(schema, Forest.from_edges(schema.n_vars, []), marginals, (), 1)
+
+
+def run_main(argv):
+    """main's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestEvalReportsTheReadersErrors:
+    """eval streams the reader's blocks, with no dataset: every fault of a
+    data file gives the message and exit code that score (which reads the
+    whole dataset first) gives, and nothing on stdout."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=data_files(), block_cells=st.integers(1, 40))
+    def test_same_error_as_the_reader(self, data_path, case, block_cells):
+        schema, data = case
+        data_path.write_bytes(data)
+        model = independent_model(schema)
+        model_path, schema_path = data_path.with_suffix(".model"), data_path.with_suffix(".schema")
+        model_path.write_text(json.dumps(model.to_json_dict()), encoding="utf-8")
+        dataio.write_schema(schema_path, schema)
+        with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
+            code, out, err = run_main(
+                ["eval", "--model", str(model_path), "--data", str(data_path)]
+            )
+            kind, ref = outcome(read_csv_whole, data_path, schema)
+            if kind == "ok":
+                assert (code, err) == (0, "")
+                assert out.startswith(f"log_likelihood={log_likelihood(model, ref)!r}\n")
+                return
+            score = run_main(["score", "--data", str(data_path), "--schema", str(schema_path)])
+        assert (code, out, err) == score
+        assert code != 0 and err == f"error: {ref}\n"
 
 
 def test_read_peak_grows_by_two_arrays_of_eight_bytes_per_cell(tmp_path):

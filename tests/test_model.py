@@ -49,6 +49,7 @@ from conftest import (
     every_kind_model,
     mixed_schema,
     random_discrete_dataset,
+    random_mixed_case,
 )
 
 
@@ -72,25 +73,6 @@ def discrete_chain_model() -> DendroidModel:
         ),
         n=1,
     )
-
-
-def random_mixed_case(rng: np.random.Generator):
-    """A random mixed dataset, its Gaussian columns at random offsets and
-    scales, some shifted by the column before them, and a random forest."""
-    kinds = "".join(rng.choice(list("dDg"), size=int(rng.integers(2, 8))))
-    n = int(rng.integers(5, 300))
-    columns = []
-    for kind in kinds:
-        if kind != "g":
-            columns.append(rng.integers(0, 2 if kind == "d" else 3, n))
-            continue
-        x = rng.standard_normal(n)
-        if columns and rng.random() < 0.5:
-            x += 2.0 * (columns[-1] - columns[-1].mean()) / (columns[-1].std() or 1.0)
-        columns.append(rng.choice([0.0, -7.0, 5e4]) + 10.0 ** rng.uniform(-3, 3) * x)
-    edges = [(int(rng.integers(0, v)), v) for v in range(1, len(kinds)) if rng.random() < 0.8]
-    forest = Forest.from_edges(len(kinds), edges)
-    return dataset_from_columns(mixed_schema(kinds), *columns), forest
 
 
 def assert_one_moment_per_vertex(ds, forest) -> None:
@@ -983,6 +965,8 @@ class TestFarParent:
 
     def test_draw_takes_only_the_nearest_classes(self):
         ds = sample(far_chain(), 4000, 1)
+        # the reference weighs these rows exactly, in fractions
+        assert_same_bits(ds, sample_whole(far_chain(), 4000, 1))
         y, x, z = ds.columns
         assert (x == np.where(y == 1, 1e6, -1e6)).all()
         # given y = a, x = -1e6 is as near to z's classes 0 and 1; given b,
@@ -1002,6 +986,109 @@ class TestFarParent:
         nearest = np.abs(x[:, None] - FAR_MEANS) == 1e6
         want = np.log(FAR_PROBS[z] / (nearest * FAR_PROBS).sum(axis=1))
         np.testing.assert_allclose(z_term, want, rtol=1e-15)
+        reference = np.array(oracle.directed_log_densities(model, ds))
+        np.testing.assert_allclose(z_term, reference[:, 2], rtol=1e-15)
+        assert log_likelihood(model, ds) == pytest.approx(
+            directed_log_likelihood(model, ds), rel=1e-12
+        )
+
+    def test_an_empty_class_at_the_parent_takes_nothing(self):
+        # a fourth class of z, empty, with its mean at x = 1e6 itself:
+        # the nearest occupied classes still take the mass, in the
+        # reference as in the model
+        xy = mixed_factor(1, 0, [0.5, 0.5], [-1e6, 1e6], 1e-300)
+        probs = np.append(FAR_PROBS, 0.0)
+        zx = mixed_factor(1, 2, probs, np.append(FAR_MEANS, 1e6), 1e-300)
+        model = DendroidModel.build(
+            schema=VariableSchema(
+                (
+                    Variable("y", Discrete(("a", "b"))),
+                    Variable("x", Gaussian()),
+                    Variable("z", Discrete(("p", "q", "r", "s"))),
+                )
+            ),
+            forest=Forest.from_edges(3, [(0, 1), (1, 2)]),
+            marginals=(
+                DiscreteMarginal(np.array([0.5, 0.5])), class_mixture(xy), DiscreteMarginal(probs)
+            ),
+            factors=(xy, zx),
+            n=1,
+        )
+        ds = sample(model, 2000, 2)
+        assert_same_bits(ds, sample_whole(model, 2000, 2))
+        y, x, z = ds.columns
+        assert 3 not in z.tolist()
+        z_term = model_module._conditional(model, 2, 1)[1](z, x)
+        reference = np.array(oracle.directed_log_densities(model, ds))
+        np.testing.assert_allclose(z_term, reference[:, 2], rtol=1e-15)
+
+
+def likelihood_in_blocks_of(rows: int, model: DendroidModel, ds) -> tuple[float, bytes]:
+    """log_likelihood with its row blocks patched to rows rows, and the
+    bytes of the per-row totals that it sums."""
+    totals = []
+    fill = model_module.fill_columns
+
+    def recording(blocks, capacity):
+        columns = fill(blocks, capacity)
+        totals.append(columns[0].tobytes())
+        return columns
+
+    with mock.patch.object(model_module, "DRAW_BLOCKS", rows), mock.patch.object(
+        model_module, "block_rows", lambda n_vars: 1
+    ), mock.patch.object(model_module, "fill_columns", recording):
+        value = log_likelihood(model, ds)
+    (row_totals,) = totals
+    return value, row_totals
+
+
+def with_unseen_rows(model: DendroidModel, ds, rng: np.random.Generator):
+    """ds with some discrete cells moved to a random category, which can
+    be one the model gives probability 0, so that such rows score -inf."""
+    columns = [c.copy() for c in ds.columns]
+    for v in range(ds.schema.n_vars):
+        if ds.schema.is_discrete(v):
+            rows = rng.random(ds.n) < 0.1
+            columns[v][rows] = rng.integers(0, ds.schema.cardinality(v), int(rows.sum()))
+    return dataset_from_columns(ds.schema, *columns)
+
+
+class TestLikelihoodBlocks:
+    """log_likelihood goes by row blocks; each row's total depends on its
+    own row alone, so the bits do not depend on the block size."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=small_forest_models(), count=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_for_any_block_size(self, model, count, seed):
+        rng = np.random.default_rng(seed)
+        ds = with_unseen_rows(model, sample(model, count, seed), rng)
+        results = {rows: likelihood_in_blocks_of(rows, model, ds) for rows in (1, 7, count)}
+        assert len(set(results.values())) == 1
+        value, totals = results[count]
+        reference = directed_log_likelihood(model, ds)
+        if math.isinf(reference):
+            assert value == reference
+        else:
+            assert value == pytest.approx(reference, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("classes", [8, 12])
+    def test_many_class_bayes_vertex(self, classes):
+        # from 8 classes numpy sums a (K, 1) block of class weights
+        # pairwise, not class by class as it sums a (K, rows) block
+        model = many_class_bayes_chain(classes)
+        ds = sample(model, 1000, 3)
+        seen = likelihood_in_blocks_of(1000, model, ds)
+        assert math.isfinite(seen[0])
+        for rows in (1, 7):
+            assert likelihood_in_blocks_of(rows, model, ds) == seen
+        # the last class is empty: rows that hold it score -inf
+        z = ds.column(2).copy()
+        z[::50] = classes - 1
+        unseen = dataset_from_columns(ds.schema, ds.column(0), ds.column(1), z)
+        results = [likelihood_in_blocks_of(rows, model, unseen) for rows in (1, 7, 1000)]
+        assert results[0] == results[1] == results[2] and results[0][0] == -math.inf
+        terms = np.frombuffer(results[0][1])
+        assert np.isneginf(terms[::50]).all() and np.isfinite(np.delete(terms, np.s_[::50])).all()
 
 
 class TestSlope:
