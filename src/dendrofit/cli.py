@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -269,10 +270,10 @@ def _output_files(config: RunConfig) -> dict[str, Path]:
     for learn, "out" for score and sample. Fails naming the first output
     flag whose path is empty or whose last component is empty, "." or
     "..", which names a directory and no file; then the first file that
-    is a directory, whose parent is not one, or that is the same file as
-    one of the run's inputs or as an earlier output, which the run would
-    overwrite. So a run fails before it reads data, prints or writes
-    anything."""
+    is a directory, whose parent or resolved parent (which ``_output``
+    writes in) is not one, or that is the same file as one of the run's
+    inputs or as an earlier output, which the run would overwrite. So a
+    run fails before it reads data, prints or writes anything."""
     for flag, text in (("--out", config.out), ("--model-out", config.model_out)):
         if text == "":
             raise UsageError(f"{flag}: empty path")
@@ -293,9 +294,10 @@ def _output_files(config: RunConfig) -> dict[str, Path]:
     for path in files.values():
         if path.is_dir():
             raise UsageError(f"{path}: cannot write: it is a directory")
-        if not path.parent.is_dir():
-            raise UsageError(f"{path}: cannot write: {path.parent} is not a directory")
         real = os.path.realpath(path)
+        for parent in (path.parent, Path(real).parent):
+            if not parent.is_dir():
+                raise UsageError(f"{path}: cannot write: {parent} is not a directory")
         if real in seen:
             raise UsageError(f"{path}: cannot write: {seen[real]}")
         seen[real] = "another output goes to the same file"
@@ -303,17 +305,24 @@ def _output_files(config: RunConfig) -> dict[str, Path]:
 
 
 @contextmanager
-def _output(path: Optional[str]) -> Iterator[TextIO]:
-    """The text stream of a --out flag: stdout when path is None or empty;
-    otherwise a new file beside path, created as a plain open creates a
-    file (the umask applies), moved onto path when the block ends and
-    removed when it raises, so a failed run leaves path as it was."""
-    if not path:
+def _output(path: Optional[Path]) -> Iterator[TextIO]:
+    """The text stream of an output of ``_output_files`` (stdout for None).
+    The file path resolves to is replaced when the block ends by a new
+    file made beside it as open makes one, but with the old file's mode;
+    when the block raises, it is left as it was. A device or a FIFO
+    (/dev/null, /dev/stdout), which cannot be replaced, is written in place."""
+    if path is None:
         yield sys.stdout
         return
-    head, tail = os.path.split(path)
+    mode = os.stat(path).st_mode if os.path.exists(path) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+        return
+    real = os.path.realpath(path)
     for attempt in itertools.count():
-        temp = os.path.join(head, f".{tail}.{os.getpid()}.{attempt}.tmp")
+        # a name of fixed length, so that any valid target name can be replaced
+        temp = os.path.join(os.path.dirname(real), f".dendrofit-{os.getpid()}-{attempt}.tmp")
         try:
             fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
             break
@@ -321,8 +330,10 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
             continue
     try:
         with open(fd, "w", encoding="utf-8") as out:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
             yield out
-        os.replace(temp, path)
+        os.replace(temp, real)
     except BaseException:
         os.unlink(temp)
         raise
@@ -346,14 +357,13 @@ def cmd_learn(config: RunConfig) -> int:
     ll = log_likelihood(fitted, dataset)
     dl = code_length(ll, fitted.param_count, dn)
 
-    out = sys.stdout
-    print(f"n={dataset.n} variables={schema.n_vars} criterion={criterion.kind} dn={dn!r}", file=out)
-    out.writelines(_report_table(schema.names, ranked, outcome))
+    print(f"n={dataset.n} variables={schema.n_vars} criterion={criterion.kind} dn={dn!r}")
+    sys.stdout.writelines(_report_table(schema.names, ranked, outcome))
     total = sum(e.score for e in accepted)
-    print(f"edges_selected={len(forest.edges)} total_score={total!r}", file=out)
-    print(f"log_likelihood={ll!r}", file=out)
-    print(f"param_count={fitted.param_count}", file=out)
-    print(f"description_length={dl!r}", file=out)
+    print(f"edges_selected={len(forest.edges)} total_score={total!r}")
+    print(f"log_likelihood={ll!r}")
+    print(f"param_count={fitted.param_count}")
+    print(f"description_length={dl!r}")
 
     doc = {
         "format": FOREST_FORMAT,
@@ -367,26 +377,26 @@ def cmd_learn(config: RunConfig) -> int:
         "param_count": fitted.param_count,
         "description_length": dl,
     }
-    if "json" in paths:
-        with open(paths["json"], "w", encoding="utf-8") as fh:
-            _write_json(fh, doc, "report", _report_json(schema.names, ranked, outcome))
-    if "dot" in paths:
-        paths["dot"].write_text(forest_dot(schema, accepted), encoding="utf-8")
-    if "model" in paths:
-        with open(paths["model"], "w", encoding="utf-8") as fh:
-            _write_json(fh, fitted.to_json_dict())
+    for name, path in paths.items():
+        with _output(path) as out:
+            if name == "json":
+                _write_json(out, doc, "report", _report_json(schema.names, ranked, outcome))
+            elif name == "dot":
+                out.write(forest_dot(schema, accepted))
+            else:
+                _write_json(out, fitted.to_json_dict())
     return 0
 
 
 def cmd_score(config: RunConfig) -> int:
-    _output_files(config)
+    paths = _output_files(config)
     criterion = config.make_criterion()
     quad = config.make_quadrature()
     schema = read_schema(config.schema)
     dataset = read_csv_dataset(config.data, schema)
     scores = pair_scores(dataset, criterion, quad)
 
-    with _output(config.out) as out:
+    with _output(paths.get("out")) as out:
         if config.fmt == "json":
             doc = {
                 "criterion": {"kind": criterion.kind, "dn": criterion.dn(dataset.n)},
@@ -401,14 +411,14 @@ def cmd_score(config: RunConfig) -> int:
 
 
 def cmd_sample(config: RunConfig) -> int:
-    _output_files(config)
+    paths = _output_files(config)
     if config.count < 1:
         raise UsageError(f"--count must be a positive integer, got {config.count}")
     if config.seed < 0:
         raise UsageError(f"--seed must be a nonnegative integer, got {config.seed}")
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     text = iter_csv_text(model.schema, sample_blocks(model, config.count, config.seed))
-    with _output(config.out) as out:
+    with _output(paths.get("out")) as out:
         out.writelines(text)
     return 0
 

@@ -691,18 +691,7 @@ def sample(model: DendroidModel, count: int, seed: int) -> Dataset:
     by Bayes inversion of the mixed factor. Deterministic for a fixed
     seed: PCG64 draws the vertices' columns one after another in
     topological order. The rows are the blocks of ``sample_blocks``,
-    joined.
+    joined by ``dataio.fill_columns``.
     """
-    blocks = sample_blocks(model, count, seed)
-    schema = model.schema
-    columns = [
-        np.empty(count, dtype=np.int64 if schema.is_discrete(v) else np.float64)
-        for v in range(schema.n_vars)
-    ]
-    start = 0
-    for block in blocks:
-        stop = start + len(block[0])
-        for column, part in zip(columns, block):
-            column[start:stop] = part
-        start = stop
-    return Dataset(schema=schema, columns=tuple(columns))
+    columns = fill_columns(sample_blocks(model, count, seed), count)
+    return Dataset(schema=model.schema, columns=tuple(columns))

@@ -532,6 +532,163 @@ class TestOutNamesADirectory:
         assert (tmp_path / "file").read_text() == "kept\n"
 
 
+# each output file, written by the argv before its path; {data}, {schema}
+# and {model} are the inputs
+WRITES = {
+    "learn-json": ["learn", "--data", "{data}", "--schema", "{schema}", "--out"],
+    "learn-dot": ["learn", "--data", "{data}", "--schema", "{schema}", "--format", "dot", "--out"],
+    "learn-model-out": ["learn", "--data", "{data}", "--schema", "{schema}", "--model-out"],
+    "score-out": ["score", "--data", "{data}", "--schema", "{schema}", "--out"],
+    "sample-out": ["sample", "--model", "{model}", "--count", "5", "--out"],
+}
+SUFFIX = {"learn-json": ".json", "learn-dot": ".dot", "learn-model-out": ".json",
+          "score-out": ".csv", "sample-out": ".csv"}
+
+# symlinks, permission bits and FIFOs are POSIX's: Windows needs a
+# privilege to make a symlink, keeps only a read-only flag for a mode, and
+# has no FIFO
+posix_only = pytest.mark.skipif(os.name != "posix", reason="symlinks, modes and FIFOs are POSIX")
+
+
+def _fail(*args):
+    raise MemoryError("injected")
+
+
+def _pieces_then_fail(*args):
+    yield "partial"
+    _fail()
+
+
+# what each output's write calls, replaced by one that fails, part-way
+# through the file where the write goes by pieces
+FAILING_WRITE = {
+    "learn-json": (cli, "_report_json", _pieces_then_fail),
+    "learn-dot": (cli, "forest_dot", _fail),
+    "learn-model-out": (DendroidModel, "to_json_dict", _fail),
+    "score-out": (cli, "_score_csv", _pieces_then_fail),
+    "sample-out": (cli, "iter_csv_text", _pieces_then_fail),
+}
+
+
+@pytest.mark.parametrize("case", WRITES)
+class TestOutputFiles:
+    """Every output file goes through one writer: the file a symlink leads
+    to is replaced whole when the run succeeds, keeping an existing file's
+    permission bits, and a run that fails leaves it as it was."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, star_files):
+        data, schema, ds = star_files
+        model = write_text(
+            tmp_path / "model.json",
+            json.dumps(fit(ds, Forest.from_edges(4, [(0, 1)])).to_json_dict()) + "\n",
+        )
+        (tmp_path / "out").mkdir()
+        return {"data": data, "schema": schema, "model": model}
+
+    @staticmethod
+    def write(case, inputs, path) -> int:
+        return main([arg.format(**inputs) for arg in WRITES[case]] + [str(path)])
+
+    def expected(self, case, inputs, tmp_path) -> bytes:
+        """The bytes the output gets at a plain new path."""
+        (tmp_path / "plain").mkdir()
+        path = tmp_path / "plain" / f"f{SUFFIX[case]}"
+        assert self.write(case, inputs, path) == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["new", "existing"])
+    def test_failed_write_leaves_the_file_as_it_was(
+        self, tmp_path, inputs, capsys, case, existing
+    ):
+        out = tmp_path / "out" / f"f{SUFFIX[case]}"
+        if existing is not None:
+            out.write_bytes(existing)
+        with mock.patch.object(*FAILING_WRITE[case]):
+            assert self.write(case, inputs, out) == 1
+        assert capsys.readouterr().err == "error: out of memory: injected\n"
+        assert os.listdir(out.parent) == ([] if existing is None else [out.name])
+        if existing is not None:
+            assert out.read_bytes() == existing
+
+    @posix_only
+    def test_symlink_is_written_through(self, tmp_path, inputs, case):
+        expected = self.expected(case, inputs, tmp_path)
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / f"f{SUFFIX[case]}"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "out" / f"link{SUFFIX[case]}"
+        link.symlink_to(Path("..", "real", target.name))
+        assert self.write(case, inputs, link) == 0
+        assert link.is_symlink() and os.readlink(link) == os.path.join("..", "real", target.name)
+        assert target.read_bytes() == expected
+        assert os.listdir(tmp_path / "real") == [target.name]
+        assert os.listdir(tmp_path / "out") == [link.name]
+
+    @posix_only
+    def test_existing_file_keeps_its_mode_and_new_file_takes_the_umask(
+        self, tmp_path, inputs, case
+    ):
+        expected = self.expected(case, inputs, tmp_path)
+        old, new = (tmp_path / "out" / f"{name}{SUFFIX[case]}" for name in ("old", "new"))
+        old.write_bytes(b"old\n")
+        old.chmod(0o600)
+        # the old file is replaced whole: a hard link to it keeps its bytes
+        os.link(old, tmp_path / "hard")
+        umask = os.umask(0o027)
+        try:
+            assert self.write(case, inputs, old) == 0
+            assert self.write(case, inputs, new) == 0
+        finally:
+            os.umask(umask)
+        assert old.read_bytes() == new.read_bytes() == expected
+        assert (old.stat().st_mode & 0o7777, new.stat().st_mode & 0o7777) == (0o600, 0o640)
+        assert (tmp_path / "hard").read_bytes() == b"old\n"
+
+    @posix_only
+    def test_fifo_is_written_in_place(self, tmp_path, inputs, case):
+        # a FIFO, as /dev/stdout can be, cannot be replaced: it is opened
+        # and written, and stays a FIFO; the reader is opened first, so the
+        # writer's open does not wait (the output fits in a pipe's buffer)
+        expected = self.expected(case, inputs, tmp_path)
+        fifo = tmp_path / "out" / f"fifo{SUFFIX[case]}"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert self.write(case, inputs, fifo) == 0
+            received = b"".join(iter(lambda: os.read(reader, 65536), b""))
+        finally:
+            os.close(reader)
+        assert received == expected
+        assert fifo.is_fifo() and os.listdir(fifo.parent) == [fifo.name]
+
+    def test_long_file_name_is_written(self, tmp_path, inputs, case):
+        # a name of 250 bytes is valid, but not with a longer temp name beside it
+        if not hasattr(os, "pathconf") or os.pathconf(tmp_path, "PC_NAME_MAX") < 250:
+            pytest.skip("the file system takes no name of 250 bytes")
+        expected = self.expected(case, inputs, tmp_path)
+        out = tmp_path / "out" / ("s" * (250 - len(SUFFIX[case])) + SUFFIX[case])
+        assert self.write(case, inputs, out) == 0
+        assert out.read_bytes() == expected
+        assert os.listdir(out.parent) == [out.name]
+
+    @posix_only
+    def test_dangling_link_into_a_missing_directory_exits_2_before_reading(
+        self, tmp_path, capsys, case
+    ):
+        # the inputs do not exist: the output is checked first
+        missing = {name: str(tmp_path / f"no.{name}") for name in ("data", "schema", "model")}
+        link = tmp_path / f"link{SUFFIX[case]}"
+        link.symlink_to(Path("missing", "dir", f"f{SUFFIX[case]}"))
+        assert self.write(case, missing, link) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {link}: cannot write: {tmp_path / 'missing' / 'dir'} is not a directory\n"
+        )
+        assert os.listdir(tmp_path) == [link.name]
+
+
 class TestExitCodes:
     """The exit code of each error class: 2 for the input and usage errors,
     the subclasses of UsageError, and 1 for every other DendrofitError."""
