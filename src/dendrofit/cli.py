@@ -15,7 +15,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -377,8 +377,11 @@ def cmd_learn(config: RunConfig) -> int:
         "param_count": fitted.param_count,
         "description_length": dl,
     }
-    for name, path in paths.items():
-        with _output(path) as out:
+    # every file is written before any is replaced, so a failure leaves
+    # them all as they were
+    with ExitStack() as stack:
+        for name, path in paths.items():
+            out = stack.enter_context(_output(path))
             if name == "json":
                 _write_json(out, doc, "report", _report_json(schema.names, ranked, outcome))
             elif name == "dot":

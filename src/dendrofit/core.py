@@ -53,6 +53,19 @@ class Discrete:
         return len(self.labels)
 
 
+def code_dtype(card: int) -> np.dtype:
+    """The dtype of the category indices of a discrete column of card
+    categories: the narrowest unsigned integer that holds card - 1. Its
+    arithmetic wraps at that width (NEP 50 keeps uint8 * int in uint8),
+    so a product or sum of codes casts them to np.intp first; indexing
+    and np.bincount take them as they are."""
+    if card <= 1 << 8:
+        return np.dtype(np.uint8)
+    if card <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32)
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """A real-valued variable modeled as a (univariate) normal."""
@@ -113,8 +126,11 @@ class VariableSchema:
 class Dataset:
     """n rows of mixed values, stored column-wise.
 
-    Discrete columns are int64 category indices, Gaussian columns are
-    float64. Columns are read-only after construction.
+    Discrete columns are category indices, given as int64 or in the
+    column's ``code_dtype(card)`` and stored in the latter: an int64
+    column is narrowed once, after its range check, so every consumer sees
+    one dtype per cardinality. Gaussian columns are float64. Columns are
+    read-only after construction.
     """
 
     schema: VariableSchema
@@ -134,22 +150,26 @@ class Dataset:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
         if lengths == {0}:
             raise EmptyDataset("a dataset needs at least one row")
-        for i, col in enumerate(self.columns):
+        columns = list(self.columns)
+        for i, col in enumerate(columns):
             name = self.schema.name(i)
             if self.schema.is_discrete(i):
-                if col.dtype != np.int64:
-                    raise ValueError(f"discrete column {name!r} must be int64")
                 card = self.schema.cardinality(i)
-                if col.size and (col.min() < 0 or col.max() >= card):
+                codes = code_dtype(card)
+                if col.dtype not in (np.int64, codes):
+                    raise ValueError(f"discrete column {name!r} must be int64 or {codes}")
+                if col.min() < 0 or col.max() >= card:
                     raise ValueError(
                         f"column {name!r} has category indices outside [0, {card - 1}]"
                     )
+                col = columns[i] = col.astype(codes, copy=False)
             else:
                 if col.dtype != np.float64:
                     raise ValueError(f"gaussian column {name!r} must be float64")
                 if not np.isfinite(col).all():
                     raise NonFiniteValue(f"column {name!r} contains non-finite values")
             col.setflags(write=False)
+        object.__setattr__(self, "columns", tuple(columns))
 
     @property
     def n(self) -> int:
@@ -202,9 +222,8 @@ def _parse_columns(
         columns = []
         for i, cells in enumerate(zip(*rows)):
             if i in label_maps:
-                columns.append(
-                    np.fromiter(map(label_maps[i].__getitem__, cells), np.int64, n)
-                )
+                codes = code_dtype(schema.cardinality(i))
+                columns.append(np.fromiter(map(label_maps[i].__getitem__, cells), codes, n))
             else:
                 values = np.fromiter(map(float, cells), np.float64, n)
                 if not np.isfinite(values).all():

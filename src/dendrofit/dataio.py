@@ -29,6 +29,7 @@ from .core import (
     VariableSchema,
     _parse_columns,
     _scan_rows,
+    code_dtype,
 )
 from .errors import DataFormatError, DendrofitError, EmptyDataset, SchemaMismatch
 
@@ -162,7 +163,9 @@ def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
 def read_csv_blocks(path: PathLike, schema: VariableSchema) -> Iterator[tuple[np.ndarray, ...]]:
     """The data rows of a header-bearing CSV, in file order, in blocks of
     at most block_rows(schema.n_vars) rows, each one array per column:
-    int64 codes for a discrete column, float64 values for a Gaussian one.
+    codes in core.code_dtype(card) for a discrete column of card
+    categories (one byte a cell up to 256), float64 values for a Gaussian
+    one.
     A leading UTF-8 byte order mark and blank lines at the end of the file
     are ignored; a blank line before the last record is an error, as is a
     file with no data rows, raised after the last block.
@@ -348,7 +351,7 @@ def _plain_parser(
             return None
         names = np.array(var.kind.labels)
         order = np.argsort(names)
-        labels[f"f{i}"] = (names[order], order.astype(np.int64))
+        labels[f"f{i}"] = (names[order], order.astype(code_dtype(names.size)))
         # a character more than the longest label, so that no longer cell
         # is cut down to a label
         formats.append((f"f{i}", f"U{names.dtype.itemsize // 4 + 1}"))
@@ -567,7 +570,9 @@ def _real_chunk(x: np.ndarray) -> list[str]:
     row = ((20 - k) * 17 + tz) * 2 + np.signbit(x)  # X + 4 = 20 - k
     row[~exact] = len(masks) - 1
     keep = masks.take(row, axis=0).view(bool)
-    texts = np.compress(keep.ravel(), buf).tobytes().decode("ascii").split(",")
+    # a boolean index makes no intp array of the kept positions, as
+    # np.compress does (8 bytes for each of about 45k bytes kept)
+    texts = buf.ravel()[keep.ravel()].tobytes().decode("ascii").split(",")
     texts.pop()  # after the last comma
     for at in np.flatnonzero(~exact).tolist():
         texts[at] = "{:.17g}".format(float(x[at]))

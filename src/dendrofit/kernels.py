@@ -39,8 +39,10 @@ _SEPARABLE_LIMIT = 600.0
 
 
 def joint_counts(xi: np.ndarray, xj: np.ndarray, card_i: int, card_j: int) -> np.ndarray:
-    """Contingency table of two dense-coded discrete columns."""
-    flat = xi * card_j + xj
+    """Contingency table of two dense-coded discrete columns. The codes
+    are cast to intp before they are multiplied: a uint8 product would
+    wrap at 256."""
+    flat = xi.astype(np.intp) * card_j + xj
     return np.bincount(flat, minlength=card_i * card_j).reshape(card_i, card_j)
 
 
@@ -94,11 +96,12 @@ def class_stats_rows(scaled: np.ndarray, rows, y: np.ndarray, n_classes: int):
     machine's BLAS.
     """
     n = y.size
+    # once here: each bincount and gather by y would cast narrow codes anew
+    y = y.astype(np.intp)
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     occupied = counts > 0
     member = np.zeros(n_classes, dtype=np.intp)
     member[y] = np.arange(n)  # some cell of each occupied class
-    member = member[y]
     # a row within (-1, 1) whose classes each hold one value has residuals
     # below 2 n 2^-53 (a class mean of c equal cells carries under c
     # roundings), so only a variance below (n 2^-51)^2 can be one and
@@ -110,9 +113,12 @@ def class_stats_rows(scaled: np.ndarray, rows, y: np.ndarray, n_classes: int):
         row = scaled[r]
         sums = np.bincount(y, weights=row, minlength=n_classes)
         np.divide(sums, counts, out=means[k], where=occupied)
-        resid = row - means[k][y]
-        var[k] = np.add.reduce(resid * resid) / n
-        if var[k] <= tiny and (row == row[member]).all():
+        # in place: one column-sized array at a time beside y
+        resid = means[k][y]
+        np.subtract(row, resid, out=resid)
+        resid *= resid
+        var[k] = np.add.reduce(resid) / n
+        if var[k] <= tiny and (row == row[member[y]]).all():
             var[k] = 0.0
     return counts, means, var
 

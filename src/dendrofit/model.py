@@ -38,6 +38,7 @@ from .core import (
     Discrete,
     Forest,
     VariableSchema,
+    code_dtype,
     orient_forest,
 )
 from .dataio import block_rows, fill_columns, schema_from_jsonable, schema_to_jsonable
@@ -500,12 +501,13 @@ def code_length(log_lik: float, param_count: int, dn: float) -> float:
 def _draw_categorical(
     rng: np.random.Generator, cdf_rows: np.ndarray, count: int, last: Union[int, np.ndarray]
 ) -> np.ndarray:
-    """One uniform per row, inverted through each row's cdf. A cdf can
-    end below the largest uniform, 1 - 2**-53: such a uniform takes the
-    row's last category of positive mass, last (_last_positive)."""
+    """One uniform per row, inverted through each row's cdf, as codes of
+    core.code_dtype(K) for K categories. A cdf can end below the largest
+    uniform, 1 - 2**-53: such a uniform takes the row's last category of
+    positive mass, last (_last_positive)."""
     u = rng.random(count)
     idx = (cdf_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, last).astype(np.int64, copy=False)
+    return np.minimum(idx, last).astype(code_dtype(cdf_rows.shape[1]))
 
 
 def _last_positive(probs: np.ndarray) -> Union[int, np.ndarray]:

@@ -22,6 +22,7 @@ from dendrofit import (
     Variable,
     VariableSchema,
 )
+from dendrofit.core import code_dtype
 
 # `pytest --hypothesis-profile=ci` (as CI runs tier-1): the same examples
 # on every run, and a failure prints the blob that reproduces it locally
@@ -47,6 +48,12 @@ def mixed_schema(kinds: str) -> VariableSchema:
         else:
             variables.append(Variable(f"v{k}", Gaussian()))
     return VariableSchema(tuple(variables))
+
+
+def column_dtype(schema: VariableSchema, i: int) -> np.dtype:
+    """The dtype a Dataset stores column i in: the code dtype of its
+    cardinality for a discrete column, float64 for a Gaussian one."""
+    return code_dtype(schema.cardinality(i)) if schema.is_discrete(i) else np.dtype(np.float64)
 
 
 def dataset_from_columns(schema: VariableSchema, *cols) -> Dataset:

@@ -689,6 +689,31 @@ class TestOutputFiles:
         assert os.listdir(tmp_path) == [link.name]
 
 
+@pytest.mark.parametrize("failing", ["learn-json", "learn-dot", "learn-model-out"])
+def test_failed_learn_leaves_all_its_outputs_as_they_were(tmp_path, star_files, capsys, failing):
+    """learn writes its forest JSON, DOT and model files before it replaces
+    any: a failure in any one of the three writers leaves every file with
+    its old bytes and no temp file beside them, not a set of files that
+    no single run wrote."""
+    data, schema, _ = star_files
+    out = tmp_path / "out"
+    out.mkdir()
+    files = {name: out / name for name in ("f.json", "f.dot", "m.json")}
+    for name, path in files.items():
+        path.write_bytes(f"old {name}\n".encode())
+    argv = ["learn", "--data", data, "--schema", schema, "--format", "both",
+            "--out", str(out / "f"), "--model-out", str(files["m.json"])]
+    with mock.patch.object(*FAILING_WRITE[failing]):
+        assert main(argv) == 1
+    assert capsys.readouterr().err == "error: out of memory: injected\n"
+    assert sorted(os.listdir(out)) == sorted(files)
+    for name, path in files.items():
+        assert path.read_bytes() == f"old {name}\n".encode()
+    assert main(argv) == 0
+    assert all(path.read_bytes() != f"old {name}\n".encode() for name, path in files.items())
+    assert sorted(os.listdir(out)) == sorted(files)
+
+
 class TestExitCodes:
     """The exit code of each error class: 2 for the input and usage errors,
     the subclasses of UsageError, and 1 for every other DendrofitError."""

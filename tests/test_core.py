@@ -130,7 +130,9 @@ BAD_CONSTRUCTIONS = {
     "0-d column": (lambda: dataset_of("dg", INT, np.float64(0.5)), ValueError, "'v1' is not 1-D"),
     "2-D column": (lambda: dataset_of("dg", INT[:, None], REAL), ValueError, "'v0' is not 1-D"),
     "discrete dtype": (
-        lambda: dataset_of("dg", INT.astype(np.int32), REAL), ValueError, "'v0' must be int64"
+        lambda: dataset_of("dg", INT.astype(np.int32), REAL),
+        ValueError,
+        "'v0' must be int64 or uint8",
     ),
     "gaussian dtype": (
         lambda: dataset_of("dg", INT, REAL.astype(np.float32)), ValueError, "'v1' must be float64"

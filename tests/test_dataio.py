@@ -50,6 +50,8 @@ from dendrofit.errors import (
 )
 from dendrofit.oracle import csv_record, read_csv_whole, render_csv_rows
 
+from conftest import column_dtype
+
 # labels and names that csv.writer has to quote, plus plain ones
 CHARS = 'ab ,"\n\r\\é'
 TEXT = st.text(alphabet=st.sampled_from(CHARS), max_size=4)
@@ -308,7 +310,7 @@ def reference(schema, rows):
             if not math.isfinite(value):
                 return "raised", (NonFiniteValue, r)
             columns[i].append(value)
-    dtypes = [np.int64 if schema.is_discrete(i) else np.float64 for i in range(schema.n_vars)]
+    dtypes = [column_dtype(schema, i) for i in range(schema.n_vars)]
     return "ok", [np.array(col, dtype=dtype) for col, dtype in zip(columns, dtypes)]
 
 
@@ -454,8 +456,8 @@ class TestBlockReaderMatchesWholeFile:
             assert type(got) is type(ref)
             assert str(got) == str(ref)
         else:
-            for col, ref_col in zip(got.columns, ref.columns):
-                assert col.dtype == ref_col.dtype
+            for i, (col, ref_col) in enumerate(zip(got.columns, ref.columns)):
+                assert col.dtype == ref_col.dtype == column_dtype(schema, i)
                 assert col.tobytes() == ref_col.tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -578,8 +580,9 @@ class TestColumnCapacity:
         with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
             got = read_csv_dataset(data_path, self.SCHEMA)
         ref = read_csv_whole(data_path, self.SCHEMA)
-        for col, ref_col in zip(got.columns, ref.columns):
-            assert col.dtype == ref_col.dtype and col.tobytes() == ref_col.tobytes()
+        for i, (col, ref_col) in enumerate(zip(got.columns, ref.columns)):
+            assert col.dtype == ref_col.dtype == column_dtype(self.SCHEMA, i)
+            assert col.tobytes() == ref_col.tobytes()
             assert col.flags.owndata  # cut in place, not a view of the longer array
 
     @pytest.mark.parametrize("capacity", [None, 0, 1, 3, 9, 10, 11, 100])

@@ -1,5 +1,6 @@
 """The data is held once: the reader writes each block into full-length
-columns, log_likelihood goes by row blocks, and eval holds no dataset."""
+columns, a discrete column one byte a cell, log_likelihood goes by row
+blocks, and eval holds no dataset."""
 
 import json
 import subprocess
@@ -123,17 +124,21 @@ def rss_growth(code: str, *args: str) -> list[int]:
 def test_reader_holds_the_columns_once(tall_files):
     """read_csv_dataset raises a child's peak RSS by at most 1.3 times the
     dataset's bytes and 2 MB: each block is written straight into columns
-    of the file's length. Joining per-block arrays held about two copies."""
+    of the file's length, a discrete column one byte a cell. Joining
+    per-block arrays held about two copies. The measurement starts after
+    a read of the first 1,000 rows, as in test_eval_holds_no_dataset."""
     growth, nbytes = rss_growth(
         "from dendrofit import dataio\n"
-        "schema = dataio.read_schema(sys.argv[2])\n"
+        "schema = dataio.read_schema(sys.argv[3])\n"
+        "dataio.read_csv_dataset(sys.argv[2], schema)\n"
         "START = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "ds = dataio.read_csv_dataset(sys.argv[1], schema)\n"
         "print(GROWTH(), sum(column.nbytes for column in ds.columns))\n",
         tall_files["data.csv"],
+        tall_files["prefix.csv"],
         tall_files["schema.json"],
     )
-    assert nbytes == ROWS * (DISCRETE + GAUSSIAN) * 8
+    assert nbytes == ROWS * (DISCRETE + GAUSSIAN * 8)
     assert growth <= 1.3 * nbytes + 2 * 2**20
 
 

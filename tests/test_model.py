@@ -44,6 +44,7 @@ from dendrofit.oracle import directed_log_likelihood, sample_whole
 
 from conftest import (
     all_forests,
+    column_dtype,
     dataset_from_columns,
     discrete_schema,
     every_kind_model,
@@ -394,8 +395,8 @@ def blocks_of(rows: int, n_vars: int):
 
 
 def assert_same_bits(drawn, reference) -> None:
-    for column, expected in zip(drawn.columns, reference.columns):
-        assert column.dtype == expected.dtype
+    for v, (column, expected) in enumerate(zip(drawn.columns, reference.columns)):
+        assert column.dtype == expected.dtype == column_dtype(drawn.schema, v)
         assert column.tobytes() == expected.tobytes()
 
 
