@@ -36,7 +36,6 @@ from .dataio import (
     read_csv_blocks,
     read_csv_dataset,
     read_schema,
-    row_capacity,
 )
 from .errors import DendrofitError, UsageError
 from .estimators import QuadratureSpec
@@ -427,19 +426,18 @@ def cmd_sample(config: RunConfig) -> int:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    """The log-likelihood and description length of --data under --model.
-    The reader's blocks go to ``row_log_likelihoods`` as they come, so no
-    dataset is held: 8 bytes a row and one block. The per-row totals and
-    their sum are ``log_likelihood``'s, so eval reproduces learn's
-    description length bit for bit."""
+    """The log-likelihood and description length of --data under --model,
+    read once: the blocks go to ``row_log_likelihoods`` as they come, so
+    no dataset is held, only one block and 8 bytes a row (16 while the
+    totals double). The totals and their sum are ``log_likelihood``'s,
+    so eval reproduces learn's description length bit for bit."""
     criterion = config.make_criterion()
     model = load_json_document(config.model, DendroidModel.from_json_dict, "model document")
     reader = read_csv_blocks(config.data, model.schema)
     # DRAW_BLOCKS of the reader's blocks joined, the rows of a block of
     # log_likelihood, so that eval makes as few calls per vertex as learn
-    rows = DRAW_BLOCKS * block_rows(model.schema.n_vars)
-    blocks = iter(lambda: fill_columns(itertools.islice(reader, DRAW_BLOCKS), rows), [])
-    totals = row_log_likelihoods(model, blocks, row_capacity(config.data))
+    blocks = iter(lambda: fill_columns(itertools.islice(reader, DRAW_BLOCKS)), [])
+    totals = row_log_likelihoods(model, blocks)
     ll = float(totals.sum())
     dn = criterion.dn(len(totals))
     dl = code_length(ll, model.param_count, dn)

@@ -13,8 +13,6 @@ import functools
 import io
 import itertools
 import json
-import os
-import stat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -152,11 +150,11 @@ def block_rows(n_vars: int) -> int:
 
 def read_csv_dataset(path: PathLike, schema: VariableSchema) -> Dataset:
     """Read a header-bearing CSV against a schema; errors carry file line
-    numbers, as read_csv_blocks reports them. Each block is written
-    straight into full-length columns (fill_columns): their length comes
-    from a count of the newlines in a regular file (row_capacity), so the
-    rows are held once, and no list of per-block arrays is joined."""
-    columns = fill_columns(read_csv_blocks(path, schema), row_capacity(path))
+    numbers, as read_csv_blocks reports them. The file, or pipe, is read
+    once: each block is written straight into columns that double as
+    they fill (fill_columns), so the rows are held once, and no list of
+    per-block arrays is joined."""
+    columns = fill_columns(read_csv_blocks(path, schema))
     return Dataset(schema=schema, columns=tuple(columns))
 
 
@@ -196,46 +194,19 @@ def read_csv_blocks(path: PathLike, schema: VariableSchema) -> Iterator[tuple[np
         raise EmptyDataset(f"{path}: no data rows")
 
 
-# bytes per read of row_capacity's newline count
-_COUNT_CHUNK = 1 << 16
-
-
-def row_capacity(path: PathLike) -> Optional[int]:
-    """The number of newline bytes in the CSV at path when it is a
-    regular file, read in small chunks: the data rows, but for the last
-    one, which the header's newline makes up for, end in one. A newline
-    inside a quoted cell or in a blank line only over-counts, and records
-    that end in a lone carriage return are not counted (fill_columns then
-    doubles). None for a pipe or any other file that cannot be read
-    twice, or that cannot be opened; the reader reports that."""
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-        with open(path, "rb") as fh:
-            chunks = iter(lambda: fh.read(_COUNT_CHUNK), b"")
-            # numpy's comparison counts about three times as fast as bytes.count
-            return sum(int(np.count_nonzero(np.frombuffer(c, np.uint8) == 10)) for c in chunks)
-    except OSError:
-        return None
-
-
-def fill_columns(
-    blocks: Iterable[Sequence[np.ndarray]], capacity: Optional[int]
-) -> list[np.ndarray]:
+def fill_columns(blocks: Iterable[Sequence[np.ndarray]]) -> list[np.ndarray]:
     """The columns of the blocks, each a sequence of one 1-D array per
-    column, joined in order. Each block is written into preallocated
-    columns of capacity rows (or of the first block's rows when capacity
-    is None or smaller), which double when a block does not fit, one
-    column at a time; they are cut to the rows written at the end, in
-    place. So the rows are held once, plus one block and, while a column
-    doubles, its old copy. Empty when there is no block."""
+    column, joined in order. They start at the first block's rows and
+    double when a block does not fit, one column at a time, and are cut
+    to the rows written at the end, in place. So the rows are held once,
+    plus one block and, while a column doubles, its old copy. Empty when
+    there is no block."""
     columns: list[np.ndarray] = []
     rows = 0
     for block in blocks:
         stop = rows + len(block[0])
         if not columns:
-            size = max(capacity or 0, stop)
-            columns = [np.empty(size, dtype=part.dtype) for part in block]
+            columns = [np.empty(stop, dtype=part.dtype) for part in block]
         elif stop > len(columns[0]):
             size = max(stop, 2 * len(columns[0]))
             for k, column in enumerate(columns):

@@ -449,10 +449,10 @@ def log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
     Rows hitting a zero-probability discrete value contribute -inf.
 
     The per-row totals (``row_log_likelihoods``) are made one block of
-    DRAW_BLOCKS * dataio.block_rows(n_vars) rows at a time, so no vertex
-    holds more than a block's terms; each row's total depends on that row
-    alone, and the one sum runs over all n of them, so the bits do not
-    depend on the block size."""
+    DRAW_BLOCKS * dataio.block_rows(n_vars) rows at a time and joined as
+    they come, so no vertex holds more than a block's terms; each row's
+    total depends on that row alone, and the one sum runs over all n of
+    them, so the bits do not depend on the block size."""
     if dataset.schema != model.schema:
         raise SchemaMismatch("dataset schema differs from the model's schema")
     rows = DRAW_BLOCKS * block_rows(model.schema.n_vars)
@@ -460,20 +460,18 @@ def log_likelihood(model: DendroidModel, dataset: Dataset) -> float:
         [column[start : start + rows] for column in dataset.columns]
         for start in range(0, dataset.n, rows)
     )
-    return float(row_log_likelihoods(model, blocks, dataset.n).sum())
+    return float(row_log_likelihoods(model, blocks).sum())
 
 
-def row_log_likelihoods(
-    model: DendroidModel, blocks: Iterable[Sequence[np.ndarray]], capacity: Optional[int]
-) -> np.ndarray:
+def row_log_likelihoods(model: DendroidModel, blocks: Iterable[Sequence[np.ndarray]]) -> np.ndarray:
     """Each row's log probability under the model, for the rows of blocks
     (one array per column of model.schema each, as
     dataio.read_csv_blocks gives them): per block, every vertex's
     log-density is added into the block's totals in vertex order, and the
-    totals are written into one n-array (dataio.fill_columns, capacity as
-    there). So only one block of rows is held besides 8 bytes a row, and
-    ``log_likelihood``'s sum of the array has the same bits for any
-    blocks."""
+    totals are joined into one n-array that doubles as it fills
+    (dataio.fill_columns). So only one block of rows is held besides 8
+    bytes a row (16 while the array doubles), and ``log_likelihood``'s
+    sum of the array has the same bits for any blocks."""
     parents = orient_forest(model.forest, model.schema).parents
     densities = [(v, parent, _conditional(model, v, parent)[1]) for v, parent in enumerate(parents)]
 
@@ -484,7 +482,7 @@ def row_log_likelihoods(
                 total += log_density(block[v], None if parent is None else block[parent])
             yield (total,)
 
-    return fill_columns(totals(), capacity)[0]
+    return fill_columns(totals())[0]
 
 
 def description_length(model: DendroidModel, dataset: Dataset, criterion) -> float:
@@ -693,7 +691,7 @@ def sample(model: DendroidModel, count: int, seed: int) -> Dataset:
     by Bayes inversion of the mixed factor. Deterministic for a fixed
     seed: PCG64 draws the vertices' columns one after another in
     topological order. The rows are the blocks of ``sample_blocks``,
-    joined by ``dataio.fill_columns``.
+    joined by ``dataio.fill_columns`` as they come.
     """
-    columns = fill_columns(sample_blocks(model, count, seed), count)
+    columns = fill_columns(sample_blocks(model, count, seed))
     return Dataset(schema=model.schema, columns=tuple(columns))

@@ -553,30 +553,27 @@ QUOTED_ROWS = [['"b\nc"' if r % 2 else "a", repr(r / 8)] for r in range(30)]
 
 
 class TestColumnCapacity:
-    """read_csv_dataset writes each block into columns as long as the
-    file's newline count, doubles them when a block does not fit, and
-    cuts them in place to the rows read."""
+    """read_csv_dataset writes each block into columns of the first
+    block's rows, doubles them when a block does not fit, and cuts them
+    in place to the rows read: blank lines and quoted newlines size
+    nothing."""
 
     SCHEMA = VariableSchema((Variable("d", Discrete(("a", "b\nc"))), Variable("g", Gaussian())))
-    # each case: the file's text and its newline count
     CASES = {
-        # a quoted newline in every other record: the count is 15 over
-        "quoted-newlines": (lines_of(QUOTED_ROWS), 46),
-        # blank lines at the end are counted and not read
-        "blank-tail": (lines_of(QUOTED_ROWS[::2]) + "\n" * 40, 56),
-        "no-last-newline": (lines_of(QUOTED_ROWS[::2])[:-1], 15),
-        # records that end in a lone carriage return hold no newline, so
-        # the columns start from the first block and double
-        "carriage-returns": (lines_of(QUOTED_ROWS[::2], "\r"), 0),
-        "crlf": (lines_of(QUOTED_ROWS, "\r\n"), 46),
+        # a quoted newline in every other record
+        "quoted-newlines": lines_of(QUOTED_ROWS),
+        # blank lines at the end are not read
+        "blank-tail": lines_of(QUOTED_ROWS[::2]) + "\n" * 40,
+        "no-last-newline": lines_of(QUOTED_ROWS[::2])[:-1],
+        # records that end in a lone carriage return
+        "carriage-returns": lines_of(QUOTED_ROWS[::2], "\r"),
+        "crlf": lines_of(QUOTED_ROWS, "\r\n"),
     }
 
     @pytest.mark.parametrize("block_cells", [2, 14, dataio.BLOCK_CELLS])
-    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
-    def test_same_columns_as_the_whole_file(self, data_path, case, block_cells):
-        text, newlines = case
+    @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+    def test_same_columns_as_the_whole_file(self, data_path, text, block_cells):
         data_path.write_bytes(text.encode("utf-8"))
-        assert dataio.row_capacity(data_path) == newlines
         with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
             got = read_csv_dataset(data_path, self.SCHEMA)
         ref = read_csv_whole(data_path, self.SCHEMA)
@@ -585,15 +582,50 @@ class TestColumnCapacity:
             assert col.tobytes() == ref_col.tobytes()
             assert col.flags.owndata  # cut in place, not a view of the longer array
 
-    @pytest.mark.parametrize("capacity", [None, 0, 1, 3, 9, 10, 11, 100])
-    def test_fill_columns_joins_the_blocks(self, capacity):
+    def test_fill_columns_joins_the_blocks(self):
         rng = np.random.default_rng(2)
-        blocks = [(rng.integers(0, 9, k), rng.standard_normal(k)) for k in (3, 1, 4, 2)]
-        columns = dataio.fill_columns(iter(blocks), capacity)
+        # the second block outgrows twice the first; the others double or fit
+        blocks = [(rng.integers(0, 9, k), rng.standard_normal(k)) for k in (1, 5, 3, 1, 4, 2)]
+        columns = dataio.fill_columns(iter(blocks))
         for column, parts in zip(columns, zip(*blocks)):
             assert column.dtype == parts[0].dtype and column.flags.owndata
             assert column.tobytes() == np.concatenate(parts).tobytes()
-        assert dataio.fill_columns(iter([]), capacity) == []
+        assert dataio.fill_columns(iter([])) == []
+
+
+class TestReadOnce:
+    """read_csv_dataset and eval open --data once: nothing is counted or
+    read twice, so a pipe and a file take one route."""
+
+    SCHEMA = TestColumnCapacity.SCHEMA
+
+    def opens_of(self, path, call):
+        """The number of times call() opens path."""
+        real_open = open
+        opened = []
+
+        def spy(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        with mock.patch("builtins.open", spy):
+            call()
+        return len(opened)
+
+    def test_reader_opens_the_data_once(self, data_path):
+        data_path.write_bytes(TestColumnCapacity.CASES["blank-tail"].encode("utf-8"))
+        assert self.opens_of(data_path, lambda: read_csv_dataset(data_path, self.SCHEMA)) == 1
+
+    def test_eval_opens_the_data_once(self, data_path, tmp_path):
+        data_path.write_bytes(TestColumnCapacity.CASES["blank-tail"].encode("utf-8"))
+        model_path = tmp_path / "model.json"
+        model = independent_model(self.SCHEMA)
+        model_path.write_text(json.dumps(model.to_json_dict()), encoding="utf-8")
+        argv = ["eval", "--model", str(model_path), "--data", str(data_path)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert self.opens_of(data_path, lambda: main(argv)) == 1
+        assert out.getvalue().startswith("log_likelihood=-")
 
 
 def independent_model(schema):

@@ -1,7 +1,10 @@
-"""The data is held once: the reader writes each block into full-length
-columns, a discrete column one byte a cell, log_likelihood goes by row
-blocks, and eval holds no dataset."""
+"""The data is held once: the reader writes each block into columns that
+double from the first block's rows, a discrete column one byte a cell,
+log_likelihood goes by row blocks, and eval holds no dataset. Blank lines
+and quoted newlines size no allocation."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -22,7 +25,8 @@ from dendrofit import (
     log_likelihood,
     sample,
 )
-from dendrofit.dataio import write_csv_dataset, write_schema
+from dendrofit.cli import main
+from dendrofit.dataio import read_csv_dataset, write_csv_dataset, write_schema
 
 from conftest import dataset_from_columns
 from test_model import many_class_bayes_chain
@@ -52,14 +56,79 @@ def test_log_likelihood_holds_a_block_of_class_terms():
     n = 100_000
     ds = sample(model, n, 4)
     assert len(set(ds.column(2).tolist())) == 11
-    log_likelihood(model, ds)  # first-call allocations are not counted
+    assert traced_peak(lambda: log_likelihood(model, ds)) <= n * 8 + 4 * 2**20
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call(), run once before so that first-call
+    allocations are not counted."""
+    call()
     tracemalloc.start()
     try:
-        log_likelihood(model, ds)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= n * 8 + 4 * 2**20
+
+
+# a label of 1,000 newlines between two letters
+TALL_LABEL = "x" + "\n" * 1000 + "y"
+# two Gaussian columns and one discrete: 17 bytes a row
+SHORT_SCHEMA = VariableSchema(
+    (
+        Variable("g0", Gaussian()),
+        Variable("g1", Gaussian()),
+        Variable("d", Discrete(("a", TALL_LABEL))),
+    )
+)
+ROW_BYTES = 2 * 8 + 1
+
+
+@pytest.fixture(scope="module")
+def short_files(tmp_path_factory):
+    """A CSV of 3 rows and 1,000,000 blank lines, one of 200 rows whose
+    label holds 1,000 newlines, the schema, and a model fitted on the 3
+    rows."""
+    rng = np.random.default_rng(9)
+    few = dataset_from_columns(SHORT_SCHEMA, *rng.standard_normal((2, 3)), np.array([0, 1, 0]))
+    tall = dataset_from_columns(SHORT_SCHEMA, *rng.standard_normal((2, 200)), np.ones(200, int))
+    root = tmp_path_factory.mktemp("short")
+    names = ("blank-tail.csv", "quoted.csv", "schema.json", "model.json")
+    paths = {name: root / name for name in names}
+    write_csv_dataset(paths["blank-tail.csv"], few)
+    with open(paths["blank-tail.csv"], "a", encoding="utf-8", newline="") as fh:
+        fh.write("\n" * 1_000_000)
+    write_csv_dataset(paths["quoted.csv"], tall)
+    write_schema(paths["schema.json"], SHORT_SCHEMA)
+    model = fit(few, Forest.from_edges(SHORT_SCHEMA.n_vars, []))
+    paths["model.json"].write_text(json.dumps(model.to_json_dict()) + "\n", encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("name, rows", [("blank-tail.csv", 3), ("quoted.csv", 200)])
+def test_reader_sizes_nothing_by_the_lines(short_files, name, rows):
+    """read_csv_dataset's peak is the rows' own bytes and 1 MiB, whatever
+    the newlines: 1,000,000 blank lines after 3 rows, or 1,000 quoted
+    newlines in each of 200 rows. Columns as long as the file's newline
+    count took 17 bytes a newline."""
+    ds = read_csv_dataset(short_files[name], SHORT_SCHEMA)
+    assert ds.n == rows
+    peak = traced_peak(lambda: read_csv_dataset(short_files[name], SHORT_SCHEMA))
+    assert peak <= rows * ROW_BYTES + 2**20
+
+
+def test_eval_sizes_nothing_by_the_blank_lines(short_files):
+    """eval on 3 rows and 1,000,000 blank lines peaks at the rows' own
+    bytes and 1 MiB. Per-row totals as long as the newline count took
+    8 MB."""
+    argv = ["eval", "--model", short_files["model.json"], "--data", short_files["blank-tail.csv"]]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue().startswith("log_likelihood=")
+
+    assert traced_peak(run) <= 3 * ROW_BYTES + 2**20
 
 
 ROWS, DISCRETE, GAUSSIAN = 50_000, 10, 10

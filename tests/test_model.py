@@ -1030,8 +1030,8 @@ def likelihood_in_blocks_of(rows: int, model: DendroidModel, ds) -> tuple[float,
     totals = []
     fill = model_module.fill_columns
 
-    def recording(blocks, capacity):
-        columns = fill(blocks, capacity)
+    def recording(blocks):
+        columns = fill(blocks)
         totals.append(columns[0].tobytes())
         return columns
 
