@@ -132,15 +132,15 @@ def _pair_rows(
     fields: Sequence[str],
     template: str,
     columns: Callable[[PairScores, slice], Sequence[Iterable[str]]],
-    sep: str = "",
 ) -> Iterator[str]:
-    """The rows of a report on pairs, a block at a time: for each block of
+    """The rows of a report on pairs, one at a time: for each block of
     ``_blocks(pairs, len(fields))``, ``template % row`` of each row of the
-    cell texts that ``columns(block, part)`` gives, one column per field,
-    rows joined by ``sep``. A block is made when the text before it has
-    been taken, so one block's cells and text are held at a time."""
+    cell texts that ``columns(block, part)`` gives, one column per field.
+    A block's cells are made when the rows before it have been taken, so
+    one block's cells and one row's text are held at a time."""
     for block, part in _blocks(pairs, len(fields)):
-        yield sep.join(template % row for row in zip(*columns(block, part)))
+        for row in zip(*columns(block, part)):
+            yield template % row
 
 
 def _json_list(
@@ -153,7 +153,7 @@ def _json_list(
     the given fields, whose cells ``columns`` gives as JSON text."""
     body = ",\n".join(f"      {json.dumps(field)}: %s" for field in fields)
     head = "[\n"
-    for text in _pair_rows(pairs, fields, "    {\n" + body + "\n    }", columns, ",\n"):
+    for text in _pair_rows(pairs, fields, "    {\n" + body + "\n    }", columns):
         yield head
         yield text
         head = ",\n"

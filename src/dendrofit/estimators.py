@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import kernels
+from . import dataio, kernels
 from .core import Dataset
 from .errors import DegenerateGaussian, QuadratureFailure, SameVertex
 
@@ -231,26 +231,31 @@ def _beyond_range(name: str) -> DegenerateGaussian:
 def _statistics(dataset: Dataset, vertices: Sequence[int], a, b) -> tuple:
     """The one statistics pass behind ``pair_mi_table`` and
     ``collect_stats``, over some vertices and the pairs (a[k], b[k]),
-    a[k] < b[k], in the scaled units of ``kernels.scaled_rows``, which
-    stacks the Gaussian columns among them once. That stack is the pass's
-    only copy of them: the class statistics read its rows by index, and
-    then it is centred in place for every variance and covariance.
-    Returns row (each Gaussian vertex's stack row, -1 elsewhere); each
-    row's e, mean, var and constant (all equal: its variance is exactly
-    zero); whether each pair is discrete and whether it is gaussian; each
-    discrete pair's joint table (counts) and each Gaussian pair's
-    covariance (cov), in pair order; and classes: each discrete member of
-    a mixed pair -> its partners' rows, ascending, and their
-    ``kernels.class_stats_rows``.
+    a[k] < b[k], in the scaled units of ``kernels.scaled_rows``. The
+    Gaussian columns among them are never stacked at once: they are
+    walked in groups of ``dataio.block_rows(n)`` rows, about BLOCK_CELLS
+    cells a group. The class statistics read a group's uncentred rows,
+    around each class column's ``kernels.class_members``, computed once;
+    then the group is centred in place for its variances and the
+    covariances within it, and each later group that shares a pair with
+    it is scaled and centred again for their covariances, so at most two
+    groups are held. Every statistic is a kernel result on one row or one
+    pair of rows, so its bits do not depend on the groups.
+    Returns row (each Gaussian vertex's row among them, -1 elsewhere);
+    each row's e, mean, var and constant (all equal: its variance is
+    exactly zero); whether each pair is discrete and whether it is
+    gaussian; each discrete pair's joint table (counts) and each Gaussian
+    pair's covariance (cov), in pair order; and classes: each discrete
+    member of a mixed pair -> its partners' rows, ascending, its class
+    counts, and their class means and residual variances.
     """
-    schema, col = dataset.schema, dataset.column
+    schema, col, n = dataset.schema, dataset.column, dataset.n
     is_discrete = np.array([schema.is_discrete(v) for v in range(schema.n_vars)])
     asked = np.zeros(schema.n_vars, dtype=bool)
     asked[list(vertices)] = asked[a] = asked[b] = True
     gauss = np.flatnonzero(asked & ~is_discrete)
     row = np.full(schema.n_vars, -1)
     row[gauss] = np.arange(gauss.size)
-    e, scaled, mean, constant = kernels.scaled_rows([col(g) for g in gauss], dataset.n)
     discrete = is_discrete[a] & is_discrete[b]
     gaussian = ~(is_discrete[a] | is_discrete[b])
     counts = [
@@ -259,14 +264,49 @@ def _statistics(dataset: Dataset, vertices: Sequence[int], a, b) -> tuple:
     ]
     mixed = is_discrete[a] != is_discrete[b]
     d, g = np.where(is_discrete[a], (a, b), (b, a))[:, mixed]
-    classes = {}
+    size = dataio.block_rows(n)
+    starts = np.arange(0, gauss.size + size, size)  # each group's first row, then the end
+    classes, walks = {}, []
     # np.unique would import numpy.ma: about 1 MB and 15 ms in a cold process
     for v in np.flatnonzero(np.bincount(d)).tolist():
-        rows = np.sort(row[g[d == v]])
-        classes[v] = rows, *kernels.class_stats_rows(scaled, rows, col(v), schema.cardinality(v))
-    scaled -= mean[:, None]
-    var = kernels.covariances(scaled, *np.diag_indices(gauss.size))
-    cov = kernels.covariances(scaled, row[a[gaussian]], row[b[gaussian]])
+        rows, card = np.sort(row[g[d == v]]), schema.cardinality(v)
+        sizes, member = kernels.class_members(col(v), card)
+        classes[v] = rows, sizes, np.empty((rows.size, card)), np.empty(rows.size)
+        walks.append((v, member, np.searchsorted(rows, starts).tolist()))
+    e, constant = np.empty(gauss.size, dtype=np.intc), np.empty(gauss.size, dtype=bool)
+    mean, var = np.empty(gauss.size), np.empty(gauss.size)
+    r, s = row[a[gaussian]], row[b[gaussian]]
+    first, second = r // size, s // size  # the groups of each Gaussian pair
+    cov = np.empty(r.size)
+    # one class column's codes at a time, cast to intp into one array: a
+    # fresh column-sized array per group costs page faults, not just a cast
+    codes = np.empty(n, dtype=np.intp)
+    for at, lo in enumerate(starts[:-1].tolist()):
+        part = slice(lo, lo + size)
+        e[part], scaled, mean[part], constant[part] = kernels.scaled_rows(
+            [col(v) for v in gauss[part]], n
+        )
+        for v, member, bounds in walks:
+            rows, sizes, means, resid = classes[v]
+            cut = slice(bounds[at], bounds[at + 1])
+            if cut.start < cut.stop:
+                np.copyto(codes, col(v))
+                means[cut], resid[cut] = kernels.class_stats_rows(
+                    scaled, rows[cut] - lo, codes, sizes, member
+                )
+        scaled -= mean[part, None]
+        var[part] = kernels.covariances(scaled, scaled, *np.diag_indices(len(scaled)))
+        here = np.flatnonzero(first == at)
+        for later in np.flatnonzero(np.bincount(second[here])).tolist():
+            k = here[second[here] == later]
+            other = scaled
+            if later > at:
+                _, other, other_mean, _ = kernels.scaled_rows(
+                    [col(v) for v in gauss[later * size : (later + 1) * size]], n
+                )
+                other -= other_mean[:, None]
+            cov[k] = kernels.covariances(scaled, other, r[k] - lo, s[k] - later * size)
+            del other  # the next group is built beside this one alone
     return row, e, mean, var, constant, discrete, gaussian, counts, cov, classes
 
 

@@ -1,11 +1,12 @@
-"""Hot numeric kernels, in numpy: joint counts, the one scaled stack of
-Gaussian columns, class statistics read from its rows by index, every
-variance and covariance of the stack once its caller has centred it in
-place, and the Gauss-Hermite mixture integral, whose Gaussian kernel
-separates into one per-class factor and one per-node factor contracted
-by numpy's own ``einsum`` loops. A statistic of a row or pair of rows
-has the same bits whatever other rows are stacked with it, and no
-kernel calls BLAS.
+"""Hot numeric kernels, in numpy: joint counts, the scaled rows of a
+group of Gaussian columns, class statistics read from a group's rows by
+index around class counts computed once per class column, every
+variance and covariance of one or two groups once their caller has
+centred them in place, and the Gauss-Hermite mixture integral, whose
+Gaussian kernel separates into one per-class factor and one per-node
+factor contracted by numpy's own ``einsum`` loops. A statistic of a row
+or pair of rows has the same bits whatever other rows are grouped with
+it, and no kernel calls BLAS.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "joint_counts",
     "scaled_rows",
     "covariances",
+    "class_members",
     "class_stats_rows",
     "mixture_mi_batch",
 ]
@@ -41,8 +43,10 @@ _SEPARABLE_LIMIT = 600.0
 def joint_counts(xi: np.ndarray, xj: np.ndarray, card_i: int, card_j: int) -> np.ndarray:
     """Contingency table of two dense-coded discrete columns. The codes
     are cast to intp before they are multiplied: a uint8 product would
-    wrap at 256."""
-    flat = xi.astype(np.intp) * card_j + xj
+    wrap at 256. The cast is the one column-sized array it makes."""
+    flat = xi.astype(np.intp)
+    flat *= card_j
+    flat += xj
     return np.bincount(flat, minlength=card_i * card_j).reshape(card_i, card_j)
 
 
@@ -56,8 +60,9 @@ def scaled_rows(columns: Sequence[np.ndarray], n: int):
     above 2^-1021 times its row's largest |x|, and a scaled row is all
     equal exactly when its column is. In original units, mean[r] is
     ldexp(mean[r], e[r]), and a covariance of rows r and s is scaled by
-    2^(e[r] + e[s]). The stack is the only copy of the columns: a caller
-    takes what it needs of the uncentred rows, then centres them in place
+    2^(e[r] + e[s]). Each row's values depend on its column alone, so a
+    caller may stack the columns a group at a time, take what it needs
+    of a group's uncentred rows, then centre them in place
     (``scaled -= mean[:, None]``) for ``covariances``.
     """
     scaled = np.array(columns, dtype=np.float64).reshape(len(columns), n)
@@ -66,42 +71,53 @@ def scaled_rows(columns: Sequence[np.ndarray], n: int):
     return e, scaled, scaled.sum(axis=1) / n, (scaled == scaled[:, :1]).all(axis=1)
 
 
-def covariances(centred: np.ndarray, r, s) -> np.ndarray:
-    """Biased covariances sum(centred[r[k]] * centred[s[k]]) / n of the
-    rows of centred (rows x n: the ``scaled_rows`` stack minus its
-    means), for index sequences r and s; r[k] = s[k] gives a variance.
-    Each entry is numpy's pairwise sum of the product of two rows, never
-    a BLAS dot or matrix product, so its bits depend neither on the other
+def covariances(left: np.ndarray, right: np.ndarray, r, s) -> np.ndarray:
+    """Biased covariances sum(left[r[k]] * right[s[k]]) / n of rows of
+    left and right (each rows x n: ``scaled_rows`` of a group minus its
+    means; the same array for pairs within one group), for index
+    sequences r and s; r[k] = s[k] of one array gives a variance. Each
+    entry is numpy's pairwise sum of the product of two rows, never a
+    BLAS dot or matrix product, so its bits depend neither on the other
     rows stacked with them nor on the BLAS kernel or thread count of the
     machine."""
-    n = centred.shape[1]
+    n = left.shape[1]
     return np.array(
-        [np.add.reduce(centred[a] * centred[b]) / n for a, b in zip(r, s)], dtype=np.float64
+        [np.add.reduce(left[a] * right[b]) / n for a, b in zip(r, s)], dtype=np.float64
     )
 
 
-def class_stats_rows(scaled: np.ndarray, rows, y: np.ndarray, n_classes: int):
-    """(counts, means, var): the class counts of y, and per-class means
-    (len(rows), n_classes) and pooled (divide-by-n) residual variances
-    around them of the rows of scaled (the uncentred ``scaled_rows``
-    stack) at the indices rows, each read in place rather than gathered.
-
-    Classes that never occur get count 0 and mean NaN. The variance is
-    a second pass around the class means, never sum(x^2) - sum(S^2)/c,
-    which loses every digit as R^2 -> 1, and it is exactly 0 when every
-    class holds one repeated value: the exact test for a zero residual,
-    which a variance around rounded class means is not. Each row is its
-    own bincount and pairwise sum of squares, never a BLAS dot, so its
-    bits depend neither on the other rows stacked with it nor on the
-    machine's BLAS.
-    """
-    n = y.size
-    # once here: each bincount and gather by y would cast narrow codes anew
-    y = y.astype(np.intp)
+def class_members(y: np.ndarray, n_classes: int):
+    """(counts, member): the class counts of y, as floats, and the index
+    of one cell of each occupied class (0 for an empty one), the
+    invariants of a class column that ``class_stats_rows`` reads for
+    every group of rows."""
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    occupied = counts > 0
     member = np.zeros(n_classes, dtype=np.intp)
-    member[y] = np.arange(n)  # some cell of each occupied class
+    member[y] = np.arange(y.size)
+    return counts, member
+
+
+def class_stats_rows(scaled: np.ndarray, rows, y: np.ndarray, counts, member):
+    """(means, var): per-class means (len(rows), n_classes) and pooled
+    (divide-by-n) residual variances around them of the rows of scaled
+    (the uncentred ``scaled_rows`` of a group) at the indices rows, each
+    read in place rather than gathered, for classes y with the
+    ``class_members`` counts and member.
+
+    Classes that never occur get mean NaN. The variance is a second pass
+    around the class means, never sum(x^2) - sum(S^2)/c, which loses
+    every digit as R^2 -> 1, and it is exactly 0 when every class holds
+    one repeated value: the exact test for a zero residual, which a
+    variance around rounded class means is not. Each row is its own
+    bincount and pairwise sum of squares, never a BLAS dot, so its bits
+    depend neither on the other rows stacked with it nor on the machine's
+    BLAS.
+    """
+    n_classes, n = counts.size, y.size
+    # intp codes pass as they are; narrow ones are cast once here, not in
+    # each bincount and gather
+    y = y.astype(np.intp, copy=False)
+    occupied = counts > 0
     # a row within (-1, 1) whose classes each hold one value has residuals
     # below 2 n 2^-53 (a class mean of c equal cells carries under c
     # roundings), so only a variance below (n 2^-51)^2 can be one and
@@ -120,7 +136,7 @@ def class_stats_rows(scaled: np.ndarray, rows, y: np.ndarray, n_classes: int):
         var[k] = np.add.reduce(resid) / n
         if var[k] <= tiny and (row == row[member[y]]).all():
             var[k] = 0.0
-    return counts, means, var
+    return means, var
 
 
 def mixture_mi_batch(

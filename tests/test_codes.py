@@ -112,8 +112,10 @@ def test_class_stats_equal_the_int64_reference(read_back, route, k):
     codes, gauss, _ = wide_codes_case()
     ds = read_back[route]
     _, scaled, _, _ = kernels.scaled_rows([gauss], ROWS)
-    got = kernels.class_stats_rows(scaled, [0], ds.column(k), CARDS[k])
-    want = kernels.class_stats_rows(scaled, [0], codes[k], CARDS[k])
+    got_members = kernels.class_members(ds.column(k), CARDS[k])
+    want_members = kernels.class_members(codes[k], CARDS[k])
+    got = (*got_members, *kernels.class_stats_rows(scaled, [0], ds.column(k), *got_members))
+    want = (*want_members, *kernels.class_stats_rows(scaled, [0], codes[k], *want_members))
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

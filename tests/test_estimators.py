@@ -1,9 +1,13 @@
 import math
+import pickle
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrofit import (
     Dataset,
@@ -16,12 +20,13 @@ from dendrofit import (
     Variable,
     VariableSchema,
     collect_pair_stats,
+    dataio,
     mi_discrete,
     mi_gaussian,
     mi_mixed,
     oracle,
 )
-from dendrofit.errors import DegenerateGaussian, QuadratureFailure, SameVertex
+from dendrofit.errors import DegenerateGaussian, DendrofitError, QuadratureFailure, SameVertex
 from dendrofit.estimators import _MAX_QUAD_ORDER, _hermite_rule, collect_stats, pair_mi_table
 
 from conftest import dataset_from_columns, mixed_schema
@@ -349,9 +354,10 @@ class TestHermiteRule:
 
 
 class TestStatisticsPassMemory:
-    """The statistics pass holds one copy of the Gaussian columns: above
-    its inputs, ``pair_mi_table`` and ``collect_stats`` each peak at most
-    one (Gaussian columns x n) stack plus 8 columns."""
+    """The statistics pass holds no copy of all the Gaussian columns, only
+    two groups of rows at a time: above its inputs, ``pair_mi_table`` and
+    ``collect_stats`` each peak at most 8 columns, whatever the number of
+    Gaussian columns (10 here and 30 in the subclass below)."""
 
     N, GAUSS, DISC = 50_000, 10, 3
 
@@ -377,7 +383,7 @@ class TestStatisticsPassMemory:
             tracemalloc.stop()
 
     def bound(self) -> int:
-        return (self.GAUSS + 8) * self.N * 8
+        return 8 * self.N * 8
 
     def test_pair_table(self, dataset):
         assert self.peak(lambda: pair_mi_table(dataset)) <= self.bound()
@@ -387,3 +393,99 @@ class TestStatisticsPassMemory:
         pairs = [(0, d), (2, g - 1), (1, d + 4), (d, d + 1), (d + 2, g - 1), (0, 1)]
         run = lambda: collect_stats(dataset, range(g), pairs)  # noqa: E731
         assert self.peak(run) <= self.bound()
+
+
+class TestStatisticsPassMemoryThirtyGaussians(TestStatisticsPassMemory):
+    GAUSS = 30
+
+
+# a Gaussian column's scale: 2^532 overflows its variance in original
+# units, 2^-560 underflows it, and at 2^-332 a product of two variances
+# underflows
+SCALES = [0] * 4 + [532, -332, -560]
+BOUNDARY_MODES = ["noise", "classes", "function", "constant", "near-copy", "copy"]
+
+
+@st.composite
+def grouped_datasets(draw):
+    """2-9 columns and 2-30 rows, with at least one Gaussian column.
+    Discrete columns leave some of their 2-5 classes empty. A Gaussian
+    column is noise, noise around class means, an exact function of the
+    classes (a zero residual), a constant, or an affine copy of an
+    earlier Gaussian column with or without noise 1e-9 of its size
+    (R^2 -> 1), each at one of SCALES."""
+    kinds = draw(st.lists(st.sampled_from("dgg"), min_size=1, max_size=8)) + ["g"]
+    kinds = draw(st.permutations(kinds))
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    variables, columns = [], []
+    codes, unscaled = {}, {}  # column -> its codes, or its Gaussian values at scale 1
+    for k, kind in enumerate(kinds):
+        if kind == "d":
+            card = draw(st.integers(2, 5))
+            used = rng.permutation(card)[: draw(st.integers(1, card))]
+            codes[k] = rng.choice(used, size=n)
+            variables.append(Variable(f"v{k}", Discrete(tuple(f"c{c}" for c in range(card)))))
+            columns.append(codes[k])
+            continue
+        mode = draw(st.sampled_from(BOUNDARY_MODES))
+        if mode in ("classes", "function") and not codes:
+            mode = "noise"
+        if mode in ("near-copy", "copy") and not unscaled:
+            mode = "noise"
+        if mode == "noise":
+            x = rng.standard_normal(n)
+        elif mode == "constant":
+            x = np.full(n, draw(st.sampled_from([0.1, 1 / 3, -2.2])))
+        elif mode in ("classes", "function"):
+            y = codes[draw(st.sampled_from(sorted(codes)))]
+            x = rng.uniform(-4.0, 4.0, 5)[y]
+            if mode == "classes":
+                x = x + rng.standard_normal(n)
+        else:
+            source = unscaled[draw(st.sampled_from(sorted(unscaled)))]
+            x = rng.uniform(0.5, 2.0) * source + rng.uniform(-1.0, 1.0) * np.abs(source).max()
+            if mode == "near-copy":
+                x = x + 1e-9 * np.abs(x).max() * rng.standard_normal(n)
+        unscaled[k] = x
+        variables.append(Variable(f"v{k}", Gaussian()))
+        columns.append(np.ldexp(x, draw(st.sampled_from(SCALES))))
+    return Dataset(VariableSchema(tuple(variables)), tuple(columns))
+
+
+class TestGroupBoundaries:
+    """The statistics pass walks the Gaussian columns in groups of
+    ``dataio.block_rows(n)`` rows. With groups of 1, 2 or 3 rows, or all
+    of them, ``pair_mi_table`` and ``collect_stats`` give the same bits,
+    or the same first error."""
+
+    @staticmethod
+    def outcomes(ds, pairs):
+        """pair_mi_table, collect_stats of every vertex and pair, and
+        collect_stats of the given pairs, each pickled, or the type and
+        message of its error."""
+        n_vars = ds.schema.n_vars
+        runs = [
+            lambda: pair_mi_table(ds),
+            lambda: collect_stats(ds, range(n_vars), np.transpose(np.triu_indices(n_vars, 1))),
+            lambda: collect_stats(ds, (), pairs),
+        ]
+        got = []
+        for run in runs:
+            try:
+                got.append(pickle.dumps(run()))
+            except DendrofitError as err:
+                got.append((type(err), str(err)))
+        return got
+
+    @settings(max_examples=150, deadline=None)
+    @given(ds=grouped_datasets(), data=st.data())
+    def test_same_bits_at_every_group_size(self, ds, data):
+        n_vars = ds.schema.n_vars
+        pairs = data.draw(st.lists(st.sampled_from(np.transpose(np.triu_indices(n_vars, 1)).tolist())))
+        outcomes = []
+        for rows in (1, 2, 3, n_vars):
+            with mock.patch.object(dataio, "BLOCK_CELLS", rows * ds.n):
+                assert dataio.block_rows(ds.n) == rows
+                outcomes.append(self.outcomes(ds, pairs))
+        assert all(got == outcomes[-1] for got in outcomes[:-1])

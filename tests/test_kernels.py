@@ -20,14 +20,16 @@ def gaussian_moments(xt):
     e, scaled, mean, _ = kernels.scaled_rows(xt, xt.shape[1])
     scaled -= mean[:, None]
     r, s = np.indices((len(xt), len(xt))).reshape(2, -1)
-    return e, mean, kernels.covariances(scaled, r, s).reshape(len(xt), len(xt))
+    return e, mean, kernels.covariances(scaled, scaled, r, s).reshape(len(xt), len(xt))
 
 
 def class_stats(xt, y, n_classes):
     """(e, counts, means, var): ``class_stats_rows`` of the rows of xt as
-    ``scaled_rows`` scales them, with their exponents."""
+    ``scaled_rows`` scales them, with their exponents and the class
+    counts of ``class_members``."""
     e, scaled, _, _ = kernels.scaled_rows(xt, xt.shape[1])
-    return (e, *kernels.class_stats_rows(scaled, np.arange(len(xt)), y, n_classes))
+    counts, member = kernels.class_members(y, n_classes)
+    return (e, counts, *kernels.class_stats_rows(scaled, np.arange(len(xt)), y, counts, member))
 
 
 class TestNumpyPath:
@@ -126,9 +128,28 @@ class TestRowInvariance:
         # of only those rows
         xt, y, card, subset = case
         _, scaled, _, _ = kernels.scaled_rows(list(xt), xt.shape[1])
-        by_index = kernels.class_stats_rows(scaled, subset, y, card)
-        alone = kernels.class_stats_rows(scaled[subset], np.arange(subset.size), y, card)
+        members = kernels.class_members(y, card)
+        by_index = kernels.class_stats_rows(scaled, subset, y, *members)
+        alone = kernels.class_stats_rows(scaled[subset], np.arange(subset.size), y, *members)
         assert all(same_bits(got, want) for got, want in zip(by_index, alone))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=stacked_rows(), data=st.data())
+    def test_covariances_across_two_groups(self, case, data):
+        # rows scaled and centred as two separate groups have the
+        # covariances of one stack of all the rows
+        xt, _, _, _ = case
+        cut = data.draw(st.integers(0, len(xt)))
+        _, _, cov = gaussian_moments(xt)
+        left, right = (
+            scaled - mean[:, None]
+            for _, scaled, mean, _ in (
+                kernels.scaled_rows(part, xt.shape[1]) for part in (xt[:cut], xt[cut:])
+            )
+        )
+        r, s = np.indices((cut, len(xt) - cut)).reshape(2, -1)
+        got = kernels.covariances(left, right, r, s)
+        assert same_bits(got, cov[:cut, cut:].reshape(-1))
 
     @settings(max_examples=300, deadline=None)
     @given(case=stacked_rows())

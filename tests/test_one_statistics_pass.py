@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dendrofit"
-KERNELS = {"scaled_rows", "covariances", "class_stats_rows", "joint_counts"}
+KERNELS = {"scaled_rows", "covariances", "class_members", "class_stats_rows", "joint_counts"}
 
 
 def kernel_calls(source: str, module: str) -> set[tuple[str, str, str]]:
@@ -51,6 +51,7 @@ def test_every_statistics_kernel_has_one_calling_function():
         ("def f(x):\n    def g():\n        return kernels.scaled_rows([x], 1)\n    return g", "g"),
         ("h = lambda c: kernels.covariances(c, [0], [0])", "<lambda>"),
         ("stats = kernels.class_stats_rows(s, y, 2)", "<module>"),
+        ("def f(y):\n    return class_members(y, 2)", "f"),
     ],
 )
 def test_each_call_is_found(source, caller):
