@@ -14,6 +14,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NoReturn, Optional, Sequence, Union
@@ -34,7 +35,9 @@ class Discrete:
     """A finite-valued variable with an ordered tuple of category labels.
 
     The cardinality is the number of labels; categories are encoded as the
-    0-based position of their label.
+    0-based position of their label. The table from each label to its
+    code, ``_codes``, is built on first use and kept on the instance; it
+    is not a field, so it takes no part in equality or hashing.
     """
 
     labels: tuple[str, ...]
@@ -51,6 +54,10 @@ class Discrete:
     @property
     def cardinality(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def _codes(self) -> dict[str, int]:
+        return {label: k for k, label in enumerate(self.labels)}
 
 
 def code_dtype(card: int) -> np.dtype:
@@ -184,8 +191,8 @@ def validate_dataset(schema: VariableSchema, raw_rows: Sequence[Sequence]) -> Da
 
     Discrete cells must be category labels (mapped to indices by schema
     label order); Gaussian cells must be finite reals, or strings that
-    parse as such. Columns are parsed whole; when that fails, a scan row
-    by row names the first bad cell in row-major order.
+    parse as such. The rows go through one _parse_columns call, which
+    names the first bad cell in row-major order.
 
     Raises
     ------
@@ -194,52 +201,41 @@ def validate_dataset(schema: VariableSchema, raw_rows: Sequence[Sequence]) -> Da
     rows = list(raw_rows)
     if not rows:
         raise EmptyDataset("no data rows")
-    columns = _parse_columns(schema, rows)
-    if columns is None:
-        _scan_rows(schema, rows)
-    return Dataset(schema=schema, columns=columns)
-
-
-def _label_maps(schema: VariableSchema) -> dict[int, dict[str, int]]:
-    """Column index -> {label: category index} for the discrete columns."""
-    return {
-        i: {label: k for k, label in enumerate(schema.kind(i).labels)}
-        for i in range(schema.n_vars)
-        if schema.is_discrete(i)
-    }
+    return Dataset(schema=schema, columns=_parse_columns(schema, rows))
 
 
 def _parse_columns(
-    schema: VariableSchema, rows: list
-) -> Optional[tuple[np.ndarray, ...]]:
-    """Each column in one pass, or None when a row has the wrong arity or
-    a cell does not parse to a category or a finite real."""
+    schema: VariableSchema, rows: list, first_row: int = 0
+) -> tuple[np.ndarray, ...]:
+    """Each column in one pass, discrete cells mapped by their variable's
+    label table. When a row has the wrong arity or a cell does not parse
+    to a category or a finite real, _scan_rows raises the first bad
+    cell's error instead; rows[0] is row first_row."""
     n = len(rows)
-    label_maps = _label_maps(schema)
     try:
-        if set(map(len, rows)) != {schema.n_vars}:
-            return None
-        columns = []
-        for i, cells in enumerate(zip(*rows)):
-            if i in label_maps:
-                codes = code_dtype(schema.cardinality(i))
-                columns.append(np.fromiter(map(label_maps[i].__getitem__, cells), codes, n))
+        if set(map(len, rows)) == {schema.n_vars}:
+            columns = []
+            for var, cells in zip(schema.variables, zip(*rows)):
+                kind = var.kind
+                if isinstance(kind, Discrete):
+                    codes = code_dtype(kind.cardinality)
+                    columns.append(np.fromiter(map(kind._codes.__getitem__, cells), codes, n))
+                else:
+                    columns.append(np.fromiter(map(float, cells), np.float64, n))
+                    if not np.isfinite(columns[-1]).all():
+                        break
             else:
-                values = np.fromiter(map(float, cells), np.float64, n)
-                if not np.isfinite(values).all():
-                    return None
-                columns.append(values)
+                return tuple(columns)
     except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-    return tuple(columns)
+        pass
+    _scan_rows(schema, rows, first_row)
 
 
 def _scan_rows(schema: VariableSchema, rows: list, first_row: int = 0) -> NoReturn:
-    """Raise the error of the first bad cell of rows that _parse_columns
-    rejected, in row-major order, with its row index; rows[0] is row
-    first_row."""
+    """Raise the error of the first bad cell of rows, in row-major order,
+    with its row index; rows[0] is row first_row. Reached only from
+    _parse_columns, once it has failed on rows."""
     n_vars = schema.n_vars
-    label_maps = _label_maps(schema)
 
     def row_error(cls: type, r: int, message: str) -> Exception:
         err = cls(f"row {r}: {message}")
@@ -253,15 +249,16 @@ def _scan_rows(schema: VariableSchema, rows: list, first_row: int = 0) -> NoRetu
                 ArityMismatch, r, f"expected {n_vars} cells, got {len(cells)}"
             )
         for i, cell in enumerate(cells):
-            if i in label_maps:
+            kind = schema.kind(i)
+            if isinstance(kind, Discrete):
                 try:
-                    label_maps[i][cell]
+                    kind._codes[cell]
                 except (KeyError, TypeError):
                     raise row_error(
                         UnknownCategory,
                         r,
                         f"{cell!r} is not a category of {schema.name(i)!r} "
-                        f"(labels: {list(schema.kind(i).labels)})",
+                        f"(labels: {list(kind.labels)})",
                     ) from None
             else:
                 try:

@@ -26,7 +26,6 @@ from .core import (
     Variable,
     VariableSchema,
     _parse_columns,
-    _scan_rows,
     code_dtype,
 )
 from .errors import DataFormatError, DendrofitError, EmptyDataset, SchemaMismatch
@@ -169,11 +168,14 @@ def read_csv_blocks(path: PathLike, schema: VariableSchema) -> Iterator[tuple[np
     file with no data rows, raised after the last block.
 
     Blocks of plain lines go to numpy's text reader; from the first block
-    that it cannot take exactly, csv.reader parses the rest. No table of
-    cell strings is held, and the first fault in file order is reported,
-    after the blocks before it are given; a byte that is not UTF-8 is
-    found when its chunk of about 8 KB is decoded, so it is reported
-    before a bad cell earlier in that chunk."""
+    that it cannot take exactly (a quote, a CR, as in every CRLF file, or
+    a blank line is enough), csv.reader parses the rest, each block by
+    one core._parse_columns call, which reads the label table that each
+    Discrete builds once. No table of cell strings is held, and the first
+    fault in file order is reported, after the blocks before it are
+    given; a byte that is not UTF-8 is found when its chunk of about 8 KB
+    is decoded, so it is reported before a bad cell earlier in that
+    chunk."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             header = next(csv.reader(fh), None)
@@ -232,13 +234,10 @@ def _blocks(
 
     def parse(block: list, first: int) -> Sequence[np.ndarray]:
         """The block's columns; block[0] is row first of the file."""
-        columns = _parse_columns(schema, block)
-        if columns is None:
-            try:
-                _scan_rows(schema, block, first)
-            except DendrofitError as err:
-                raise type(err)(f"{path} line {err.row_index + 2}: {err}") from err
-        return columns
+        try:
+            return _parse_columns(schema, block, first)
+        except DendrofitError as err:
+            raise type(err)(f"{path} line {err.row_index + 2}: {err}") from err
 
     step = block_rows(schema.n_vars)
     first = 0

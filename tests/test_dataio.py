@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -327,7 +328,10 @@ class TestParseMatchesRowScan:
             assert type(exc.value) is cls
             assert exc.value.row_index == row_index
             assert str(exc.value).startswith(f"row {row_index}: ")
-            assert core._parse_columns(schema, rows) is None
+            with pytest.raises(DendrofitError) as parsed:
+                core._parse_columns(schema, rows)
+            assert type(parsed.value) is cls
+            assert str(parsed.value) == str(exc.value)
         else:
             got = core.validate_dataset(schema, rows)
             for col, ref_col in zip(got.columns, ref):
@@ -509,8 +513,8 @@ class TestBlockReaderMatchesWholeFile:
         ds = Dataset(schema, (rng.integers(0, 3, 50), rng.standard_normal(50)))
         write_csv_dataset(data_path, ds)
         unused = mock.Mock(side_effect=AssertionError("not a plain block"))
-        with mock.patch.object(dataio, "BLOCK_CELLS", 16), mock.patch.multiple(
-            dataio, _parse_columns=unused, _scan_rows=unused
+        with mock.patch.object(dataio, "BLOCK_CELLS", 16), mock.patch.object(
+            dataio, "_parse_columns", unused
         ):
             back = read_csv_dataset(data_path, schema)
         for col, ref_col in zip(back.columns, ds.columns):
@@ -674,6 +678,92 @@ class TestEvalReportsTheReadersErrors:
             score = run_main(["score", "--data", str(data_path), "--schema", str(schema_path)])
         assert (code, out, err) == score
         assert code != 0 and err == f"error: {ref}\n"
+
+
+class TestLabelTableBuiltOnce:
+    """Each Discrete builds its label -> code table once, on first use:
+    the csv.reader route reads every block of a file, and the row scan
+    that names a bad cell, with that one table."""
+
+    SCHEMA = VariableSchema(
+        (
+            Variable("a", Discrete(("x", "y", "z"))),
+            Variable("g", Gaussian()),
+            Variable("b", Discrete(tuple(f"L{k}" for k in range(12)))),
+        )
+    )
+
+    @staticmethod
+    def builds():
+        """A spy on the function that builds a label table; its calls'
+        first arguments are the Discretes whose tables were built."""
+        table = Discrete.__dict__["_codes"]
+        return mock.patch.object(table, "func", wraps=table.func)
+
+    @staticmethod
+    def fresh():
+        """SCHEMA as a schema file gives it, with no table built."""
+        schema = TestLabelTableBuiltOnce.SCHEMA
+        return dataio.schema_from_jsonable(dataio.schema_to_jsonable(schema))
+
+    def test_one_table_per_variable_on_every_route(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ds = Dataset(
+            self.SCHEMA,
+            (rng.integers(0, 3, 40), rng.standard_normal(40), rng.integers(0, 12, 40)),
+        )
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        write_csv_dataset(plain, ds)
+        with open(plain, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(quoted, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+        bad = [*rows[:-1], [rows[-1][0], rows[-1][1], "L12"]]
+        model = tmp_path / "model.json"
+        model_doc = independent_model(self.SCHEMA).to_json_dict()
+        model.write_text(json.dumps(model_doc), encoding="utf-8")
+        discretes = 2
+
+        # 4 rows a block, so 10 blocks go through csv.reader and _parse_columns
+        with mock.patch.object(dataio, "BLOCK_CELLS", 12), mock.patch.object(
+            dataio, "_parse_columns", wraps=dataio._parse_columns
+        ) as parse:
+            schema = self.fresh()
+            with self.builds() as built:
+                back = read_csv_dataset(quoted, schema)
+                with pytest.raises(UnknownCategory, match="^row 39: 'L12'"):
+                    core.validate_dataset(schema, bad[1:])
+            assert built.call_count == discretes
+            assert {id(call.args[0]) for call in built.call_args_list} == {
+                id(var.kind) for var in schema.variables if isinstance(var.kind, Discrete)
+            }
+            assert parse.call_count == 10
+
+            schema = self.fresh()
+            with self.builds() as built:
+                again = core.validate_dataset(schema, rows[1:])
+                with pytest.raises(UnknownCategory, match="^row 39: 'L12'"):
+                    core.validate_dataset(schema, bad[1:])
+            assert built.call_count == discretes
+
+            evals = []
+            for path in (plain, quoted):
+                with self.builds() as built:
+                    evals.append(run_main(["eval", "--model", str(model), "--data", str(path)]))
+                assert built.call_count == (0 if path == plain else discretes)
+        assert evals[0] == evals[1] and evals[0][0] == 0
+        for col, again_col, ref_col in zip(back.columns, again.columns, ds.columns):
+            assert col.tobytes() == again_col.tobytes() == ref_col.tobytes()
+
+    def test_a_built_table_leaves_equality_hashing_and_pickling_alone(self):
+        built, fresh = self.fresh(), self.fresh()
+        core.validate_dataset(built, [["z", "1.5", "L11"]])
+        assert "_codes" in vars(built.kind(0)) and "_codes" in vars(built.kind(2))
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+        for schema in (built, fresh):
+            back = pickle.loads(pickle.dumps(schema))
+            assert back == fresh and hash(back) == hash(fresh)
+            assert back.kind(2)._codes == {f"L{k}": k for k in range(12)}
 
 
 def test_read_peak_grows_by_two_arrays_of_eight_bytes_per_cell(tmp_path):
