@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .core import Forest
+from .core import Dataset, Forest
 from .dataio import (
     _real_texts,
     block_rows,
@@ -49,7 +49,7 @@ from .model import (
     row_log_likelihoods,
     sample_blocks,
 )
-from .scoring import Criterion, PairScores, pair_scores
+from .scoring import _KINDS, Criterion, PairScores, pair_scores
 
 FOREST_FORMAT = "dendrofit-forest"
 FOREST_VERSION = 1
@@ -206,19 +206,9 @@ def _report_json(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) 
 
 def _report_table(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) -> Iterator[str]:
     """The edge table learn prints, in pieces: one line per greedy step,
-    columns left-aligned to their widest cell, two spaces apart. The
-    widths come first, from the arrays and one pass that formats the
-    numbers and keeps only their longest length."""
-    length = np.array([len(name) for name in names], dtype=np.intp)
-    widths = [len(field) for field in _TABLE_FIELDS[:-1]]
-    for block, _ in _blocks(ranked, len(_TABLE_FIELDS)):
-        numbers = (block.mi, block.penalty, block.score)
-        widths = list(map(max, widths, [
-            len(str(block.i.max())),
-            len(str(block.j.max())),
-            int((length[block.i] + length[block.j]).max()) + len("(, )"),
-            *(max(map(len, map("{:.4f}".format, c.tolist()))) for c in numbers),
-        ]))
+    columns left-aligned to their widest cell, two spaces apart. A first
+    pass makes each block's cells and keeps the longest of each padded
+    column, so the widths are the cells' own."""
 
     def columns(block: PairScores, part: slice) -> list[Iterable[str]]:
         i, j = block.i.tolist(), block.j.tolist()
@@ -231,6 +221,9 @@ def _report_table(names: Sequence[str], ranked: PairScores, outcome: np.ndarray)
         ]
 
     # the last column is not padded, so no line ends in spaces
+    widths = list(map(len, _TABLE_FIELDS[:-1]))
+    for block, part in _blocks(ranked, len(_TABLE_FIELDS)):
+        widths = [max(w, *map(len, cells)) for w, cells in zip(widths, columns(block, part))]
     template = "".join(f"%-{w}s  " for w in widths) + "%s\n"
     yield template % _TABLE_FIELDS
     yield from _pair_rows(ranked, _TABLE_FIELDS, template, columns)
@@ -338,15 +331,33 @@ def _output(path: Optional[Path]) -> Iterator[TextIO]:
         raise
 
 
-def cmd_learn(config: RunConfig) -> int:
+def _scored_run(config: RunConfig) -> tuple[dict[str, Path], Criterion, Dataset, PairScores]:
+    """The output files, criterion, dataset and pair scores of learn or
+    score, checked in this order, so a run names its first fault and
+    reads no data before its flags pass: outputs, criterion, quadrature,
+    schema, data."""
     paths = _output_files(config)
     criterion = config.make_criterion()
     quad = config.make_quadrature()
-    schema = read_schema(config.schema)
-    dataset = read_csv_dataset(config.data, schema)
+    dataset = read_csv_dataset(config.data, read_schema(config.schema))
+    return paths, criterion, dataset, pair_scores(dataset, criterion, quad)
+
+
+def _json_head(criterion: Criterion, dataset: Dataset) -> dict:
+    """The criterion, n and variables that the forest JSON and the score
+    JSON both hold, in that order."""
+    return {
+        "criterion": {"kind": criterion.kind, "dn": criterion.dn(dataset.n)},
+        "n": dataset.n,
+        "variables": list(dataset.schema.names),
+    }
+
+
+def cmd_learn(config: RunConfig) -> int:
+    paths, criterion, dataset, scores = _scored_run(config)
+    schema = dataset.schema
     dn = criterion.dn(dataset.n)
 
-    scores = pair_scores(dataset, criterion, quad)
     order, outcome = greedy_outcomes(scores.i, scores.j, scores.score, schema.n_vars)
     ranked = scores.take(order)
     accepted = ranked.take(outcome == ACCEPTED).edges()
@@ -367,9 +378,7 @@ def cmd_learn(config: RunConfig) -> int:
     doc = {
         "format": FOREST_FORMAT,
         "version": FOREST_VERSION,
-        "criterion": {"kind": criterion.kind, "dn": dn},
-        "n": dataset.n,
-        "variables": list(schema.names),
+        **_json_head(criterion, dataset),
         "edges": [list(e) for e in forest.sorted_edges],
         "report": [],
         "log_likelihood": ll,
@@ -391,24 +400,13 @@ def cmd_learn(config: RunConfig) -> int:
 
 
 def cmd_score(config: RunConfig) -> int:
-    paths = _output_files(config)
-    criterion = config.make_criterion()
-    quad = config.make_quadrature()
-    schema = read_schema(config.schema)
-    dataset = read_csv_dataset(config.data, schema)
-    scores = pair_scores(dataset, criterion, quad)
-
+    paths, criterion, dataset, scores = _scored_run(config)
     with _output(paths.get("out")) as out:
         if config.fmt == "json":
-            doc = {
-                "criterion": {"kind": criterion.kind, "dn": criterion.dn(dataset.n)},
-                "n": dataset.n,
-                "variables": list(schema.names),
-                "pairs": [],
-            }
-            _write_json(out, doc, "pairs", _score_json(schema.names, scores))
+            doc = {**_json_head(criterion, dataset), "pairs": []}
+            _write_json(out, doc, "pairs", _score_json(dataset.schema.names, scores))
         else:
-            out.writelines(_score_csv(schema.names, scores))
+            out.writelines(_score_csv(dataset.schema.names, scores))
     return 0
 
 
@@ -464,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_criterion_flags(p):
         p.add_argument(
             "--criterion",
-            choices=("ml", "mdl", "aic", "custom"),
+            choices=_KINDS,
             default="ml",
             help="scoring criterion (default: ml)",
         )

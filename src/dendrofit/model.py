@@ -57,15 +57,20 @@ _MARGINAL_TOL = 1e-12
 _MOMENT_RTOL = 1e-9
 
 
+def _probabilities(values, what: str) -> np.ndarray:
+    """``values`` as float64, checked nonnegative and summing to 1 within _MARGINAL_TOL."""
+    probs = np.asarray(values, dtype=np.float64)
+    if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > _MARGINAL_TOL:
+        raise ValueError(f"{what} must be nonnegative and sum to 1")
+    return probs
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteMarginal:
     probs: np.ndarray  # (cardinality,), sums to 1
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > _MARGINAL_TOL:
-            raise ValueError("marginal probabilities must be nonnegative and sum to 1")
+        object.__setattr__(self, "probs", _probabilities(self.probs, "marginal probabilities"))
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,7 @@ class DiscreteEdgeFactor:
     table: np.ndarray  # (card_i, card_j), sums to 1
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.float64)
-        object.__setattr__(self, "table", table)
-        if (table < 0).any() or abs(float(table.sum()) - 1.0) > _MARGINAL_TOL:
-            raise ValueError("joint table must be nonnegative and sum to 1")
+        object.__setattr__(self, "table", _probabilities(self.table, "joint table"))
 
 
 @dataclass(frozen=True)
@@ -132,12 +134,10 @@ class MixedEdgeFactor:
     def __post_init__(self) -> None:
         probs = np.asarray(self.class_probs, dtype=np.float64)
         means = np.asarray(self.class_means, dtype=np.float64)
-        object.__setattr__(self, "class_probs", probs)
         object.__setattr__(self, "class_means", means)
         if probs.shape != means.shape:
             raise ValueError("class_probs and class_means must align")
-        if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > _MARGINAL_TOL:
-            raise ValueError("class probabilities must be nonnegative and sum to 1")
+        object.__setattr__(self, "class_probs", _probabilities(probs, "class probabilities"))
         if not self.resid_var > 0.0:
             raise DegenerateGaussian(
                 f"edge ({self.gauss}, {self.disc}): residual variance must be positive"

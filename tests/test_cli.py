@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -712,6 +713,39 @@ def test_failed_learn_leaves_all_its_outputs_as_they_were(tmp_path, star_files, 
     assert main(argv) == 0
     assert all(path.read_bytes() != f"old {name}\n".encode() for name, path in files.items())
     assert sorted(os.listdir(out)) == sorted(files)
+
+
+@pytest.mark.parametrize("command", ["learn", "score"])
+def test_learn_and_score_name_their_faults_in_one_order(tmp_path, star_files, capsys, command):
+    """An invocation with five faults names them one at a time, in the
+    order learn and score check them, with the same one-line message from
+    both: the output, the criterion, the quadrature, the schema, the
+    data. Once each is mended the run succeeds."""
+    data, schema, _ = star_files
+    (tmp_path / "out.json").mkdir()
+    lines = Path(data).read_text().splitlines(keepends=True)
+    lines[2] = "c9" + lines[2][2:]
+    bad_data = write_text(tmp_path / "bad.csv", "".join(lines))
+    flags = {
+        "--data": bad_data, "--schema": str(tmp_path / "missing.json"), "--criterion": "custom",
+        "--quad-order": "7", "--out": str(tmp_path / "out.json"),
+    }
+    mends = [
+        ({"--out": str(tmp_path / "result.json")},
+         f"{tmp_path / 'out.json'}: cannot write: it is a directory"),
+        ({"--dn": "1"}, "--criterion custom requires --dn"),
+        ({"--quad-order": "16"}, "quadrature order must be an even integer >= 8, got 7"),
+        ({"--schema": schema}, f"no such file: {tmp_path / 'missing.json'}"),
+        ({"--data": data},
+         f"{bad_data} line 3: row 1: 'c9' is not a category of 'v0' (labels: ['c0', 'c1'])"),
+    ]
+    for mend, message in mends:
+        assert main([command, *itertools.chain(*flags.items())]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        flags.update(mend)
+    assert main([command, *itertools.chain(*flags.items())]) == 0
+    assert (tmp_path / "result.json").is_file()
 
 
 class TestExitCodes:

@@ -1110,6 +1110,57 @@ class TestSlope:
         assert values[0] == values[1] and math.isfinite(values[0])
 
 
+# each model class with a probability array: how to build it around the
+# array, the array's shape and field, and the start of its message
+PROBABILITY_ARRAYS = {
+    "marginal": (DiscreteMarginal, (4,), "probs", "marginal probabilities"),
+    "joint": (lambda table: DiscreteEdgeFactor(0, 1, table), (2, 2), "table", "joint table"),
+    "mixed": (
+        lambda probs: MixedEdgeFactor(0, 1, probs, np.zeros(probs.shape), 1.0),
+        (4,),
+        "class_probs",
+        "class probabilities",
+    ),
+}
+each_probability_array = pytest.mark.parametrize(
+    "make, shape, field, what", PROBABILITY_ARRAYS.values(), ids=PROBABILITY_ARRAYS.keys()
+)
+
+
+class TestProbabilityCheck:
+    """Every probability array of a model is nonnegative and sums to 1
+    within 1e-12, or its class raises its own message."""
+
+    @staticmethod
+    def uniform_plus(shape, excess: float) -> np.ndarray:
+        probs = np.full(shape, 0.25)
+        probs.flat[-1] += excess
+        return probs
+
+    @each_probability_array
+    def test_negative_entry_raises(self, make, shape, field, what):
+        probs = np.array([0.5, 0.5, 0.25, -0.25]).reshape(shape)
+        assert probs.sum() == 1.0
+        with pytest.raises(ValueError, match=f"^{what} must be nonnegative and sum to 1$"):
+            make(probs)
+
+    @pytest.mark.parametrize("excess", [2e-12, -2e-12])
+    @each_probability_array
+    def test_sum_off_by_more_than_the_tolerance_raises(self, make, shape, field, what, excess):
+        with pytest.raises(ValueError, match=f"^{what} must be nonnegative and sum to 1$"):
+            make(self.uniform_plus(shape, excess))
+
+    @pytest.mark.parametrize("excess", [1e-13, -1e-13])
+    @each_probability_array
+    def test_sum_within_the_tolerance_is_accepted(self, make, shape, field, what, excess):
+        probs = self.uniform_plus(shape, excess)
+        np.testing.assert_array_equal(getattr(make(probs), field), probs)
+
+    def test_mixed_factor_checks_shapes_before_the_sum(self):
+        with pytest.raises(ValueError, match="must align"):
+            MixedEdgeFactor(0, 1, np.array([0.5, 0.6]), np.zeros(3), 1.0)
+
+
 class TestSerialization:
     def test_round_trip_preserves_parameters_exactly(self):
         inputs = {
