@@ -8,11 +8,11 @@ parameters are maximum-likelihood throughout: relative frequencies,
 divide-by-n moments, per-class means with a pooled residual variance.
 One pass, ``_statistics``, gathers the statistics of given vertices and
 pairs and is the only caller of the statistics kernels. Its two readers
-are ``pair_mi_table``, I_n of every pair, and ``collect_stats``, the
-statistics in original units (``fit`` calls it once, and
-``collect_pair_stats`` is its one-pair case). The ``mi_*`` estimators
-share the quadrature ladder with the table, so a pair's I_n and its
-error are the same bits and message on every path.
+are ``pair_mi_table``, every pair and its I_n as vectors in canonical
+order, and ``collect_stats``, the statistics in original units (``fit``
+calls it once, and ``collect_pair_stats`` is its one-pair case). The
+``mi_*`` estimators share the quadrature ladder with the table, so a
+pair's I_n and its error are the same bits and message on every path.
 """
 
 from __future__ import annotations
@@ -509,17 +509,17 @@ def mi_mixed(stats: MixedPair, quad: QuadratureSpec = QuadratureSpec()) -> float
 # -- all pairs at once -----------------------------------------------------------
 
 
-def pair_mi_table(dataset: Dataset, quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """I_n of every pair in one batched pass: an (N, N) array holding
-    I_n(i, j) at [i, j] for i < j, zero elsewhere.
+def pair_mi_table(dataset: Dataset, quad: QuadratureSpec = QuadratureSpec()) -> tuple:
+    """I_n of every pair in one batched pass: (i, j, mi), the pairs i < j
+    in canonical order (``np.triu_indices``) and their I_n, as vectors.
 
     The ``_statistics`` pass over all pairs, then each kind's estimator
     over all its pairs at once: discrete pairs from stacks of joint
     tables, Gaussian pairs from their correlations, and mixed pairs with
     the ladder in lockstep over the pairs with the same number of
     occupied classes. Each value is that of collect_pair_stats and the
-    mi_* estimators bit for bit. The first failing pair in canonical
-    order raises the per-pair path's error, with the pair named.
+    mi_* estimators bit for bit. The failing pair at the smallest
+    position raises the per-pair path's error, with the pair named.
     """
     schema, n = dataset.schema, dataset.n
     a, b = np.triu_indices(schema.n_vars, 1)
@@ -527,43 +527,44 @@ def pair_mi_table(dataset: Dataset, quad: QuadratureSpec = QuadratureSpec()) -> 
         dataset, (), a, b
     )
     gauss = np.flatnonzero(row >= 0)  # the vertex of each stack row
-    table = np.zeros((schema.n_vars, schema.n_vars))
-    failures = []  # (i, j, error), in the order the per-pair path checks a pair
+    mi = np.zeros(a.size)
+    failures = []  # (position, error), in the order the per-pair path checks a pair
     if constant.any():
-        # every pair holding a constant column fails; the first of them in
-        # canonical order holds the lowest one
+        # every pair holding a constant column fails; the first of them,
+        # (0, g) or (0, 1), holds the lowest one
         g = int(gauss[constant][0])
-        failures.append((0, g or 1, _zero_variance(schema.name(g))))
+        failures.append((max(g - 1, 0), _zero_variance(schema.name(g))))
     by_shape = defaultdict(list)  # table shape -> [index among the discrete pairs]
     for k, joint in enumerate(counts):
         by_shape[joint.shape].append(k)
-    i, j = a[discrete], b[discrete]
+    at = np.flatnonzero(discrete)
     for ks in by_shape.values():
-        table[i[ks], j[ks]] = _discrete_mi(np.stack([counts[k] for k in ks]), n)
-    i, j = a[gaussian], b[gaussian]
-    live = ~(constant[row[i]] | constant[row[j]])
-    i, j, cov = i[live], j[live], cov[live]
-    table[i, j] = _gaussian_mi(_rho(cov, var[row[i]], var[row[j]]), n)
+        mi[at[ks]] = _discrete_mi(np.stack([counts[k] for k in ks]), n)
+    r, s = row[a[gaussian]], row[b[gaussian]]
+    live = ~(constant[r] | constant[s])
+    gaussian[gaussian] = live  # now the Gaussian pairs without a constant column
+    mi[gaussian] = _gaussian_mi(_rho(cov[live], var[r[live]], var[s[live]]), n)
 
-    groups = defaultdict(list)  # occupied classes -> [(i, j, probs, means, var)]
+    groups = defaultdict(list)  # occupied classes -> [(positions, probs, means, var)]
     for d, (rows, counts, means, var) in classes.items():
         # a constant column's residual is exactly zero too, but its own
         # failure comes first
         g, zero = gauss[rows], var <= 0.0
-        failures += [(min(d, x), max(d, x), DegenerateGaussian(_ZERO_RESIDUAL)) for x in g[zero]]
+        lo, hi = np.minimum(d, g), np.maximum(d, g)
+        at = lo * (2 * schema.n_vars - lo - 1) // 2 + hi - lo - 1  # the pairs' positions
+        failures += [(k, DegenerateGaussian(_ZERO_RESIDUAL)) for k in at[zero].tolist()]
         occupied = counts > 0
         if occupied.sum() > 1:  # one class leaves I_n = 0
-            g, means = g[~zero], means[~zero][:, occupied]
+            means = means[~zero][:, occupied]
             probs = np.broadcast_to(counts[occupied] / n, means.shape)
-            groups[occupied.sum()].append(
-                (np.minimum(d, g), np.maximum(d, g), probs, means, var[~zero])
-            )
+            groups[occupied.sum()].append((at[~zero], probs, means, var[~zero]))
     for members in groups.values():
-        i, j, probs, means, var = (np.concatenate(part) for part in zip(*members))
+        at, probs, means, var = (np.concatenate(part) for part in zip(*members))
         values, failed = _mixture_mi(probs, means, var, quad)
-        table[i, j] = n * values
-        failures += [(int(i[k]), int(j[k]), QuadratureFailure(message)) for k, message in failed]
+        mi[at] = n * values
+        failures += [(int(at[k]), QuadratureFailure(message)) for k, message in failed]
     if failures:
-        i, j, err = min(failures, key=lambda failure: failure[:2])
-        raise type(err)(f"pair ({schema.name(i)!r}, {schema.name(j)!r}): {err}")
-    return table
+        k, err = min(failures, key=lambda failure: failure[0])
+        names = schema.name(int(a[k])), schema.name(int(b[k]))
+        raise type(err)(f"pair {names!r}: {err}")
+    return a, b, mi

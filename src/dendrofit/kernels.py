@@ -79,11 +79,9 @@ def covariances(left: np.ndarray, right: np.ndarray, r, s) -> np.ndarray:
     entry is numpy's pairwise sum of the product of two rows, never a
     BLAS dot or matrix product, so its bits depend neither on the other
     rows stacked with them nor on the BLAS kernel or thread count of the
-    machine."""
-    n = left.shape[1]
-    return np.array(
-        [np.add.reduce(left[a] * right[b]) / n for a, b in zip(r, s)], dtype=np.float64
-    )
+    machine. The sums fill one array, divided by n once."""
+    sums = (np.add.reduce(left[a] * right[b]) for a, b in zip(r, s))
+    return np.fromiter(sums, dtype=np.float64, count=len(r)) / left.shape[1]
 
 
 def class_members(y: np.ndarray, n_classes: int):

@@ -168,8 +168,7 @@ def pair_scores(
     schema = dataset.schema
     if schema.n_vars < 2:
         raise ValueError("need at least two variables to score pairs")
-    i, j = np.triu_indices(schema.n_vars, 1)
-    mi = pair_mi_table(dataset, quad)[i, j]
+    i, j, mi = pair_mi_table(dataset, quad)
     kinds = [schema.kind(v) for v in range(schema.n_vars)]
     return scores_from_mi(i, j, mi, kinds, criterion.dn(dataset.n))
 

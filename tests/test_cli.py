@@ -944,9 +944,8 @@ class TestScore:
                    (0, 3): 6.0, (1, 3): 4.0, (2, 3): 2.0}
         expect_j = {(0, 1): 8.0, (0, 2): 2.0, (1, 2): 6.0,
                     (0, 3): -6.0, (1, 3): 1.0, (2, 3): -4.0}
-        injected = np.zeros((4, 4))
-        for (i, j), mi in table_i.items():
-            injected[i, j] = mi
+        i, j = np.triu_indices(4, 1)
+        injected = i, j, np.array([table_i[pair] for pair in zip(i.tolist(), j.tolist())])
         monkeypatch.setattr(
             "dendrofit.scoring.pair_mi_table", lambda dataset, quad: injected
         )
@@ -1648,7 +1647,8 @@ CRITERIA = [
 @st.composite
 def injected_cases(draw):
     """A schema of 2-6 variables with awkward names, 24 rows of data that
-    every forest over it can be fitted to, and an injected I_n table."""
+    every forest over it can be fitted to, and an injected pair table:
+    the pairs in canonical order and their I_n."""
     n_vars = draw(st.integers(2, 6))
     names = draw(st.lists(NAMES, min_size=n_vars, max_size=n_vars, unique=True))
     cards = draw(st.lists(st.sampled_from([0, 2, 3, 4]), min_size=n_vars, max_size=n_vars))
@@ -1663,11 +1663,9 @@ def injected_cases(draw):
             variables.append(Variable(name, Gaussian()))
             columns.append(rng.standard_normal(n))
     ds = dataset_from_columns(VariableSchema(tuple(variables)), *columns)
-    table = np.zeros((n_vars, n_vars))
-    for i in range(n_vars):
-        for j in range(i + 1, n_vars):
-            table[i, j] = draw(MI_VALUES)
-    return ds, table, draw(st.sampled_from(CRITERIA))
+    i, j = np.triu_indices(n_vars, 1)
+    mi = np.array([draw(MI_VALUES) for _ in range(i.size)])
+    return ds, (i, j, mi), draw(st.sampled_from(CRITERIA))
 
 
 class TestColumnWiseReports:
@@ -1678,10 +1676,10 @@ class TestColumnWiseReports:
     @settings(max_examples=60, deadline=None)
     @given(case=injected_cases(), rows=st.integers(1, 7))
     def test_learn_and_score_match_the_references_byte_for_byte(self, case, rows):
-        ds, table, flags = case
+        ds, injected, flags = case
         schema = ds.schema
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr("dendrofit.scoring.pair_mi_table", lambda dataset, quad: table)
+            mp.setattr("dendrofit.scoring.pair_mi_table", lambda dataset, quad: injected)
             # blocks of 1-7 pairs, so that the widest cell, an inf I_n or a
             # tie can fall in any block of up to 15 pairs
             mp.setattr("dendrofit.cli.block_rows", lambda n_fields: rows)
