@@ -23,16 +23,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .core import Dataset, Forest
+from .core import Dataset, Discrete, Forest, Gaussian, Variable, VariableSchema
 from .dataio import (
-    _real_texts,
     block_rows,
-    csv_text,
     fill_columns,
     forest_dot,
     iter_csv_text,
     load_json_document,
-    quoted_cells,
     read_csv_blocks,
     read_csv_dataset,
     read_schema,
@@ -160,18 +157,17 @@ def _json_list(
     yield "[]" if head == "[\n" else "\n  ]"
 
 
-def _pair_cells(
-    quoted: Sequence[str], number_text: Callable[[np.ndarray], Iterable[str]], pairs: PairScores
-) -> list[Iterable[str]]:
-    """i, j, name_i, name_j, mi, penalty and score of each pair: names
-    from ``quoted``, numbers by ``number_text``."""
+def _pair_cells(quoted: Sequence[str], pairs: PairScores) -> list[Iterable[str]]:
+    """i, j, name_i, name_j, mi, penalty and score of each pair as the
+    JSON reports write them: names from ``quoted``, reals by
+    ``_json_floats``."""
     i, j = pairs.i.tolist(), pairs.j.tolist()
     return [
         map(str, i),
         map(str, j),
         [quoted[v] for v in i],
         [quoted[v] for v in j],
-        *(number_text(c) for c in (pairs.mi, pairs.penalty, pairs.score)),
+        *(_json_floats(c) for c in (pairs.mi, pairs.penalty, pairs.score)),
     ]
 
 
@@ -185,9 +181,7 @@ _DECISION_TEXT = ["accepted" if r is None else f"rejected ({r})" for r in REASON
 def _score_json(names: Sequence[str], pairs: PairScores) -> Iterator[str]:
     """The "pairs" list of ``score --format json``, in pieces."""
     quoted = [json.dumps(name) for name in names]
-    return _json_list(
-        _PAIR_FIELDS, pairs, lambda block, _: _pair_cells(quoted, _json_floats, block)
-    )
+    return _json_list(_PAIR_FIELDS, pairs, lambda block, _: _pair_cells(quoted, block))
 
 
 def _report_json(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) -> Iterator[str]:
@@ -196,7 +190,7 @@ def _report_json(names: Sequence[str], ranked: PairScores, outcome: np.ndarray) 
 
     def columns(block: PairScores, part: slice) -> list[Iterable[str]]:
         codes = outcome[part].tolist()
-        return _pair_cells(quoted, _json_floats, block) + [
+        return _pair_cells(quoted, block) + [
             [_ACCEPTED_JSON[o] for o in codes],
             [_REASON_JSON[o] for o in codes],
         ]
@@ -230,14 +224,14 @@ def _report_table(names: Sequence[str], ranked: PairScores, outcome: np.ndarray)
 
 
 def _score_csv(names: Sequence[str], pairs: PairScores) -> Iterator[str]:
-    """The score table as CSV, in pieces: csv_text of its rows."""
-    quoted = quoted_cells(names, len(_PAIR_FIELDS))
-    yield csv_text([_PAIR_FIELDS])
-    yield from _pair_rows(
-        pairs,
-        _PAIR_FIELDS,
-        ",".join(["%s"] * len(_PAIR_FIELDS)) + "\n",
-        lambda block, _: _pair_cells(quoted, _real_texts, block),
+    """The score table as CSV, in pieces, by dataio.iter_csv_text: its
+    columns i and j are Discrete over the vertex numbers' decimal text,
+    name_i and name_j Discrete over the names, and the reals Gaussian."""
+    vertex, name = Discrete(tuple(map(str, range(len(names))))), Discrete(tuple(names))
+    kinds = (vertex, vertex, name, name, Gaussian(), Gaussian(), Gaussian())
+    schema = VariableSchema(tuple(map(Variable, _PAIR_FIELDS, kinds)))
+    return iter_csv_text(
+        schema, [(pairs.i, pairs.j, pairs.i, pairs.j, pairs.mi, pairs.penalty, pairs.score)]
     )
 
 

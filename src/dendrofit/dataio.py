@@ -175,10 +175,13 @@ def read_csv_blocks(path: PathLike, schema: VariableSchema) -> Iterator[tuple[np
     fault in file order is reported, after the blocks before it are
     given; a byte that is not UTF-8 is found when its chunk of about 8 KB
     is decoded, so it is reported before a bad cell earlier in that
-    chunk."""
+    chunk. A bad cell's error names the line its record starts at: lines
+    are counted as the file's iterator splits them, so a quoted line
+    break or a header of several lines adds to the count."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh), None)
+            header = next(reader, None)
         except (UnicodeDecodeError, csv.Error) as err:
             raise DataFormatError(f"{path}: {err}") from err
         if header is None:
@@ -189,7 +192,7 @@ def read_csv_blocks(path: PathLike, schema: VariableSchema) -> Iterator[tuple[np
                 f"{list(schema.names)}"
             )
         rows = 0
-        for columns in _blocks(path, fh, schema):
+        for columns in _blocks(path, fh, reader.line_num, schema):
             rows += len(columns[0])
             yield columns
     if not rows:
@@ -224,20 +227,25 @@ def fill_columns(blocks: Iterable[Sequence[np.ndarray]]) -> list[np.ndarray]:
 
 
 def _blocks(
-    path: PathLike, lines: Iterator[str], schema: VariableSchema
+    path: PathLike, lines: Iterator[str], header_lines: int, schema: VariableSchema
 ) -> Iterator[Sequence[np.ndarray]]:
-    """Each block's columns, of the data lines that follow the header.
-    Blocks of plain lines go to numpy's text reader; from the first block
-    that it cannot take exactly, csv.reader parses the rest. A decode or
-    CSV error is raised after the records before it are given, and a
-    blank record before a later one is an arity fault at its row."""
+    """Each block's columns, of the data lines that follow the header's
+    header_lines lines. Blocks of plain lines go to numpy's text reader;
+    from the first block that it cannot take exactly, csv.reader parses
+    the rest. A decode or CSV error is raised after the records before it
+    are given, and a blank record before a later one is an arity fault at
+    its row. A fault names the file line its record starts at, counted as
+    the text file's iterator splits lines: a plain row is one line, and
+    csv.reader's line_num counts a record's lines."""
 
-    def parse(block: list, first: int) -> Sequence[np.ndarray]:
-        """The block's columns; block[0] is row first of the file."""
+    def parse(block: list, first: int, starts: list[int]) -> Sequence[np.ndarray]:
+        """The block's columns; block[0] is row first of the file, and
+        block[k] starts at line starts[k]."""
         try:
             return _parse_columns(schema, block, first)
         except DendrofitError as err:
-            raise type(err)(f"{path} line {err.row_index + 2}: {err}") from err
+            line = starts[err.row_index - first]
+            raise type(err)(f"{path} line {line}: {err}") from err
 
     step = block_rows(schema.n_vars)
     first = 0
@@ -253,28 +261,35 @@ def _blocks(
         first += len(head)
 
     block: list = []
-    blank = False  # a blank record was read after the last given one
+    starts: list[int] = []  # the line each record of block starts at
+    blank = 0  # the line of the first blank record after the last given one
     fault = None
+    before = header_lines + first  # the lines before csv.reader's first
+    reader = csv.reader(itertools.chain(head, rest))
+    end = before  # the last line of the records read
     try:
-        for record in csv.reader(itertools.chain(head, rest)):
+        for record in reader:
+            start, end = end + 1, before + reader.line_num
             if not record:
-                blank = True
+                blank = blank or start
             elif blank:
                 break
             else:
                 block.append(record)
+                starts.append(start)
                 if len(block) == step:
-                    yield parse(block, first)
+                    yield parse(block, first, starts)
                     first += step
-                    block = []
+                    block, starts = [], []
         else:
-            blank = False  # blank records at the end of the file are dropped
+            blank = 0  # blank records at the end of the file are dropped
     except (UnicodeDecodeError, csv.Error) as err:
         fault = err
     if blank:
         block.append([])  # its arity fault is raised unless an earlier one is
+        starts.append(blank)
     if block:
-        yield parse(block, first)
+        yield parse(block, first, starts)
     if fault is not None:
         raise DataFormatError(f"{path}: {fault}") from fault
 
@@ -362,13 +377,13 @@ def _plain_parser(
 
 def write_csv_dataset(path: PathLike, dataset: Dataset) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(iter_csv_blocks(dataset))
+        fh.writelines(iter_csv_text(dataset.schema, [dataset.columns]))
 
 
 def render_csv(dataset: Dataset) -> str:
     """CSV text with labels for discrete cells and 17-significant-digit
     decimals for Gaussian cells."""
-    return "".join(iter_csv_blocks(dataset))
+    return "".join(iter_csv_text(dataset.schema, [dataset.columns]))
 
 
 def quoted_cells(texts: Sequence[str], row_width: int) -> list[str]:
@@ -379,18 +394,15 @@ def quoted_cells(texts: Sequence[str], row_width: int) -> list[str]:
     return [csv_text([[text, *pad]])[:-tail] for text in texts]
 
 
-def iter_csv_blocks(dataset: Dataset) -> Iterator[str]:
-    """The text of render_csv in pieces: the header line, then blocks of
-    whole rows, about BLOCK_CELLS cells each, formatted column by column."""
-    return iter_csv_text(dataset.schema, [dataset.columns])
-
-
 def iter_csv_text(schema: VariableSchema, parts: Iterable[Sequence[np.ndarray]]) -> Iterator[str]:
     """The CSV text of the rows of parts, each a sequence of one array per
     column of schema, all of one length: the header line, then each part's
     rows in blocks of block_rows(schema.n_vars), formatted column by
-    column by _records. The text depends on the rows, not on how parts
-    split them."""
+    column by _records. A discrete column holds codes into its labels, a
+    Gaussian one reals. The text depends on the rows, not on how parts
+    split them. Every CSV the package writes comes from here: datasets
+    (render_csv, write_csv_dataset), sample's rows and score's pair
+    table, whose schema cli._score_csv makes."""
     yield csv_text([schema.names])
     labels = [
         quoted_cells(var.kind.labels, schema.n_vars) if isinstance(var.kind, Discrete) else None

@@ -73,13 +73,19 @@ def kruskal_decisions(
 
     With ``penalized`` the net score is the weight and negative-score
     edges are rejected; otherwise the raw mutual information is the
-    weight and only loop-closing edges are rejected.
+    weight and only loop-closing edges are rejected. An edge with an
+    endpoint at or past ``n_vertices`` raises ValueError, naming the
+    first such edge.
     """
     if not edges:
         raise EmptyEdgeList("no candidate edges supplied")
     n = _infer_n_vertices(edges, n_vertices)
     i = np.array([e.i for e in edges], dtype=np.intp)
     j = np.array([e.j for e in edges], dtype=np.intp)
+    outside = np.flatnonzero(j >= n)  # a ScoredEdge has 0 <= i < j
+    if outside.size:
+        edge = edges[outside[0]]
+        raise ValueError(f"edge ({edge.i}, {edge.j}) out of range for {n} vertices")
     weight = np.array([e.score if penalized else e.mi for e in edges], dtype=np.float64)
     order, outcome = greedy_outcomes(i, j, weight, n)
     return [

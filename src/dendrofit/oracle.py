@@ -411,10 +411,15 @@ def directed_log_densities(model: DendroidModel, dataset: Dataset) -> list[list[
 def read_csv_whole(path, schema: VariableSchema) -> Dataset:
     """Reference for ``dataio.read_csv_dataset``: every record read into one
     list of rows before any is checked, so a decode or CSV error anywhere
-    wins over an earlier bad cell."""
+    wins over an earlier bad cell. A bad cell is reported at the line its
+    record starts at, as one csv.reader over the whole file counts them."""
+    rows, starts = [], [1]  # record k starts at line starts[k]
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            for record in reader:
+                rows.append(record)
+                starts.append(reader.line_num + 1)
     except (UnicodeDecodeError, csv.Error) as err:
         raise DataFormatError(f"{path}: {err}") from err
     if not rows:
@@ -432,7 +437,7 @@ def read_csv_whole(path, schema: VariableSchema) -> Dataset:
     except DendrofitError as err:
         row = getattr(err, "row_index", None)
         if row is not None:
-            raise type(err)(f"{path} line {row + 2}: {err}") from err
+            raise type(err)(f"{path} line {starts[row + 1]}: {err}") from err
         raise type(err)(f"{path}: {err}") from err
 
 

@@ -1681,8 +1681,10 @@ class TestColumnWiseReports:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr("dendrofit.scoring.pair_mi_table", lambda dataset, quad: injected)
             # blocks of 1-7 pairs, so that the widest cell, an inf I_n or a
-            # tie can fall in any block of up to 15 pairs
+            # tie can fall in any block of up to 15 pairs; the score CSV's
+            # 7 columns take blocks of BLOCK_CELLS // 7 rows
             mp.setattr("dendrofit.cli.block_rows", lambda n_fields: rows)
+            mp.setattr("dendrofit.dataio.BLOCK_CELLS", 7 * rows)
             data, schema_path, out = (str(Path(tmp) / f) for f in ("d.csv", "s.json", "f"))
             write_csv_dataset(data, ds)
             write_schema(schema_path, schema)
@@ -1731,6 +1733,21 @@ class TestColumnWiseReports:
         doc["report"] = oracle.edge_report(schema, decisions)
         assert forest_json == json.dumps(doc, indent=2) + "\n"
         assert dot == forest_dot(schema, [d.edge for d in decisions if d.accepted])
+
+    def test_score_and_sample_csv_come_from_iter_csv_text(self, tmp_path, star_files):
+        """dataio.iter_csv_text is the one CSV writer: score's table and
+        sample's rows each take one call of it, and score's table keeps
+        the bytes of the one-record-at-a-time reference."""
+        data, schema, ds = star_files
+        model, out = tmp_path / "model.json", tmp_path / "f.csv"
+        model.write_text(json.dumps(fit(ds, Forest.from_edges(4, [(0, 1)])).to_json_dict()))
+        with mock.patch.object(cli, "iter_csv_text", wraps=cli.iter_csv_text) as spy:
+            assert main(["score", "--data", data, "--schema", schema, "--out", str(out)]) == 0
+            assert spy.call_count == 1
+            score_csv = out.read_bytes().decode("utf-8")
+            assert main(["sample", "--model", str(model), "--count", "5", "--out", str(out)]) == 0
+            assert spy.call_count == 2
+        assert score_csv == oracle.score_csv(ds.schema, score_all_pairs(ds, Criterion("ml")))
 
     def test_peak_does_not_grow_with_the_number_of_pairs(self):
         """Each report is made and written a block of pairs at a time, and

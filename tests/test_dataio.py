@@ -36,7 +36,6 @@ from dendrofit.cli import main
 from dendrofit.dataio import (
     csv_text,
     forest_dot,
-    iter_csv_blocks,
     iter_csv_text,
     read_csv_dataset,
     render_csv,
@@ -100,7 +99,7 @@ class TestRenderMatchesRowReference:
         bounds = list(zip([0, *cuts], [*cuts, dataset.n]))
         parts = [[col[a:b] for col in dataset.columns] for a, b in bounds]
         with mock.patch.object(dataio, "BLOCK_CELLS", block_cells):
-            assert "".join(iter_csv_blocks(dataset)) == expected
+            assert render_csv(dataset) == expected
             assert "".join(iter_csv_text(dataset.schema, parts)) == expected
 
     @pytest.mark.parametrize("labels", [("", "x"), ("x", ""), ("", ",")])
@@ -121,7 +120,7 @@ class TestRenderMatchesRowReference:
             schema, (np.arange(10, dtype=np.int64) % 2, np.arange(10, dtype=np.float64))
         )
         with mock.patch.object(dataio, "BLOCK_CELLS", 6):
-            header, *blocks = iter_csv_blocks(ds)
+            header, *blocks = iter_csv_text(schema, [ds.columns])
         assert header == "d,g\n"
         assert [block.count("\n") for block in blocks] == [3, 3, 3, 1]
 
@@ -678,6 +677,54 @@ class TestEvalReportsTheReadersErrors:
             score = run_main(["score", "--data", str(data_path), "--schema", str(schema_path)])
         assert (code, out, err) == score
         assert code != 0 and err == f"error: {ref}\n"
+
+
+class TestErrorsNamePhysicalLines:
+    """A fault names the file line its record starts at, counted as the
+    file's lines are split: a quoted line break and a header of two lines
+    each add a line, on the csv.reader route and on the numpy one."""
+
+    CASES = {
+        "quoted-break": (
+            ("a", "g"),
+            'a,g\n"x\ny",1.0\nz,2.0\nz,abc\n',
+            "line 5: row 2: 'abc' is not a real value for 'g'",
+        ),
+        # the data lines are plain: numpy's reader takes them until abc
+        "two-line-header": (
+            ("a\nb", "g"),
+            '"a\nb",g\nx,1.0\nz,2.0\nz,abc\n',
+            "line 5: row 2: 'abc' is not a real value for 'g'",
+        ),
+        "blank-after-break": (
+            ("a", "g"),
+            'a,g\n"x\ny",1.0\n\nz,2.0\n',
+            "line 4: row 1: expected 2 cells, got 0",
+        ),
+    }
+
+    @staticmethod
+    def schema_of(names):
+        labels = Discrete(("x", "x\ny", "z"))
+        return VariableSchema((Variable(names[0], labels), Variable(names[1], Gaussian())))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reader_names_the_line(self, data_path, case):
+        names, text, message = self.CASES[case]
+        data_path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DendrofitError) as exc:
+            read_csv_dataset(data_path, self.schema_of(names))
+        assert str(exc.value) == f"{data_path} {message}"
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_eval_names_the_line(self, data_path, case):
+        names, text, message = self.CASES[case]
+        data_path.write_bytes(text.encode("utf-8"))
+        model_path = data_path.with_suffix(".model")
+        model = independent_model(self.schema_of(names))
+        model_path.write_text(json.dumps(model.to_json_dict()), encoding="utf-8")
+        code, out, err = run_main(["eval", "--model", str(model_path), "--data", str(data_path)])
+        assert (code, out, err) == (2, "", f"error: {data_path} {message}\n")
 
 
 class TestLabelTableBuiltOnce:

@@ -42,6 +42,29 @@ class TestUnionFind:
         assert uf.find(2) == root == uf.find(0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_tree_chow_liu,
+        build_forest_suzuki,
+        lambda edges, n_vertices: kruskal_decisions(edges, True, n_vertices),
+    ],
+    ids=["chow-liu", "suzuki", "kruskal-decisions"],
+)
+def test_edge_past_the_vertex_count_is_named(build):
+    """An endpoint at or past n_vertices raises ValueError naming the
+    first such edge in input order, not an IndexError from the union-find."""
+    edges = [
+        ScoredEdge.from_mi(0, 1, 1.0),
+        ScoredEdge.from_mi(1, 3, 2.0),
+        ScoredEdge.from_mi(0, 4, 3.0),
+    ]
+    with pytest.raises(ValueError, match=r"^edge \(1, 3\) out of range for 3 vertices$"):
+        build(edges, n_vertices=3)
+    with pytest.raises(ValueError, match=r"^edge \(0, 4\) out of range for 4 vertices$"):
+        build(edges, n_vertices=4)
+
+
 class TestChowLiu:
     def test_table1_structure(self):
         tree = build_tree_chow_liu(edges_from_weights(TABLE1))
