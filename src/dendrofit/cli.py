@@ -103,17 +103,6 @@ def _write_json(out: TextIO, doc, key: Optional[str] = None, items: Iterable[str
     out.write("\n")
 
 
-_JSON_SPECIAL = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-
-
-def _json_floats(values: np.ndarray) -> list[str]:
-    """Each value as json.dumps writes a float."""
-    texts = list(map(float.__repr__, values.tolist()))
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[k] = _JSON_SPECIAL[texts[k]]
-    return texts
-
-
 def _blocks(pairs: PairScores, n_fields: int) -> Iterator[tuple[PairScores, slice]]:
     """Each slice ``part`` of block_rows(n_fields) consecutive pairs, with
     ``pairs.take(part)``: a report row has n_fields cells, so a block
@@ -159,15 +148,16 @@ def _json_list(
 
 def _pair_cells(quoted: Sequence[str], pairs: PairScores) -> list[Iterable[str]]:
     """i, j, name_i, name_j, mi, penalty and score of each pair as the
-    JSON reports write them: names from ``quoted``, reals by
-    ``_json_floats``."""
+    JSON reports write them: names from ``quoted``, reals as json.dumps
+    writes each item of a list of floats."""
     i, j = pairs.i.tolist(), pairs.j.tolist()
+    reals = (pairs.mi, pairs.penalty, pairs.score)
     return [
         map(str, i),
         map(str, j),
         [quoted[v] for v in i],
         [quoted[v] for v in j],
-        *(_json_floats(c) for c in (pairs.mi, pairs.penalty, pairs.score)),
+        *(json.dumps(c.tolist())[1:-1].split(", ") for c in reals),
     ]
 
 
@@ -363,7 +353,7 @@ def cmd_learn(config: RunConfig) -> int:
 
     print(f"n={dataset.n} variables={schema.n_vars} criterion={criterion.kind} dn={dn!r}")
     sys.stdout.writelines(_report_table(schema.names, ranked, outcome))
-    total = sum(e.score for e in accepted)
+    total = sum((e.score for e in accepted), 0.0)
     print(f"edges_selected={len(forest.edges)} total_score={total!r}")
     print(f"log_likelihood={ll!r}")
     print(f"param_count={fitted.param_count}")
@@ -528,13 +518,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](_config_from_args(args))
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except FileNotFoundError as err:
         print(f"error: no such file: {err.filename}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as err:
+    except (UsageError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DendrofitError as err:

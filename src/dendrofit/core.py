@@ -62,15 +62,12 @@ class Discrete:
 
 def code_dtype(card: int) -> np.dtype:
     """The dtype of the category indices of a discrete column of card
-    categories: the narrowest unsigned integer that holds card - 1. Its
-    arithmetic wraps at that width (NEP 50 keeps uint8 * int in uint8),
-    so a product or sum of codes casts them to np.intp first; indexing
-    and np.bincount take them as they are."""
-    if card <= 1 << 8:
-        return np.dtype(np.uint8)
-    if card <= 1 << 16:
-        return np.dtype(np.uint16)
-    return np.dtype(np.uint32)
+    categories: the narrowest unsigned integer that holds card - 1
+    (uint8 up to 256 categories, uint16 up to 65,536, uint32 up to 2^32,
+    uint64 above). Its arithmetic wraps at that width (NEP 50 keeps
+    uint8 * int in uint8), so a product or sum of codes casts them to
+    np.intp first; indexing and np.bincount take them as they are."""
+    return np.dtype(np.min_scalar_type(card - 1))
 
 
 @dataclass(frozen=True)

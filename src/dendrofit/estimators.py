@@ -399,16 +399,24 @@ def _discrete_mi(counts: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(np.where(counts > 0, terms, 0.0).sum(axis=(-2, -1)), 0.0)
 
 
+def _by_four(var):
+    """(m, k) with var = m 4^k exactly and m in [1/2, 2) for var > 0: a
+    variance brought by an exact power of four (its square root by the
+    matching power of two) into a range where the product or ratio of
+    two cannot underflow or overflow."""
+    k = np.frexp(var)[1] // 2
+    return np.ldexp(var, -2 * k), k
+
+
 def _rho(cov, var_i, var_j):
     """Correlations cov / sqrt(var_i var_j), clipped to [-1, 1], with each
-    variance first brought into [1/2, 2) by an exact power of four (and
-    cov by the matching power of two) so that the product cannot
-    underflow or overflow. The bits are the plain formula's wherever it
-    does neither, for scaled moments and original units alike."""
-    k_i = np.frexp(var_i)[1] // 2
-    k_j = np.frexp(var_j)[1] // 2
-    root = np.sqrt(np.ldexp(var_i, -2 * k_i) * np.ldexp(var_j, -2 * k_j))
-    return np.clip(np.ldexp(cov, -(k_i + k_j)) / root, -1.0, 1.0)
+    variance first brought into [1/2, 2) by ``_by_four`` (and cov by the
+    matching power of two) so that the product cannot underflow or
+    overflow. The bits are the plain formula's wherever it does neither
+    and gives 0 or a size of at least 2^-1021 (below that the scaled cov
+    can be subnormal), for scaled moments and original units alike."""
+    (m_i, k_i), (m_j, k_j) = _by_four(var_i), _by_four(var_j)
+    return np.clip(np.ldexp(cov, -(k_i + k_j)) / np.sqrt(m_i * m_j), -1.0, 1.0)
 
 
 def _gaussian_mi(rho, n: int):

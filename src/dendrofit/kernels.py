@@ -100,7 +100,9 @@ def class_stats_rows(scaled: np.ndarray, rows, y: np.ndarray, counts, member):
     (divide-by-n) residual variances around them of the rows of scaled
     (the uncentred ``scaled_rows`` of a group) at the indices rows, each
     read in place rather than gathered, for classes y with the
-    ``class_members`` counts and member.
+    ``class_members`` counts and member. y should be intp: each row's
+    bincount and gathers would cast narrower codes again, so the caller
+    casts them once, into one reused array.
 
     Classes that never occur get mean NaN. The variance is a second pass
     around the class means, never sum(x^2) - sum(S^2)/c, which loses
@@ -112,9 +114,6 @@ def class_stats_rows(scaled: np.ndarray, rows, y: np.ndarray, counts, member):
     BLAS.
     """
     n_classes, n = counts.size, y.size
-    # intp codes pass as they are; narrow ones are cast once here, not in
-    # each bincount and gather
-    y = y.astype(np.intp, copy=False)
     occupied = counts > 0
     # a row within (-1, 1) whose classes each hold one value has residuals
     # below 2 n 2^-53 (a class mean of c equal cells carries under c

@@ -43,7 +43,7 @@ from .core import (
 )
 from .dataio import block_rows, fill_columns, schema_from_jsonable, schema_to_jsonable
 from .errors import DegenerateGaussian, InvalidCount, NonFiniteValue, SchemaMismatch
-from .estimators import DiscretePair, GaussianPair, collect_stats
+from .estimators import DiscretePair, GaussianPair, _by_four, collect_stats
 from .scoring import effective_cardinality
 
 MODEL_FORMAT = "dendrofit-model"
@@ -118,6 +118,11 @@ class GaussianEdgeFactor:
             )
         if not (self.var_i > 0.0 and self.var_j > 0.0):
             raise DegenerateGaussian(f"edge ({self.i}, {self.j}): zero variance")
+        # each end's variance given the other, as _conditional computes it
+        if not min(self.var_i, self.var_j) * (1.0 - self.rho * self.rho) > 0.0:
+            raise DegenerateGaussian(
+                f"edge ({self.i}, {self.j}): conditional variance var (1 - rho^2) underflows to 0"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,17 +602,13 @@ def _conditional(model: DendroidModel, v: int, parent: Optional[int]) -> tuple[C
 
 def _slope(rho: float, var_c: float, var_p: float) -> float:
     """rho sqrt(var_c / var_p), the slope of a Gaussian child on its
-    Gaussian parent, with each variance first brought into [1/2, 2) by an
-    exact power of four (as ``estimators._rho`` does), so that the ratio
-    cannot overflow or underflow. The bits are the plain formula's
-    wherever it does neither; +-inf where the slope is beyond the float
-    range."""
-    k_c, k_p = math.frexp(var_c)[1] // 2, math.frexp(var_p)[1] // 2
-    scaled = rho * math.sqrt(math.ldexp(var_c, -2 * k_c) / math.ldexp(var_p, -2 * k_p))
-    try:
-        return math.ldexp(scaled, k_c - k_p)
-    except OverflowError:
-        return math.copysign(math.inf, rho)
+    Gaussian parent, with each variance first brought into [1/2, 2) by
+    ``_by_four`` (as ``estimators._rho`` does), so that the ratio cannot
+    overflow or underflow. The bits are the plain formula's wherever it
+    does neither; +-inf where the slope is beyond the float range."""
+    (m_c, k_c), (m_p, k_p) = _by_four(var_c), _by_four(var_p)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(rho * np.sqrt(m_c / m_p), k_c - k_p))
 
 
 def _class_terms(factor: MixedEdgeFactor, par: np.ndarray) -> np.ndarray:

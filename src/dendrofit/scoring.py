@@ -163,8 +163,8 @@ def pair_scores(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> PairScores:
     """Score every vertex pair of the dataset under the criterion: all
-    N(N-1)/2 pairs in canonical (i asc, then j asc) order. Estimator
-    errors are re-raised with the offending pair named."""
+    N(N-1)/2 pairs in canonical (i asc, then j asc) order. An estimator
+    error comes from ``pair_mi_table``, which names the failing pair."""
     schema = dataset.schema
     if schema.n_vars < 2:
         raise ValueError("need at least two variables to score pairs")

@@ -136,6 +136,18 @@ class TestLearn:
         console = capsys.readouterr().out
         assert "description_length=" in console and "accepted" in console
 
+    def test_empty_forest_prints_a_real_total(self, tmp_path, capsys):
+        """No edge is accepted: total_score is the float 0.0, as the sum of
+        the accepted scores is for any other forest, not the int 0."""
+        data = write_text(tmp_path / "d.csv", "a,b\nx,x\ny,x\nx,y\ny,y\n")
+        schema = tmp_path / "s.json"
+        write_schema(schema, VariableSchema(tuple(
+            Variable(name, Discrete(("x", "y"))) for name in "ab"
+        )))
+        rc = main(["learn", "--data", data, "--schema", str(schema), "--criterion", "mdl"])
+        assert rc == 0
+        assert "\nedges_selected=0 total_score=0.0\n" in capsys.readouterr().out
+
     def test_fitted_model_bytes_are_pinned(self, tmp_path):
         a = [0] * 16 + [1] * 16
         b = [1 - v if k % 16 < 4 else v for k, v in enumerate(a)]
@@ -1342,6 +1354,7 @@ BAD_MODELS = {
         class_probs=[0.5, 0.6]
     ),
     "gaussian factor of zero variance": lambda doc: doc["edge_factors"][1].update(var_j=0.0),
+    "gaussian factor of no conditional variance": lambda doc: no_conditional_variance(doc),
     "more class means than classes": lambda doc: doc["edge_factors"][0].update(
         class_means=[0.0, 1.0, 2.0]
     ),
@@ -1354,6 +1367,20 @@ BAD_MODELS = {
     "version 2": lambda doc: doc.update(version=2),
     **{name: edit for name, (_, edit) in CONTRADICTIONS.items()},
 }
+
+
+def no_conditional_variance(doc):
+    """doc with vertices 1 and 2 of variance 1e-310 and their Gaussian
+    factor's rho 1 - 2^-53, so that var (1 - rho^2) underflows to 0 and
+    a child of the factor would be a point mass, while every factor
+    still reproduces its endpoints' marginals."""
+    var = 1e-310
+    for v in (1, 2):
+        doc["marginals"][v].update(mean=0.0, var=var)
+    mixed, gaussian = doc["edge_factors"][:2]
+    mixed.update(class_means=[0.0, 0.0], resid_var=var)
+    gaussian.update(rho=0.9999999999999999, mean_i=0.0, var_i=var, mean_j=0.0, var_j=var)
+    return doc
 
 
 def doubled_table(doc):
@@ -1396,6 +1423,11 @@ class TestEval:
         assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
         if edit is BAD_MODELS["no edges"]:
             assert err == f"error: {model_path}: not a valid model document: 'edges'\n"
+        if edit is BAD_MODELS["gaussian factor of no conditional variance"]:
+            assert err == (
+                f"error: {model_path}: not a valid model document: edge (1, 2): "
+                "conditional variance var (1 - rho^2) underflows to 0\n"
+            )
 
     @pytest.mark.parametrize("edge, edit", CONTRADICTIONS.values(), ids=CONTRADICTIONS.keys())
     def test_contradicting_factor_names_its_edge(
@@ -1717,7 +1749,7 @@ class TestColumnWiseReports:
 
         decisions = oracle.greedy_decisions(edges, criterion.kind != "ml", schema.n_vars)
         fitted = fit(ds, accepted_forest(decisions, schema.n_vars))
-        total = sum(d.edge.score for d in decisions if d.accepted)
+        total = sum((d.edge.score for d in decisions if d.accepted), 0.0)
         report = io.StringIO()
         oracle.print_report(schema, decisions, report)
         assert stdout.getvalue() == (

@@ -30,7 +30,14 @@ from conftest import discrete_schema
 
 @pytest.mark.parametrize(
     "card, dtype",
-    [(2, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)],
+    [
+        (2, np.uint8),
+        (256, np.uint8),
+        (257, np.uint16),
+        (65_536, np.uint16),
+        (65_537, np.uint32),
+        (2**32 + 1, np.uint64),
+    ],
 )
 def test_code_dtype_is_the_narrowest_that_holds_every_code(card, dtype):
     assert code_dtype(card) == np.dtype(dtype)

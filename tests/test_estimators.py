@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dendrofit import (
@@ -27,7 +27,13 @@ from dendrofit import (
     oracle,
 )
 from dendrofit.errors import DegenerateGaussian, DendrofitError, QuadratureFailure, SameVertex
-from dendrofit.estimators import _MAX_QUAD_ORDER, _hermite_rule, collect_stats, pair_mi_table
+from dendrofit.estimators import (
+    _MAX_QUAD_ORDER,
+    _hermite_rule,
+    _rho,
+    collect_stats,
+    pair_mi_table,
+)
 
 from conftest import dataset_from_columns, mixed_schema
 
@@ -188,6 +194,30 @@ class TestMiGaussian:
         vals = [mi_gaussian(gaussian_pair(float(r), 7)) for r in rhos]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert mi_gaussian(gaussian_pair(-0.5, 7)) == mi_gaussian(gaussian_pair(0.5, 7))
+
+    @settings(max_examples=500)
+    @given(
+        cov=st.floats(allow_nan=False, allow_infinity=False),
+        var_i=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        var_j=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @example(cov=-0.0, var_i=2.0**-1074, var_j=1.0)
+    @example(cov=3e-160, var_i=1e-160, var_j=1e-160)
+    @example(cov=-2e150, var_i=1e150, var_j=4e150)
+    def test_rho_is_the_plain_formula_where_it_is_exact(self, cov, var_i, var_j):
+        """_rho's scaling by powers of four changes no bit where the plain
+        formula neither overflows nor underflows. Its result must also be
+        2^-1021 or more in size (or 0): below that the scaled cov, up to
+        twice the result, can be subnormal and lose a bit the plain
+        quotient keeps."""
+        cov, var_i, var_j = map(np.float64, (cov, var_i, var_j))
+        with np.errstate(all="raise"):
+            try:
+                plain = np.clip(cov / np.sqrt(var_i * var_j), -1.0, 1.0)
+            except FloatingPointError:
+                assume(False)
+        assume(plain == 0.0 or abs(plain) >= 2.0**-1021)
+        assert float(_rho(cov, var_i, var_j)).hex() == float(plain).hex()
 
     def test_degenerate_variance(self):
         stats = GaussianPair(

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dendrofit import (
@@ -1108,6 +1108,21 @@ class TestSlope:
             drawn = sample(model, 300, 2)
             assert_same_bits(drawn, sample_whole(model, 300, 2))
         assert values[0] == values[1] and math.isfinite(values[0])
+
+    @settings(max_examples=500)
+    @given(
+        rho=st.floats(-1.0, 1.0),
+        var_c=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        var_p=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @example(rho=-0.5, var_c=1e308, var_p=5e-324)  # -inf
+    @example(rho=0.7, var_c=5e-324, var_p=1e308)  # a subnormal slope
+    @example(rho=-0.0, var_c=3.0, var_p=2e-300)
+    @example(rho=1.0, var_c=2.0**-1074, var_p=2.0**1023)
+    def test_slope_is_the_scaled_reference_bit_for_bit(self, rho, var_c, var_p):
+        got = model_module._slope(rho, var_c, var_p)
+        assert type(got) is float
+        assert got.hex() == oracle._scaled_slope(rho, var_c, var_p).hex()
 
 
 # each model class with a probability array: how to build it around the
