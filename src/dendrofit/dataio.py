@@ -1,9 +1,12 @@
 """File formats: JSON schemas, CSV datasets, and DOT graph export.
 
 The schema file is a JSON list of {"name", "kind": "discrete"|"gaussian",
-"labels"?}. CSV files carry a header row matching the schema names;
-discrete cells hold labels, Gaussian cells decimal reals written with 17
-significant digits so a write/read round trip is lossless.
+"labels"?}. Each part of a JSON document, a schema entry or a model's
+marginal or factor, is an object whose "kind" picks its dataclass from a
+table; _part_from_json reads every field as its annotation asks. CSV
+files carry a header row matching the schema names; discrete cells hold
+labels, Gaussian cells decimal reals written with 17 significant digits
+so a write/read round trip is lossless.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import functools
 import io
 import itertools
 import json
+import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -52,57 +57,27 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     return "".join(records)
 
 
-# -- schemas -------------------------------------------------------------------
+# -- JSON documents: schemas and the part reader ---------------------------------
 
 
 def schema_to_jsonable(schema: VariableSchema) -> list[dict]:
-    out = []
-    for var in schema.variables:
-        if isinstance(var.kind, Discrete):
-            out.append(
-                {"name": var.name, "kind": "discrete", "labels": list(var.kind.labels)}
-            )
-        else:
-            out.append({"name": var.name, "kind": "gaussian"})
-    return out
+    return [{"name": v.name, **_part_to_json(VARIABLE_KINDS, v.kind)} for v in schema.variables]
 
 
 def schema_from_jsonable(obj) -> VariableSchema:
+    """The schema of a schema_to_jsonable list. Each entry is read as a
+    part of VARIABLE_KINDS plus its string "name", and any fault in it,
+    including a Variable or Discrete rejection, is named by its index."""
     if not isinstance(obj, list):
         raise DataFormatError("expected a JSON list of variables")
     variables = []
     for k, entry in enumerate(obj):
-        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-            raise DataFormatError(
-                f"schema entry {k} must be an object with 'name' and 'kind'"
-            )
-        if not isinstance(entry["name"], str):
-            raise DataFormatError(f"schema entry {k}: 'name' must be a string")
-        kind = entry["kind"]
-        if kind == "discrete":
-            labels = entry.get("labels")
-            if not isinstance(labels, list) or not labels:
-                raise DataFormatError(
-                    f"schema entry {k} ({entry['name']!r}): discrete variables "
-                    "need a nonempty 'labels' list"
-                )
-            if not all(isinstance(label, str) for label in labels):
-                raise DataFormatError(f"schema entry {k}: labels must be strings")
-            try:
-                variables.append(Variable(entry["name"], Discrete(tuple(labels))))
-            except ValueError as err:
-                raise DataFormatError(f"schema entry {k}: {err}") from err
-        elif kind == "gaussian":
-            variables.append(Variable(entry["name"], Gaussian()))
-        else:
-            raise DataFormatError(
-                f"schema entry {k}: unknown kind {kind!r} "
-                "(expected 'discrete' or 'gaussian')"
-            )
-    try:
-        return VariableSchema(tuple(variables))
-    except ValueError as err:
-        raise DataFormatError(str(err)) from err
+        try:
+            kind = _part_from_json(VARIABLE_KINDS, entry)
+            variables.append(Variable(_read("str", "name", entry.get("name")), kind))
+        except ValueError as err:
+            raise DataFormatError(f"schema entry {k}: {err}") from err
+    return VariableSchema(tuple(variables))
 
 
 def load_json_document(path: PathLike, parse: Callable[[Any], T], what: str) -> T:
@@ -122,6 +97,64 @@ def load_json_document(path: PathLike, parse: Callable[[Any], T], what: str) -> 
         return parse(doc)
     except (ValueError, KeyError, TypeError, DendrofitError) as err:
         raise DataFormatError(f"{path}: not a valid {what}: {err}") from err
+
+
+# the "kind" of each schema entry
+VARIABLE_KINDS = {"discrete": Discrete, "gaussian": Gaussian}
+
+# what _read accepts for each annotation of a document field
+_EXPECTED = {"int": "an integer", "float": "a finite real", "np.ndarray": "a list of finite reals",
+             "str": "a string", "tuple[str, ...]": "a list of strings"}
+
+
+def _read(annotation: str, name: str, value):
+    """value as the field's annotation asks for it: an int, a finite real
+    as float, a (nested) list of finite reals as a float64 array, a str,
+    or a list of strs as a tuple. A bool is not a number here."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if annotation == "int" and real and isinstance(value, int):
+        return value
+    # the comparison is exact, so a huge integer is refused, not overflowed
+    if annotation == "float" and real and abs(value) <= sys.float_info.max:
+        return float(value)
+    if annotation == "str" and isinstance(value, str):
+        return value
+    if annotation == "tuple[str, ...]" and isinstance(value, list):
+        if all(isinstance(x, str) for x in value):
+            return tuple(value)
+    if annotation == "np.ndarray" and isinstance(value, list):
+        array = np.array(value)
+        # np.array reads a bool among numbers as 0 or 1
+        bools = any(isinstance(x, bool) for x in np.array(value, dtype=object).flat)
+        if array.dtype.kind in "iuf" and np.isfinite(array).all() and not bools:
+            return array.astype(np.float64)
+    raise ValueError(f"{name!r} must be {_EXPECTED[annotation]}")
+
+
+def _part_from_json(kinds: dict, obj):
+    """The dataclass of obj's "kind" in kinds, built from its fields in
+    obj, each read by _read as its annotation asks. obj must be an
+    object whose "kind" is a string in kinds; a missing field is named
+    as one of the wrong type."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected an object with a 'kind'")
+    kind = _read("str", "kind", obj.get("kind"))
+    if kind not in kinds:
+        raise ValueError(f"unknown kind {kind!r}, expected one of {list(kinds)}")
+    cls = kinds[kind]
+    return cls(**{f.name: _read(f.type, f.name, obj.get(f.name)) for f in fields(cls)})
+
+
+def _part_to_json(kinds: dict, part) -> dict:
+    """{"kind": part's kind in kinds, then each dataclass field in
+    declaration order}, arrays as nested lists and tuples as lists."""
+    doc = {"kind": next(kind for kind, cls in kinds.items() if type(part) is cls)}
+    for f in fields(part):
+        value = getattr(part, f.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
 def read_schema(path: PathLike) -> VariableSchema:

@@ -26,7 +26,6 @@ for a fixed seed the output is bit-identical across runs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -41,7 +40,8 @@ from .core import (
     code_dtype,
     orient_forest,
 )
-from .dataio import block_rows, fill_columns, schema_from_jsonable, schema_to_jsonable
+from .dataio import _part_from_json, _part_to_json, _read, block_rows, fill_columns
+from .dataio import schema_from_jsonable, schema_to_jsonable
 from .errors import DegenerateGaussian, InvalidCount, NonFiniteValue, SchemaMismatch
 from .estimators import DiscretePair, GaussianPair, _by_four, collect_stats
 from .scoring import effective_cardinality
@@ -60,7 +60,9 @@ _MOMENT_RTOL = 1e-9
 def _probabilities(values, what: str) -> np.ndarray:
     """``values`` as float64, checked nonnegative and summing to 1 within _MARGINAL_TOL."""
     probs = np.asarray(values, dtype=np.float64)
-    if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > _MARGINAL_TOL:
+    with np.errstate(over="ignore"):  # an infinite sum fails the check
+        total = float(probs.sum())
+    if (probs < 0).any() or abs(total - 1.0) > _MARGINAL_TOL:
         raise ValueError(f"{what} must be nonnegative and sum to 1")
     return probs
 
@@ -307,8 +309,8 @@ class DendroidModel:
             "version": MODEL_VERSION,
             "schema": schema_to_jsonable(self.schema),
             "edges": [list(edge) for edge in self.forest.sorted_edges],
-            "marginals": [_part_to_json(marg) for marg in self.marginals],
-            "edge_factors": [_part_to_json(factor) for factor in self.factors],
+            "marginals": [_part_to_json(MARGINAL_KINDS, marg) for marg in self.marginals],
+            "edge_factors": [_part_to_json(FACTOR_KINDS, factor) for factor in self.factors],
             "n": self.n,
             "param_count": self.param_count,
         }
@@ -346,48 +348,7 @@ FACTOR_KINDS = {
     "gaussian": GaussianEdgeFactor,
     "mixed": MixedEdgeFactor,
 }
-_KIND_OF = {cls: kind for kinds in (MARGINAL_KINDS, FACTOR_KINDS) for kind, cls in kinds.items()}
-
-
-def _part_to_json(part: Union[NodeMarginal, EdgeFactor]) -> dict:
-    """{"kind": k, then each dataclass field in declaration order}, arrays
-    as nested lists."""
-    doc = {"kind": _KIND_OF[type(part)]}
-    for f in fields(part):
-        value = getattr(part, f.name)
-        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return doc
-
-
-# what _read accepts for each annotation of a model document field
-_EXPECTED = {"int": "an integer", "float": "a finite real", "np.ndarray": "a list of finite reals"}
-
-
-def _read(annotation: str, name: str, value):
-    """value as the field's annotation asks for it: an int, a finite real
-    as float, or a (nested) list of finite reals as a float64 array. A
-    bool is not a number here."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if annotation == "int" and real and isinstance(value, int):
-        return value
-    # the comparison is exact, so a huge integer is refused, not overflowed
-    if annotation == "float" and real and abs(value) <= sys.float_info.max:
-        return float(value)
-    if annotation == "np.ndarray" and isinstance(value, list):
-        array = np.array(value)
-        # np.array reads a bool among numbers as 0 or 1
-        bools = any(isinstance(x, bool) for x in np.array(value, dtype=object).flat)
-        if array.dtype.kind in "iuf" and np.isfinite(array).all() and not bools:
-            return array.astype(np.float64)
-    raise ValueError(f"{name!r} must be {_EXPECTED[annotation]}")
-
-
-def _part_from_json(kinds: dict, obj) -> Union[NodeMarginal, EdgeFactor]:
-    """The dataclass of obj's "kind", built from its fields in obj."""
-    cls = kinds.get(obj["kind"])
-    if cls is None:
-        raise ValueError(f"unknown kind {obj['kind']!r}, expected one of {list(kinds)}")
-    return cls(**{f.name: _read(f.type, f.name, obj[f.name]) for f in fields(cls)})
+_KIND_OF = {cls: kind for kind, cls in FACTOR_KINDS.items()}
 
 
 def fit(dataset: Dataset, forest: Forest) -> DendroidModel:

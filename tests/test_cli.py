@@ -365,22 +365,42 @@ class TestLearn:
         assert err.startswith(f"error: {paths[bad]}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "entry, header, message",
-        [({"name": 5, "kind": "gaussian"}, "5", "'name' must be a string"),
-         ({"name": "d", "kind": "discrete", "labels": [1, 2]}, "d",
-          "labels must be strings")],
-        ids=["name", "label"],
+        "doc, message",
+        [({"name": "g", "kind": "gaussian"}, "expected a JSON list of variables"),
+         ([], "a schema needs at least one variable"),
+         ([5], "schema entry 0: expected an object with a 'kind'"),
+         ([{"name": "g", "kind": "gaussian"}, ["g1", "gaussian"]],
+          "schema entry 1: expected an object with a 'kind'"),
+         ([{"name": "g"}], "schema entry 0: 'kind' must be a string"),
+         ([{"name": "g", "kind": ["gaussian"]}], "schema entry 0: 'kind' must be a string"),
+         ([{"name": "g", "kind": "ordinal"}],
+          "schema entry 0: unknown kind 'ordinal', expected one of ['discrete', 'gaussian']"),
+         ([{"kind": "gaussian"}], "schema entry 0: 'name' must be a string"),
+         ([{"name": 5, "kind": "gaussian"}], "schema entry 0: 'name' must be a string"),
+         ([{"name": "", "kind": "gaussian"}], "schema entry 0: variable names must be nonempty"),
+         ([{"name": "", "kind": "discrete", "labels": ["a", "b"]}],
+          "schema entry 0: variable names must be nonempty"),
+         ([{"name": "d", "kind": "discrete"}], "schema entry 0: 'labels' must be a list of strings"),
+         ([{"name": "d", "kind": "discrete", "labels": [1, 2]}],
+          "schema entry 0: 'labels' must be a list of strings"),
+         ([{"name": "d", "kind": "discrete", "labels": ["a"]}],
+          "schema entry 0: a discrete variable needs at least 2 categories, got 1"),
+         ([{"name": "d", "kind": "discrete", "labels": ["a", "a"]}],
+          "schema entry 0: duplicate category labels: ['a', 'a']"),
+         ([{"name": "g", "kind": "gaussian"}, {"name": "g", "kind": "gaussian"}],
+          "duplicate variable names: ['g', 'g']")],
+        ids=["not a list", "no entries", "entry not an object", "second entry not an object",
+             "no kind", "list kind", "unknown kind", "no name", "name", "empty gaussian name",
+             "empty discrete name", "no labels", "label", "one label", "duplicate labels",
+             "duplicate names"],
     )
-    def test_non_string_schema_name_or_label_exits_2_naming_it(
-        self, tmp_path, capsys, entry, header, message
-    ):
-        schema_path = write_text(tmp_path / "s.json", json.dumps([entry]))
-        data_path = write_text(tmp_path / "d.csv", f"{header}\n1\n2\n")
+    def test_bad_schema_exits_2_naming_the_entry(self, tmp_path, capsys, doc, message):
+        schema_path = write_text(tmp_path / "s.json", json.dumps(doc))
+        data_path = write_text(tmp_path / "d.csv", "g\n1\n2\n")
         rc = main(["learn", "--data", data_path, "--schema", schema_path])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {schema_path}: not a valid schema document: schema entry 0: "
-            f"{message}\n"
+            f"error: {schema_path}: not a valid schema document: {message}\n"
         )
 
     def test_trailing_blank_lines_are_ignored(self, tmp_path, star_files):
@@ -1365,7 +1385,30 @@ BAD_MODELS = {
         0, {"kind": "gaussian", "mean": 0.0, "var": 1.0}
     ),
     "version 2": lambda doc: doc.update(version=2),
+    "marginal that is not an object": lambda doc: doc["marginals"].__setitem__(0, [0.5, 0.5]),
+    "list factor kind": lambda doc: doc["edge_factors"][0].update(kind=["mixed"]),
+    "gaussian marginal without var": lambda doc: doc["marginals"][1].__delitem__("var"),
+    # each sum overflows to inf, which numpy would warn of
+    "marginal probs of 1e308": lambda doc: doc["marginals"][0].update(probs=[1e308, 1e308]),
+    "table cells of 1e308": lambda doc: overflowing_table(every_kind_model().to_json_dict()),
     **{name: edit for name, (_, edit) in CONTRADICTIONS.items()},
+}
+
+
+# the exact message after "not a valid model document: " of some BAD_MODELS
+BAD_MODEL_MESSAGES = {
+    "no edges": "'edges'",
+    "gaussian factor of no conditional variance":
+        "edge (1, 2): conditional variance var (1 - rho^2) underflows to 0",
+    "unknown marginal kind": "unknown kind 'gausian', expected one of ['discrete', 'gaussian']",
+    "unknown factor kind":
+        "unknown kind 'gausian', expected one of ['discrete', 'gaussian', 'mixed']",
+    "marginal that is not an object": "expected an object with a 'kind'",
+    "list factor kind": "'kind' must be a string",
+    "gaussian marginal without var": "'var' must be a finite real",
+    "mixed factor without class_means": "'class_means' must be a list of finite reals",
+    "marginal probs of 1e308": "marginal probabilities must be nonnegative and sum to 1",
+    "table cells of 1e308": "joint table must be nonnegative and sum to 1",
 }
 
 
@@ -1390,6 +1433,13 @@ def doubled_table(doc):
     return doc
 
 
+def overflowing_table(doc):
+    """doc with every cell of its (2, 3) table 1e308."""
+    factor = doc["edge_factors"][3]
+    factor["table"] = [[1e308] * 3] * 2
+    return doc
+
+
 def bool_in_table(doc):
     """doc with the zero cell of its (2, 3) table written as false."""
     table = doc["edge_factors"][3]["table"]
@@ -1405,15 +1455,15 @@ def eval_dir(tmp_path_factory):
 
 class TestEval:
     @pytest.mark.parametrize("command", ["eval", "sample"])
-    @pytest.mark.parametrize("edit", BAD_MODELS.values(), ids=BAD_MODELS.keys())
+    @pytest.mark.parametrize("name", list(BAD_MODELS), ids=list(BAD_MODELS))
     def test_bad_model_file_exits_2_naming_it(
-        self, tmp_path, chain_model_file, capsys, command, edit
+        self, tmp_path, chain_model_file, capsys, command, name
     ):
         model_path, _, ds = chain_model_file
         data = tmp_path / "d.csv"
         write_csv_dataset(data, ds)
         doc = json.loads(Path(model_path).read_text())
-        edited = edit(doc)
+        edited = BAD_MODELS[name](doc)
         text = edited if isinstance(edited, str) else json.dumps(doc if edited is None else edited)
         Path(model_path).write_text(text)
         flags = ["--data", str(data)] if command == "eval" else ["--count", "5"]
@@ -1421,12 +1471,9 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
-        if edit is BAD_MODELS["no edges"]:
-            assert err == f"error: {model_path}: not a valid model document: 'edges'\n"
-        if edit is BAD_MODELS["gaussian factor of no conditional variance"]:
+        if name in BAD_MODEL_MESSAGES:
             assert err == (
-                f"error: {model_path}: not a valid model document: edge (1, 2): "
-                "conditional variance var (1 - rho^2) underflows to 0\n"
+                f"error: {model_path}: not a valid model document: {BAD_MODEL_MESSAGES[name]}\n"
             )
 
     @pytest.mark.parametrize("edge, edit", CONTRADICTIONS.values(), ids=CONTRADICTIONS.keys())

@@ -246,6 +246,10 @@ class TestMiMixed:
         scaled = mi_mixed(mixed_pair([0.5, 0.5], [2.0, 11.0], 1.0, n=4))
         assert scaled == pytest.approx(4 * per_sample, rel=1e-12)
 
+    def test_no_occupied_class_raises(self):
+        with pytest.raises(ValueError, match="^mixed pair has no occupied classes$"):
+            mi_mixed(mixed_pair([0.0, 0.0], [np.nan, np.nan], 1.0))
+
     def test_empty_classes_dropped(self):
         full = mi_mixed(mixed_pair([0.5, 0.5], [-1.0, 1.0], 1.0))
         padded = mi_mixed(mixed_pair([0.5, 0.0, 0.5], [-1.0, 99.0, 1.0], 1.0))

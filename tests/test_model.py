@@ -1255,6 +1255,18 @@ class TestSerialization:
                 marg["var"] = float(np.nextafter(np.nextafter(marg["var"], 0.0), 0.0))
         DendroidModel.from_json_dict(doc)
 
+    def test_build_rejects_a_forest_of_another_vertex_count(self):
+        with pytest.raises(
+            ValueError, match="^forest and schema disagree on the number of vertices$"
+        ):
+            DendroidModel.build(
+                schema=discrete_schema(2, 2),
+                forest=Forest.from_edges(3, []),
+                marginals=(DiscreteMarginal(np.array([0.5, 0.5])),) * 2,
+                factors=(),
+                n=1,
+            )
+
     def test_build_rejects_inconsistent_table_marginals(self):
         schema = discrete_schema(2, 2)
         with pytest.raises(ValueError, match="marginals"):
