@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_quadrature_flags(p):
         p.add_argument(
             "--quad-order", type=int, default=QuadratureSpec.order,
-            help="Gauss-Hermite order",
+            help="starting order q of the mixed-pair quadrature: trapezoidal step 2T/q, T = 8.31",
         )
         p.add_argument(
             "--quad-tol", type=float, default=QuadratureSpec.tolerance,

@@ -40,13 +40,13 @@ _ZERO_RESIDUAL = "pooled residual variance is zero"
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Hermite settings for the mixed-pair integral.
+    """Nested trapezoidal settings for the mixed-pair integral.
 
-    ``order`` is the starting node count of the self-consistency ladder,
-    an even integer; ``tolerance`` (finite and positive) is the relative
-    change under order-doubling below which a value counts as confirmed.
-    The ladder must be able to double the order at least once, so
-    ``order`` is at most half the order ceiling.
+    ``order`` is the starting order q of the self-consistency ladder, an
+    even integer (the step 2T/q); ``tolerance`` (finite and positive) is
+    the relative change under order-doubling below which a value counts
+    as confirmed. The ladder must be able to double the order at least
+    once, so ``order`` is at most half the order ceiling.
     """
 
     order: int = 64
@@ -64,102 +64,23 @@ class QuadratureSpec:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
-# steps between two renormalisations of the Hermite recurrence: near the
-# nodes of an order n <= 1024, one step grows the larger of two consecutive
-# values by at most |x| + n/2 + 1 < 2^10, so 64 steps stay below 2^640
-_RENORM_STEPS = 64
+# the trapezoidal rule's half-width T: e^{-T^2} = 1e-30 at |t| = T, far
+# below the ladder's absolute tolerance
+_HALF_WIDTH = math.sqrt(30.0 * math.log(10.0))
 
 
 @lru_cache(maxsize=32)
-def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes/weights for weight e^{-t^2}, for an even order,
-    ascending.
-
-    Newton's method on the Hermite function psi_n(t) = h_n(t) e^{-t^2/2},
-    h_n = H_n / 2^n the monic orthogonal polynomial for e^{-t^2}, from
-    asymptotic initial guesses, as in Townsend, Trogdon & Olver 2016. A
-    step is psi_n / psi_n' = h_n / (n h_{n-1} - t h_n), one pass of the
-    three-term recurrence over the order/2 positive nodes; since
-    psi_n'' = (t^2 - 2n - 1) psi_n vanishes at the nodes it converges
-    cubically, and two steps reach rounding. The weights
-    (n-1)! sqrt(pi) / (n 2^(n-1) h_{n-1}(t)^2) come from the same pass.
-    The negative half mirrors the positive one, so nodes are exactly
-    antisymmetric and weights exactly symmetric. No eigensolver is
-    involved, and nothing overflows at any order the ladder reaches.
-    """
-    x = _hermite_guess(order)
-    for _ in range(4):
-        h_n, h_prev, exponent = _monic_hermite(x, order)
-        step = h_n / (order * h_prev - x * h_n)
-        x_eval, x = x, x - step
-        if np.abs(step).max() <= 1e-10:
-            break
-    else:
-        raise ArithmeticError(f"Newton's method found no order-{order} Gauss-Hermite nodes")
-    # The weight as a function of the point evaluated, W(t), has
-    # W'/W = -4t at a node, so W(x_eval) (1 + 4 x_eval step) is the weight
-    # at x to first order in the step, which is at most 1e-10.
-    factorial = math.factorial(order - 1)
-    shift = max(factorial.bit_length() - 64, 0)
-    norm = math.sqrt(math.pi) * float(factorial >> shift)  # (n-1)! sqrt(pi) / 2^shift
-    weights = np.ldexp(
-        norm * (1.0 + 4.0 * x_eval * step) / (order * h_prev * h_prev),
-        shift - (order - 1) - 2 * exponent,
-    )
-    nodes = np.concatenate([-x[::-1], x])
-    weights = np.concatenate([weights[::-1], weights])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _hermite_guess(order: int) -> np.ndarray:
-    """Initial guesses, ascending, for the order/2 positive Gauss-Hermite
-    nodes, from the expansions Townsend, Trogdon & Olver 2016 patch
-    together: Tricomi's for every node but the outermost, and Gatteschi's
-    in the first zero of the Airy function Ai for the outermost, where
-    Tricomi's is least accurate. Each is within 1e-4 of its node."""
-    m = order // 2
-    nu = 2.0 * order + 1.0
-    # t = cos^2(theta/2), with theta - sin(theta) = (4m - 4k + 3) pi / nu for
-    # node k = 1..m from the inside; theta^3/6 = r starts Newton's method
-    # below the root
-    r = np.arange(4 * m - 1, 0, -4) * (math.pi / nu)
-    theta = np.cbrt(6.0 * r)
-    for _ in range(3):
-        theta -= (theta - np.sin(theta) - r) / (1.0 - np.cos(theta))
-    t = np.cos(theta / 2) ** 2
-    x = np.sqrt(nu * t - (5.0 / (4.0 * (1.0 - t) ** 2) - 1.0 / (1.0 - t) - 0.25) / (3.0 * nu))
-    a, c = -2.338107410459767, 2.0 ** (1 / 3)  # the first zero of Ai, and 2^(1/3)
-    x[-1] = math.sqrt(
-        nu
-        + c * c * a * nu ** (1 / 3)
-        + 0.4 * c * a**2 * nu ** (-1 / 3)
-        + (9 / 140 - 12 / 175 * a**3) / nu
-        + c * c * (16 / 1575 * a + 92 / 7875 * a**4) * nu ** (-5 / 3)
-        - c * (15152 / 3031875 * a**5 + 1088 / 121275 * a**2) * nu ** (-7 / 3)
-    )
-    return x
-
-
-def _monic_hermite(x: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, e): h_n(x) = u 2^e and h_{n-1}(x) = v 2^e for n = order, with
-    h_k = H_k / 2^k the monic Hermite polynomials, by
-    h_{k+1} = x h_k - (k/2) h_{k-1}, whose coefficients are exact.
-    Every ``_RENORM_STEPS`` steps and at the end, both values are scaled
-    by the exact power of two that brings the larger into [1/2, 1)."""
-    prev, cur = np.ones_like(x), x.copy()
-    exponent = np.zeros(x.shape, dtype=np.int64)
-    for k in range(1, order):
-        nxt = x * cur
-        prev *= 0.5 * k
-        nxt -= prev
-        prev, cur = cur, nxt
-        if k % _RENORM_STEPS == 0 or k == order - 1:
-            shift = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))[1]
-            cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
-            exponent += shift
-    return cur, prev, exponent
+def _rung(order: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = k h, h = 2T/order, |k| <= order/2, and weights e^{-t^2},
+    host-free in Python's arithmetic and ``math.exp``: every k on a
+    ladder's first rung, odd k on each later one, whose even nodes are
+    the earlier rungs' bit for bit (halving h is exact)."""
+    h, half = 2.0 * _HALF_WIDTH / order, order // 2
+    nodes = [k * h for k in range(-half, half + 1) if first or k % 2]
+    rule = np.array(nodes), np.array([math.exp(-t * t) for t in nodes])
+    for part in rule:
+        part.setflags(write=False)
+    return rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +116,7 @@ class GaussianPair:
 
     @property
     def rho(self) -> float:
-        return float(_rho(self.cov, self.var_i, self.var_j))
+        return float(_rho(self.cov, _by_four(self.var_i), _by_four(self.var_j)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,14 +329,15 @@ def _by_four(var):
     return np.ldexp(var, -2 * k), k
 
 
-def _rho(cov, var_i, var_j):
-    """Correlations cov / sqrt(var_i var_j), clipped to [-1, 1], with each
-    variance first brought into [1/2, 2) by ``_by_four`` (and cov by the
-    matching power of two) so that the product cannot underflow or
-    overflow. The bits are the plain formula's wherever it does neither
-    and gives 0 or a size of at least 2^-1021 (below that the scaled cov
-    can be subnormal), for scaled moments and original units alike."""
-    (m_i, k_i), (m_j, k_j) = _by_four(var_i), _by_four(var_j)
+def _rho(cov, scaled_i, scaled_j):
+    """Correlations cov / sqrt(var_i var_j), clipped to [-1, 1], from the
+    ``_by_four`` parts (m, k) of each variance, var = m 4^k with m in
+    [1/2, 2), and cov brought by the matching power of two, so that the
+    product cannot underflow or overflow. The bits are the plain
+    formula's wherever it does neither and gives 0 or a size of at least
+    2^-1021 (below that the scaled cov can be subnormal), for scaled
+    moments and original units alike."""
+    (m_i, k_i), (m_j, k_j) = scaled_i, scaled_j
     return np.clip(np.ldexp(cov, -(k_i + k_j)) / np.sqrt(m_i * m_j), -1.0, 1.0)
 
 
@@ -430,22 +352,28 @@ def _mixture_mi(
     probs: np.ndarray, means: np.ndarray, var: np.ndarray, quad: QuadratureSpec
 ) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """Per-sample mutual information of each mixture (a row of probs and
-    means, with variance var) against its class variable, with the
-    order-doubling ladder in lockstep: one doubling confirms an integral
-    when it changes it by at most ``quad.tolerance`` relative plus
-    ``_QUAD_ATOL``, and only the rest go on to the next rung. Returns the
-    refined values clamped to [0, H], H the class entropy, and
-    (row, message) for each mixture that no doubling confirmed or whose
-    value exceeds H beyond rounding. Orders double while they stay within
-    ``_MAX_QUAD_ORDER``, so a start that is not a power of two times 8
-    stops below it (start 96 at 768).
+    means, with variance var) against its class variable, with the nested
+    trapezoidal ladder in lockstep: a value is h = 2T/order times a sum
+    per mixture of each rung's ``kernels.mixture_mi_batch``, in rung
+    order, so it depends on its own mixture alone. One doubling confirms
+    an integral when it changes it by at most ``quad.tolerance`` relative
+    plus ``_QUAD_ATOL``, and only the rest go on to the next rung.
+    Returns the refined values clamped to [0, H], H the class entropy,
+    and (row, message) for each mixture that no doubling confirmed or
+    whose value exceeds H beyond rounding. Orders double while they stay
+    within ``_MAX_QUAD_ORDER``, so a start that is not a power of two
+    times 8 stops below it (start 96 at 768).
     """
     order, active = quad.order // 2, np.arange(len(var))
+    total = np.zeros(len(var))
     last, confirmed = np.full(len(var), np.nan), np.full(len(var), np.nan)
     while active.size and order * 2 <= _MAX_QUAD_ORDER:
         order *= 2  # quad.order first, where no last value confirms anything
-        nodes, weights = _hermite_rule(order)
-        value = kernels.mixture_mi_batch(probs[active], means[active], var[active], nodes, weights)
+        nodes, weights = _rung(order, order == quad.order)
+        total[active] += kernels.mixture_mi_batch(
+            probs[active], means[active], var[active], nodes, weights
+        )
+        value = total[active] * (2.0 * _HALF_WIDTH / order)
         done = np.abs(value - last[active]) <= quad.tolerance * np.maximum(
             np.abs(value), np.abs(last[active])
         ) + _QUAD_ATOL
@@ -481,15 +409,15 @@ def mi_gaussian(stats: GaussianPair) -> float:
 
 
 def mi_mixed(stats: MixedPair, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """I_n of a Gaussian/discrete pair via Gauss-Hermite quadrature.
+    """I_n of a Gaussian/discrete pair via the nested trapezoidal rule.
 
     Starting at ``quad.order`` the class-mixture integral is re-evaluated
-    at doubled orders until one doubling changes the value by less than
-    ``quad.tolerance`` relative; the refined value is then returned,
-    scaled by n. Mixtures whose components sit 4-8 standard deviations
-    apart converge slowly under a fixed-order rule, which is what the
-    escalation absorbs. Empty classes are dropped from the mixture. The
-    per-sample value is clamped to [0, H] where H is the class entropy.
+    at doubled orders, each reusing every node before it, until one
+    doubling changes the value by less than ``quad.tolerance`` relative;
+    the refined value is then returned, scaled by n. Mixtures whose
+    components sit 4-8 standard deviations apart converge slowly at a
+    coarse step, which is what the escalation absorbs. Empty classes are
+    dropped. The per-sample value is clamped to [0, H], H the class entropy.
 
     Raises
     ------
@@ -551,7 +479,10 @@ def pair_mi_table(dataset: Dataset, quad: QuadratureSpec = QuadratureSpec()) -> 
     r, s = row[a[gaussian]], row[b[gaussian]]
     live = ~(constant[r] | constant[s])
     gaussian[gaussian] = live  # now the Gaussian pairs without a constant column
-    mi[gaussian] = _gaussian_mi(_rho(cov[live], var[r[live]], var[s[live]]), n)
+    # scaled once a column, before the gather: no pair-sized scaling arrays
+    m, k = _by_four(var)
+    r, s = r[live], s[live]
+    mi[gaussian] = _gaussian_mi(_rho(cov[live], (m[r], k[r]), (m[s], k[s])), n)
 
     groups = defaultdict(list)  # occupied classes -> [(positions, probs, means, var)]
     for d, (rows, counts, means, var) in classes.items():

@@ -2,11 +2,11 @@
 group of Gaussian columns, class statistics read from a group's rows by
 index around class counts computed once per class column, every
 variance and covariance of one or two groups once their caller has
-centred them in place, and the Gauss-Hermite mixture integral, whose
-Gaussian kernel separates into one per-class factor and one per-node
-factor contracted by numpy's own ``einsum`` loops. A statistic of a row
-or pair of rows has the same bits whatever other rows are grouped with
-it, and no kernel calls BLAS.
+centred them in place, and the mixture integral at the nodes and
+weights of one quadrature rung, whose Gaussian kernel separates into one
+per-class factor and one per-node factor contracted by numpy's own
+``einsum`` loops. A statistic of a row or pair of rows has the same bits
+whatever other rows are grouped with it, and no kernel calls BLAS.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ __all__ = [
     "mixture_mi_batch",
 ]
 
-# nodes whose weight is at most this are skipped, a cut by magnitude (the
-# weights sum to sqrt(pi) and fall off like e^{-t^2}); the terms they carry
-# are far below the quadrature ladder's absolute tolerance
-_NODE_WEIGHT_FLOOR = 1e-30
 # most elements of the largest array that one step of mixture_mi_batch
 # holds, (mixtures, classes, nodes) in the separable form, which holds two
 # such arrays at once. On the benchmark workloads 2^15 to 2^17 ran the
@@ -144,14 +140,15 @@ def mixture_mi_batch(
     weights: np.ndarray,
 ) -> np.ndarray:
     """Per-sample mutual information of P univariate Gaussian mixtures
-    against their class variables, by Gauss-Hermite quadrature.
+    against their class variables, sum_y p_y sum_t w_t f_y(t) / sqrt(pi)
+    for nodes t and weights w_t of a rule for the weight e^{-t^2}, or of
+    a trapezoidal rung (weights e^{-t^2}, the step left to the caller).
 
     ``probs`` and ``means`` are (P, K): each row one mixture's class
     probabilities, which must be strictly positive (drop empty classes
     first), and class means; the components of mixture p share variance
-    ``var[p]``. ``nodes``/``weights`` are the raw Hermite points for
-    weight e^{-t^2}. With x = m_y + sqrt(2 var) t for class y, the
-    integrand is -log sum_k p_k exp(-d_yk (2t + d_yk)), where
+    ``var[p]``. With x = m_y + sqrt(2 var) t for class y, the
+    integrand f_y is -log sum_k p_k exp(-d_yk (2t + d_yk)), where
     d_yk = u_y - u_k and u = (m - c) / sqrt(2 var), centred on the
     class-weighted mean c. The exponent separates,
     -d_yk (2t + d_yk) = -(u_y - u_k)^2 - 2 u_y t + 2 u_k t, so the log-sum
@@ -164,24 +161,21 @@ def mixture_mi_batch(
     ``_SEPARABLE_LIMIT``. Then every D lies within e^{-600} and e^{600},
     and every sum, which its k = y term keeps at least p_y exp(2 u_y t),
     at or above e^{-600}: nothing overflows and no sum underflows. Any
-    other mixture (at order 1024, one with a class about 50 sd or more
-    from c) takes the direct form, a max-shifted log-sum-exp over a
-    (mixtures, classes, classes, nodes) array. Each step holds at most
-    ``_BATCH_ELEMENTS`` elements of its largest array (and at least one
-    mixture). Nodes whose weight is at most ``_NODE_WEIGHT_FLOOR`` are
-    skipped. Each mixture's value depends only on its own row, so it
-    does not change with the batch or the chunk.
+    other mixture (with nodes out to |t| = 8.3, one with a class about
+    50 sd or more from c) takes the direct form, a max-shifted
+    log-sum-exp over a (mixtures, classes, classes, nodes) array. Each
+    step holds at most ``_BATCH_ELEMENTS`` elements of its largest array
+    (and at least one mixture). Each mixture's value depends only on its
+    own row, so it does not change with the batch or the chunk.
     """
-    keep = weights > _NODE_WEIGHT_FLOOR
-    t, w = nodes[keep], weights[keep]
     scale = np.sqrt(2.0 * var)
     centre = (probs * means).sum(axis=1) / probs.sum(axis=1)
     u = (means - centre[:, None]) / scale[:, None]
-    reach = np.abs(u).max(axis=1) * (2.0 * np.abs(t).max()) - np.log(probs.min(axis=1))
+    reach = np.abs(u).max(axis=1) * (2.0 * np.abs(nodes).max()) - np.log(probs.min(axis=1))
     near = reach <= _SEPARABLE_LIMIT
     out = np.empty(len(var))
-    out[near] = _separable(probs[near], u[near], t, w)
-    out[~near] = _direct(probs[~near], means[~near], scale[~near], t, w)
+    out[near] = _separable(probs[near], u[near], nodes, weights)
+    out[~near] = _direct(probs[~near], means[~near], scale[~near], nodes, weights)
     return out / -math.sqrt(math.pi)
 
 

@@ -329,8 +329,8 @@ class DendroidModel:
         model = cls.build(
             schema=schema,
             forest=Forest.from_edges(schema.n_vars, edges),
-            marginals=tuple(_part_from_json(MARGINAL_KINDS, obj) for obj in doc["marginals"]),
-            factors=tuple(_part_from_json(FACTOR_KINDS, obj) for obj in doc["edge_factors"]),
+            marginals=_parts_from_json(MARGINAL_KINDS, doc["marginals"], "marginal"),
+            factors=_parts_from_json(FACTOR_KINDS, doc["edge_factors"], "edge factor"),
             n=_read("int", "n", doc["n"]),
         )
         if model.param_count != _read("int", "param_count", doc["param_count"]):
@@ -349,6 +349,19 @@ FACTOR_KINDS = {
     "mixed": MixedEdgeFactor,
 }
 _KIND_OF = {cls: kind for kind, cls in FACTOR_KINDS.items()}
+
+
+def _parts_from_json(kinds: dict, objs, what: str) -> tuple:
+    """``_part_from_json`` of each object in objs; a fault in one, which
+    its reader or its dataclass rejects, is named ``what k: ``, as a
+    schema fault is named ``schema entry k: ``."""
+    parts = []
+    for k, obj in enumerate(objs):
+        try:
+            parts.append(_part_from_json(kinds, obj))
+        except (ValueError, DegenerateGaussian) as err:
+            raise type(err)(f"{what} {k}: {err}") from err
+    return tuple(parts)
 
 
 def fit(dataset: Dataset, forest: Forest) -> DendroidModel:

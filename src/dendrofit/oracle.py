@@ -1,10 +1,10 @@
 """Brute-force reference implementations for desk-scale verification:
 exhaustive forest search, exact KL divergence of small discrete joints
 against their forest factorization, Monte Carlo mutual information
-for mixed factors, Golub-Welsch Gauss-Hermite rules, a row-at-a-time
-CSV renderer, a whole-file CSV reader, a whole-column sampler, a
-row-at-a-time log-likelihood (exact in fractions where every Bayes class
-term overflows), and the one-object-per-edge greedy loop
+for mixed factors, the mixture integral at a fine trapezoidal step, a
+row-at-a-time CSV renderer, a whole-file CSV reader, a whole-column
+sampler, a row-at-a-time log-likelihood (exact in fractions where every
+Bayes class term overflows), and the one-object-per-edge greedy loop
 and report renderers of the CLI.
 
 Everything here is deliberately slow and independent of the production
@@ -164,17 +164,6 @@ def sweep_topological_order(rooted: RootedForest) -> list[int]:
     return order
 
 
-def golub_welsch_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for ``estimators._hermite_rule``: Gauss-Hermite nodes and
-    weights for weight e^{-t^2} by Golub & Welsch 1969, the eigenvalues
-    and first eigenvector components of the dense symmetric Jacobi
-    matrix. Nodes are accurate to rounding; a weight only to rounding
-    relative to the largest, sqrt(pi)."""
-    off = np.sqrt(np.arange(1, order) / 2.0)
-    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return nodes, math.sqrt(math.pi) * vectors[0, :] ** 2
-
-
 def mixture_mi_loop(
     probs: np.ndarray,
     means: np.ndarray,
@@ -195,6 +184,14 @@ def mixture_mi_loop(
         lse = np.logaddexp.reduce(comp, axis=1)
         total += py * float(weights @ (-nodes * nodes - lse))
     return total / math.sqrt(math.pi)
+
+
+def mixture_mi_fine(probs: np.ndarray, means: np.ndarray, var: float) -> float:
+    """Value reference for the estimators' quadrature ladder: one
+    mixture's ``mixture_mi_loop`` by the trapezoid at step 1/256 over
+    |t| <= 9, far finer and wider than any rung of the ladder."""
+    nodes = np.arange(-9 * 256, 9 * 256 + 1) / 256
+    return mixture_mi_loop(probs, means, var, nodes, np.exp(-nodes * nodes) / 256)
 
 
 def csv_record(fields: Sequence[str]) -> str:

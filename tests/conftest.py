@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 
+import dendrofit
 from dendrofit import (
     Dataset,
     DendroidModel,
@@ -27,6 +32,29 @@ from dendrofit.core import code_dtype
 # `pytest --hypothesis-profile=ci` (as CI runs tier-1): the same examples
 # on every run, and a failure prints the blob that reproduces it locally
 settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+
+
+def dispatch_envs() -> tuple[dict, dict]:
+    """(base, off): the environment of a child that imports this
+    dendrofit, and the same with every numpy dispatch target (AVX2 and
+    AVX-512 on x86) that this host has switched off, which a child
+    confirms. On a host with none, both take the same loops, and a test
+    that compares them shows nothing."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    targets = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    package = str(Path(dendrofit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+    base = {**os.environ, "PYTHONPATH": path}
+    base.pop("NPY_DISABLE_CPU_FEATURES", None)
+    off = {**base, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    code = f"import {umath.__name__} as m; print([m.__cpu_features__[t] for t in {targets!r}])"
+    run = subprocess.run([sys.executable, "-c", code], env=off, capture_output=True,
+                         text=True, timeout=120)
+    assert run.stdout == f"{[False] * len(targets)}\n", run.stderr  # switched off
+    return base, off
 
 
 def discrete_schema(*cards: int, prefix: str = "v") -> VariableSchema:

@@ -55,6 +55,7 @@ from dendrofit.scoring import PairScores, score_all_pairs
 from conftest import (
     dataset_from_columns,
     discrete_schema,
+    dispatch_envs,
     every_kind_model,
     mixed_schema,
     random_mixed_case,
@@ -1207,22 +1208,9 @@ class TestSample:
         come from basic operations, so the CSV bytes do not. On a host
         with none of numpy's dispatch targets (AVX2 and AVX-512 on x86)
         both runs take the same loops, and the test shows nothing."""
-        try:
-            from numpy._core import _multiarray_umath as umath
-        except ImportError:  # numpy 1
-            from numpy.core import _multiarray_umath as umath
-        targets = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(every_kind_model().to_json_dict()) + "\n")
-        package = str(Path(dendrofit.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
-        base = {**os.environ, "PYTHONPATH": path}
-        base.pop("NPY_DISABLE_CPU_FEATURES", None)
-        off = {**base, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
-        code = f"import {umath.__name__} as m; print([m.__cpu_features__[t] for t in {targets!r}])"
-        run = subprocess.run([sys.executable, "-c", code], env=off, capture_output=True,
-                             text=True, timeout=120)
-        assert run.stdout == f"{[False] * len(targets)}\n", run.stderr  # switched off
+        base, off = dispatch_envs()
         outputs = []
         for run_index, env in enumerate([base, off]):
             out = tmp_path / f"rows{run_index}.csv"
@@ -1399,16 +1387,19 @@ BAD_MODELS = {
 BAD_MODEL_MESSAGES = {
     "no edges": "'edges'",
     "gaussian factor of no conditional variance":
-        "edge (1, 2): conditional variance var (1 - rho^2) underflows to 0",
-    "unknown marginal kind": "unknown kind 'gausian', expected one of ['discrete', 'gaussian']",
+        "edge factor 1: edge (1, 2): conditional variance var (1 - rho^2) underflows to 0",
+    "unknown marginal kind":
+        "marginal 1: unknown kind 'gausian', expected one of ['discrete', 'gaussian']",
     "unknown factor kind":
-        "unknown kind 'gausian', expected one of ['discrete', 'gaussian', 'mixed']",
-    "marginal that is not an object": "expected an object with a 'kind'",
-    "list factor kind": "'kind' must be a string",
-    "gaussian marginal without var": "'var' must be a finite real",
-    "mixed factor without class_means": "'class_means' must be a list of finite reals",
-    "marginal probs of 1e308": "marginal probabilities must be nonnegative and sum to 1",
-    "table cells of 1e308": "joint table must be nonnegative and sum to 1",
+        "edge factor 0: unknown kind 'gausian', expected one of ['discrete', 'gaussian', 'mixed']",
+    "marginal that is not an object": "marginal 0: expected an object with a 'kind'",
+    "list factor kind": "edge factor 0: 'kind' must be a string",
+    "gaussian marginal without var": "marginal 1: 'var' must be a finite real",
+    "mixed factor without class_means":
+        "edge factor 0: 'class_means' must be a list of finite reals",
+    "marginal probs of 1e308":
+        "marginal 0: marginal probabilities must be nonnegative and sum to 1",
+    "table cells of 1e308": "edge factor 3: joint table must be nonnegative and sum to 1",
 }
 
 

@@ -1,5 +1,7 @@
 import math
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -28,14 +30,17 @@ from dendrofit import (
 )
 from dendrofit.errors import DegenerateGaussian, DendrofitError, QuadratureFailure, SameVertex
 from dendrofit.estimators import (
+    _HALF_WIDTH,
     _MAX_QUAD_ORDER,
-    _hermite_rule,
+    _QUAD_ATOL,
+    _by_four,
+    _rung,
     _rho,
     collect_stats,
     pair_mi_table,
 )
 
-from conftest import dataset_from_columns, mixed_schema
+from conftest import dataset_from_columns, dispatch_envs, mixed_schema
 
 
 def discrete_pair(counts) -> DiscretePair:
@@ -217,7 +222,7 @@ class TestMiGaussian:
             except FloatingPointError:
                 assume(False)
         assume(plain == 0.0 or abs(plain) >= 2.0**-1021)
-        assert float(_rho(cov, var_i, var_j)).hex() == float(plain).hex()
+        assert float(_rho(cov, _by_four(var_i), _by_four(var_j))).hex() == float(plain).hex()
 
     def test_degenerate_variance(self):
         stats = GaussianPair(
@@ -274,8 +279,8 @@ class TestMiMixed:
             mi_mixed(mixed_pair([0.5, 0.5], [0.0, 1.0], 0.0))
 
     def test_quadrature_failure_when_ladder_capped(self, monkeypatch):
-        # a 6-sigma separation changes by ~4.5e-4 between orders 8 and 16,
-        # so a ceiling of 16 cannot confirm it at the default tolerance
+        # a 6-sigma separation changes by about 20% between orders 8 and
+        # 16, so a ceiling of 16 cannot confirm it at the default tolerance
         monkeypatch.setattr("dendrofit.estimators._MAX_QUAD_ORDER", 16)
         with pytest.raises(QuadratureFailure):
             mi_mixed(
@@ -288,7 +293,9 @@ class TestMiMixed:
 
         def unstable(probs, means, var, nodes, weights):
             calls.append(len(nodes))
-            return np.full(len(probs), float(len(calls)))  # changes every evaluation
+            # sums that grow faster than the step shrinks, so the step
+            # times their running total changes at every doubling
+            return np.full(len(probs), 4.0 ** len(calls))
 
         monkeypatch.setattr("dendrofit.estimators.kernels.mixture_mi_batch", unstable)
         with pytest.raises(QuadratureFailure):
@@ -309,12 +316,13 @@ class TestMiMixed:
 
         def unstable(probs, means, var, nodes, weights):
             orders.append(len(nodes))
-            return np.full(len(probs), float(len(orders)))  # never confirms
+            return np.full(len(probs), 4.0 ** len(orders))  # never confirms
 
         monkeypatch.setattr("dendrofit.estimators.kernels.mixture_mi_batch", unstable)
         with pytest.raises(QuadratureFailure) as failure:
             mi_mixed(mixed_pair([0.5, 0.5], [-1.0, 1.0], 1.0), QuadratureSpec(order=start))
-        assert orders == rungs
+        # the first rung's q + 1 nodes, then the q/2 new ones of each order q
+        assert orders == [rungs[0] + 1] + [q // 2 for q in rungs[1:]]
         assert str(failure.value).startswith(
             f"doubling up to order {rungs[-1]} never confirmed the integral (last value "
         )
@@ -338,7 +346,7 @@ class TestQuadratureSpec:
             QuadratureSpec(order=6)
 
     def test_order_must_be_an_integer(self):
-        # the rule's recurrence runs order - 1 steps
+        # a rung takes order // 2 multiples of its step on each side
         with pytest.raises(ValueError, match="even integer"):
             QuadratureSpec(order=64.0)
         assert QuadratureSpec(order=np.int64(64)).order == 64
@@ -352,39 +360,91 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError, match="^tolerance must be finite and positive, got "):
             QuadratureSpec(tolerance=tolerance)
 
-    def test_hermite_rule_matches_numpy_reference(self):
-        for order in (8, 32, 64):
-            nodes, weights = _hermite_rule(order)
-            ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(order)
-            np.testing.assert_allclose(nodes, ref_nodes, atol=1e-13)
-            np.testing.assert_allclose(weights, ref_weights, atol=1e-13)
 
-    def test_hermite_rule_stable_at_high_order(self):
-        nodes, weights = _hermite_rule(1024)
-        assert np.isfinite(nodes).all() and np.isfinite(weights).all()
-        assert weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+class TestTrapezoidLadder:
+    """The nested trapezoidal rule of ``mi_mixed`` and ``pair_mi_table``."""
+
+    @pytest.mark.parametrize("start", [8, 10, 66, 96, 512])
+    def test_rungs_nest_bit_for_bit(self, start):
+        # each rung adds the odd multiples of its step, so the rungs up to
+        # order q hold each multiple k 2T/q, |k| <= q/2, once, with its
+        # weight e^{-t^2}
+        order, rungs = start, []
+        while order <= _MAX_QUAD_ORDER:
+            rungs.append(_rung(order, order == start))
+            nodes, weights = (np.concatenate(part) for part in zip(*rungs))
+            ascending = np.argsort(nodes)
+            half = order // 2
+            multiples = np.arange(-half, half + 1) * (2.0 * _HALF_WIDTH / order)
+            assert nodes[ascending].tobytes() == multiples.tobytes()
+            assert weights.tolist() == [math.exp(-t * t) for t in nodes.tolist()]
+            order *= 2
+        assert math.exp(-_HALF_WIDTH**2) == pytest.approx(1e-30, rel=1e-12)
+
+    def test_same_bytes_with_numpy_dispatch_targets_off(self):
+        """The nodes and weights come from Python's own arithmetic and
+        math.exp, so they have the same bytes whether or not numpy's SIMD
+        loops are switched off, at every order from 64 to 1024."""
+        code = (
+            "import sys; from dendrofit.estimators import _rung; "
+            "sys.stdout.buffer.write(b''.join(part.tobytes() for q in (64, 128, 256, 512, 1024) "
+            "for first in (True, False) for part in _rung(q, first)))"
+        )
+        outputs = []
+        for env in dispatch_envs():
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 timeout=120)
+            assert (run.returncode, run.stderr) == (0, b"")
+            outputs.append(run.stdout)
+        # a first rung's q + 1 nodes and a later rung's q/2, 8 bytes a node
+        # and 8 a weight
+        assert len(outputs[0]) == 16 * sum(q + 1 + q // 2 for q in (64, 128, 256, 512, 1024))
+        assert outputs[0] == outputs[1]
 
 
-# every order the ladder reaches from starts 8, 10, 66 and 96
-LADDER_ORDERS = sorted(
-    {start << k for start in (8, 10, 66, 96) for k in range(8) if start << k <= _MAX_QUAD_ORDER}
-)
+@st.composite
+def mixed_datasets(draw):
+    """A discrete column of 2-8 classes, each occupied, and 1-3 Gaussian
+    columns of 20-200 rows, each standard noise around class means up to
+    30 sd apart, at a scale from 1e-6 to 1e6."""
+    k, n = draw(st.integers(2, 8)), draw(st.integers(20, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(k))
+    codes = rng.permutation(np.concatenate([np.arange(k), rng.choice(k, n - k, p=probs)]))
+    columns = [codes]
+    for _ in range(draw(st.integers(1, 3))):
+        spread = draw(st.sampled_from([0.0, 0.5, 2.0, 5.0, 8.0, 15.0, 30.0]))
+        scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+        means = rng.uniform(-0.5, 0.5, k) * spread
+        columns.append((means[codes] + rng.standard_normal(n)) * scale)
+    schema = VariableSchema(
+        (Variable("d", Discrete(tuple(f"c{c}" for c in range(k)))),)
+        + tuple(Variable(f"g{g}", Gaussian()) for g in range(len(columns) - 1))
+    )
+    return dataset_from_columns(schema, *columns)
 
 
-class TestHermiteRule:
-    @pytest.mark.parametrize("order", LADDER_ORDERS)
-    def test_matches_golub_welsch(self, order):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            nodes, weights = _hermite_rule.__wrapped__(order)  # uncached
-        ref_nodes, ref_weights = oracle.golub_welsch_rule(order)
-        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-14)
-        assert (nodes == -nodes[::-1]).all()
-        assert (weights == weights[::-1]).all()
-        for k in range(min(order, 12)):
-            moment = (weights * nodes ** (2 * k)).sum()
-            assert moment == pytest.approx(math.gamma(k + 0.5), rel=1e-13)
+class TestMixedAgainstTheFineTrapezoid:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ds=mixed_datasets(),
+        quad=st.builds(
+            QuadratureSpec,
+            order=st.sampled_from([64, 66, 96]),
+            tolerance=st.sampled_from([1e-6, 1e-8, 1e-10]),
+        ),
+    )
+    def test_within_the_tolerance_of_the_reference(self, ds, quad):
+        """Every mixed I_n, from the pair table and from mi_mixed, is
+        within quad.tolerance relative, plus the absolute floor, of n
+        times oracle.mixture_mi_fine, the trapezoid at step 1/256."""
+        _, j, mi = pair_mi_table(ds, quad)
+        for g, value in zip(j[: ds.schema.n_vars - 1].tolist(), mi.tolist()):
+            stats = collect_pair_stats(ds, 0, g)
+            probs = stats.class_counts / stats.n
+            want = stats.n * oracle.mixture_mi_fine(probs, stats.class_means, stats.resid_var)
+            for got in (value, mi_mixed(stats, quad)):
+                assert abs(got - want) <= quad.tolerance * abs(want) + stats.n * _QUAD_ATOL
 
 
 class TestStatisticsPassMemory:
@@ -408,7 +468,7 @@ class TestStatisticsPassMemory:
         return Dataset(VariableSchema(tuple(variables)), (*labels, *gauss))
 
     def peak(self, run) -> int:
-        run()  # first-call allocations (the Hermite rules) are not counted
+        run()  # first-call allocations (the quadrature rungs) are not counted
         tracemalloc.start()
         try:
             run()

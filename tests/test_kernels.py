@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrofit import kernels, oracle
-from dendrofit.estimators import _hermite_rule
+from dendrofit.estimators import _rung
 
 
 rng = np.random.default_rng(5)
@@ -166,6 +166,16 @@ class TestRowInvariance:
 ORDERS = (8, 16, 32, 64, 128, 256, 512, 1024)
 
 
+def trapezoid(order):
+    """A rule for the weight e^{-t^2} at one order of the estimators'
+    trapezoidal ladder: the nodes of a first rung, with their weights
+    scaled to sum to sqrt(pi), so that it integrates a constant exactly,
+    as Gauss-Hermite rules do. The step times the weights does so only at
+    a fine step: at order 8 they sum to 1.2 sqrt(pi)."""
+    nodes, weights = _rung(order, True)
+    return nodes, weights * (math.sqrt(math.pi) / weights.sum())
+
+
 @st.composite
 def mixtures(draw):
     """(probs, means, var): 2-8 classes with Dirichlet-like probabilities
@@ -190,7 +200,7 @@ class TestMixtureMiAgainstLoop:
     @given(mixture=mixtures(), order=st.sampled_from(ORDERS))
     def test_matches_loop_reference(self, mixture, order):
         probs, means, var = mixture
-        nodes, weights = _hermite_rule(order)
+        nodes, weights = trapezoid(order)
         got = one_mixture(probs, means, var, nodes, weights)
         want = oracle.mixture_mi_loop(probs, means, var, nodes, weights)
         assert abs(got - want) <= 1e-12 + 1e-12 * abs(want)
@@ -203,7 +213,7 @@ class TestMixtureMiAgainstLoop:
         # carry ~1e-16 absolute rounding (a log of a sum next to 1) with or
         # without the shift, hence the 1e-15 floor.
         probs, means, var = mixture
-        nodes, weights = _hermite_rule(order)
+        nodes, weights = trapezoid(order)
         base = one_mixture(probs, means, var, nodes, weights)
         shifted = one_mixture(probs, means + 1e3 * math.sqrt(var), var, nodes, weights)
         assert abs(shifted - base) <= 1e-9 * abs(base) + 1e-15
@@ -247,7 +257,7 @@ class TestSeparableForm:
     @given(mixture=spread_mixtures(), order=st.sampled_from(ORDERS))
     def test_matches_loop_reference_on_both_sides_of_the_guard(self, mixture, order):
         probs, means, var = mixture
-        nodes, weights = _hermite_rule(order)
+        nodes, weights = trapezoid(order)
         got = one_mixture(probs, means, var, nodes, weights)
         want = oracle.mixture_mi_loop(probs, means, var, nodes, weights)
         assert abs(got - want) <= 1e-12 + 1e-12 * abs(want)
@@ -255,7 +265,7 @@ class TestSeparableForm:
     def test_both_forms_are_reached(self, monkeypatch):
         # at order 1024 the guard falls near 50 sd from the centre
         rows = count_forms(monkeypatch)
-        nodes, weights = _hermite_rule(1024)
+        nodes, weights = trapezoid(1024)
         probs = np.array([0.25, 0.75])
         for sd in (1.0, 40.0, 80.0, 400.0):
             means = np.array([-0.75, 0.25]) * sd
@@ -272,7 +282,7 @@ class TestSeparableForm:
         spread = batch_rng.choice([0.5, 5.0, 30.0, 80.0, 400.0], (count, 1))
         var = 10.0 ** batch_rng.uniform(-3.0, 3.0, count)
         means = spread * batch_rng.uniform(-1.0, 1.0, (count, k)) * np.sqrt(var)[:, None]
-        nodes, weights = _hermite_rule(256)
+        nodes, weights = trapezoid(256)
         alone = [one_mixture(probs[r], means[r], var[r], nodes, weights) for r in range(count)]
         rows = count_forms(monkeypatch)
         monkeypatch.setattr(kernels, "_BATCH_ELEMENTS", bound)
@@ -283,7 +293,7 @@ class TestSeparableForm:
     @pytest.mark.parametrize("order", [8, 64, 1024])
     @pytest.mark.parametrize("var", [1e-6, 1.0, 1e6])
     def test_no_warning_at_any_separation(self, order, var):
-        nodes, weights = _hermite_rule(order)
+        nodes, weights = trapezoid(order)
         probs = np.array([1e-12, 0.3, 0.7 - 1e-12])
         seps = [0.0, 1e-9, 0.5, 3.0, 30.0, 60.0, 400.0, 1e4, 1e8, 1e100, 1e200, 1e300]
         means = np.array([[-1.0, 0.0, 1.0]]) * np.array(seps)[:, None] * math.sqrt(var)

@@ -3,8 +3,7 @@
 import re
 from pathlib import Path
 
-from dendrofit import kernels
-from dendrofit.estimators import _hermite_rule
+from dendrofit.estimators import _rung
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,10 +19,11 @@ def test_library_snippet_runs():
 
 def test_kept_node_counts_match_the_rule():
     text = " ".join(README.read_text(encoding="utf-8").split())
-    claim = re.search(r"Orders ([\d, ]+ and \d+) keep ([\d, ]+ and \d+) nodes", text)
+    claim = re.search(r"[Oo]rders ([\d, ]+ and \d+) keep ([\d, ]+ and \d+) nodes", text)
     assert claim is not None, "README states no kept-node counts"
     orders, kept = ([int(v) for v in re.findall(r"\d+", part)] for part in claim.groups())
     assert len(orders) == len(kept) == 5
-    for order, count in zip(orders, kept):
-        weights = _hermite_rule(order)[1]
-        assert (weights > kernels._NODE_WEIGHT_FLOOR).sum() == count, order
+    # the rungs of a ladder from the first order the README names
+    rungs = [_rung(order, order == orders[0]) for order in orders]
+    for k, count in enumerate(kept):
+        assert sum(len(nodes) for nodes, _ in rungs[: k + 1]) == count, orders[k]

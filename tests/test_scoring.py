@@ -384,10 +384,10 @@ class TestBatchedPairTable:
 class TestPairScoresMemory:
     """The pairs are held once, as vectors in canonical order: with 400
     Gaussian columns of 5 rows (79,800 pairs), ``pair_scores`` peaks at
-    most 128 bytes a pair above its inputs under ``tracemalloc``. Its
+    most 112 bytes a pair above its inputs under ``tracemalloc``. Its
     result holds 40 of them (two index and three float vectors)."""
 
-    N_VARS, ROWS, BYTES_PER_PAIR = 400, 5, 128
+    N_VARS, ROWS, BYTES_PER_PAIR = 400, 5, 112
 
     def test_peak_per_pair(self):
         rng = np.random.default_rng(1)
